@@ -1,0 +1,121 @@
+"""Golden bytes: every report file the CLI writes, pinned by SHA-256.
+
+Each run executes one experiment on a small grid (1D n = 33, plus the 2D
+attractor estimates on n = 17) and hashes every output file except
+manifest.json, which carries wall-clock fields.  A change meant to leave the
+numbers alone must leave every digest alone.  The fixture records the NumPy
+version and platform it was made on; elsewhere the last-bit behaviour of
+NumPy's kernels may differ, so the comparison is skipped there.
+
+After a deliberate change of output, regenerate the fixture with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import os
+import platform
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from plrds import cli
+
+FIXTURE = Path(__file__).with_name("golden_digests.json")
+
+_BASE = """\
+[problem]
+noise_case = {case}
+[grid]
+dim = {dim}
+n = {n}
+[stepper]
+dt = 0.01
+[output]
+formats = csv,json,binary
+[experiment]
+"""
+
+# experiment -> (noise cases, [experiment] keys).  usc-sweep sets the case of
+# every run itself, so one noise case covers it.
+_EXPERIMENTS = {
+    "simulate": (("additive", "multiplicative", "deterministic"),
+                 "horizon = 1\n"),
+    "cocycle-test": (("additive", "multiplicative", "deterministic"), ""),
+    "energy-audit": (("additive", "multiplicative", "deterministic"),
+                     "warmup = 0.2\nhorizon = 0.3\n"),
+    "absorb-check": (("additive", "multiplicative", "deterministic"),
+                     "horizons = 0.5, 1\nn_seeds = 2\nn_initials = 2\n"),
+    "tail-check": (("additive", "multiplicative", "deterministic"),
+                   "horizon = 1\nn_seeds = 2\nn_sigma = 4\n"),
+    "estimate-attractor": (("additive", "multiplicative", "deterministic"),
+                           "horizon = 1\nn_initials = 3\n"),
+    "usc-sweep": (("multiplicative",),
+                  "alphas = 0.4, 0.1\nn_seeds = 2\nhorizon = 1\n"),
+    "periodicity-check": (("additive", "multiplicative", "deterministic"),
+                          "horizon = 1\nn_seeds = 2\n"),
+}
+
+RUNS = {f"{exp}-{case}-1d": (exp, _BASE.format(case=case, dim=1, n=33) + keys)
+        for exp, (cases, keys) in _EXPERIMENTS.items() for case in cases}
+RUNS.update({f"estimate-attractor-{case}-2d": (
+    "estimate-attractor",
+    _BASE.format(case=case, dim=2, n=17) + "horizon = 1\nn_initials = 3\n")
+    for case in _EXPERIMENTS["estimate-attractor"][0]})
+
+
+def _environment() -> dict:
+    return {"numpy": np.__version__, "python": platform.python_version(),
+            "machine": platform.machine(), "system": platform.system()}
+
+
+def run_and_hash(name: str, root: Path) -> dict:
+    """Run one golden experiment under root; return {file name: sha256}.
+
+    The output directory is given relative to root because report.json
+    echoes it."""
+    experiment, text = RUNS[name]
+    (root / f"{name}.ini").write_text(text)
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        code = cli.main([experiment, "--config", f"{name}.ini",
+                         "--out", f"out/{name}", "--workers", "1"])
+    finally:
+        os.chdir(cwd)
+    if code != 0:
+        raise RuntimeError(f"{name}: plrds {experiment} exited {code}")
+    out = root / "out" / name
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+
+def _fixture() -> dict:
+    body = json.loads(FIXTURE.read_text())
+    env = _environment()
+    for key in ("numpy", "machine", "system"):
+        if body["environment"][key] != env[key]:
+            pytest.skip(f"golden digests were made with {key} "
+                        f"{body['environment'][key]}, this is {env[key]}")
+    return body["digests"]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_report_bytes_match_golden(name, tmp_path):
+    expected = _fixture()[name]
+    assert run_and_hash(name, tmp_path) == expected
+
+
+def main(root: Path) -> None:
+    digests = {name: run_and_hash(name, root) for name in sorted(RUNS)}
+    body = {"environment": _environment(), "digests": digests}
+    FIXTURE.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {FIXTURE} ({sum(map(len, digests.values()))} files)")
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        main(Path(tmp))
