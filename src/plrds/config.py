@@ -55,7 +55,6 @@ class RunConfig:
     dt: float = 1e-3
     scheme: str = "imex"
     substep_limit: int = 8
-    energy_tol: float = 1e-3
     # [noise]
     seed: int = 0
     noise_dt: float = 0.0          # 0 -> use stepper dt
@@ -103,8 +102,7 @@ class RunConfig:
 
     def stepper(self) -> StepperConfig:
         return StepperConfig(dt=self.dt, scheme=self.scheme,
-                             substep_limit=self.substep_limit,
-                             energy_tol=self.energy_tol)
+                             substep_limit=self.substep_limit)
 
     def path_dt(self) -> float:
         return self.noise_dt if self.noise_dt > 0 else self.dt
@@ -154,7 +152,6 @@ _SCHEMA = {
     "stepper": {
         "dt": ("dt", float), "scheme": ("scheme", str),
         "substep_limit": ("substep_limit", int),
-        "energy_tol": ("energy_tol", float),
     },
     "noise": {
         "seed": ("seed", int), "dt": ("noise_dt", float),
@@ -263,8 +260,6 @@ def _validate(cfg: RunConfig, lines: dict) -> list:
         errors.append(f"{at('scheme')}scheme must be imex or explicit")
     if cfg.substep_limit < 1:
         errors.append(f"{at('substep_limit')}substep_limit must be ≥ 1")
-    if cfg.energy_tol <= 0:
-        errors.append(f"{at('energy_tol')}energy_tol must be > 0")
     if cfg.noise_dt < 0:
         errors.append(f"{at('noise_dt')}noise dt must be ≥ 0 (0 = stepper dt)")
     if cfg.block_length <= 0:

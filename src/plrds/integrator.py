@@ -42,7 +42,6 @@ class StepperConfig:
     dt: float = 1e-3
     scheme: str = "imex"
     substep_limit: int = 8
-    energy_tol: float = 1e-3
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -51,8 +50,6 @@ class StepperConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.substep_limit < 0:
             raise ValueError("substep_limit must be >= 0")
-        if self.energy_tol <= 0:
-            raise ValueError("energy_tol must be positive")
 
 
 class StiffnessError(RuntimeError):
