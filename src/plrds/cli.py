@@ -93,8 +93,8 @@ def _single_seed_inputs(cfg: RunConfig):
 def _run_simulate(cfg: RunConfig, out: Path):
     spec, grid, stepper, path, u0 = _single_seed_inputs(cfg)
     try:
-        _, rec = cocycle_apply(cfg.horizon, cfg.tau, path, u0, spec, stepper,
-                               with_record=True)
+        endpoint, rec = cocycle_apply(cfg.horizon, cfg.tau, path, u0, spec,
+                                      stepper, with_record=True)
     except StiffnessError as exc:
         return 1, [{"task": "simulate", "status": "failed",
                     "detail": exc.report}], []
@@ -102,7 +102,6 @@ def _run_simulate(cfg: RunConfig, out: Path):
     series = out / "series.csv"
     rec.to_csv(series)
     outputs.append(series)
-    endpoint = cocycle_apply(cfg.horizon, cfg.tau, path, u0, spec, stepper)
     if "csv" in cfg.formats:
         fp = out / "endpoint.csv"
         field_to_csv(endpoint, fp)
