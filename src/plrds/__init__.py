@@ -12,14 +12,12 @@ from .analysis import (AbsorbingReport, RadiusReport, TailReport, UscReport,
                        usc_sweep)
 from .fields import (EndpointEnsemble, EnsembleTag, Field, Grid, TailMass,
                      cutoff_rho, field_from_binary, field_from_csv,
-                     field_to_binary, field_to_csv, flux_pairing, grad_p_pow,
+                     field_to_binary, field_to_csv, flux_pairing,
                      hausdorff_semidistance, l2_sq, lebesgue_pow, make_field,
                      norms, p_dissipation, p_laplace, tail_mass, zero_field)
 from .integrator import (PullbackResult, StepperConfig, StiffnessError,
                          TrajectoryRecord, cocycle_apply, pullback_run,
-                         stable_dt_bound, step_additive, step_deterministic,
-                         step_multiplicative, transform_u_to_v,
-                         transform_v_to_u)
+                         stable_dt_bound, transform_u_to_v, transform_v_to_u)
 from .noise import (EtaConfig, EtaProcess, NoisePath, OUPath, ShiftedView,
                     TabulatedPath, ergodic_diagnostics, make_eta, make_path,
                     ou_from_path, shift, snap_steps)

@@ -20,7 +20,7 @@ from .fields import (EndpointEnsemble, EnsembleTag, Field, Grid,
                      grid_arrays, hausdorff_semidistance, l2_sq,
                      make_field, p_dissipation, flux_pairing, tail_mass)
 from .integrator import (StepperConfig, TrajectoryRecord, cocycle_apply,
-                         pullback_run, _context)
+                         pullback_run, _context, _COUPLINGS)
 from .noise import NoisePath, make_eta, make_path, ou_from_path, snap_steps
 from .problem import ForcingNorms, ProblemSpec, alpha_zero
 
@@ -91,10 +91,11 @@ def _cumtrapz(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _weight_window(path, spec: ProblemSpec, quad_tol: float, kind: str):
+def _weight_window(path, spec: ProblemSpec, quad_tol: float):
     """Weights and noise samples on [-S, 0] with S chosen so the weight tail
     falls below quad_tol (capped; the cap flags non-convergence)."""
     lam = spec.lam
+    rate = _COUPLINGS[spec.noise_case].ou_rate(spec)
     base_span = math.log(1.0 / quad_tol) / (1.25 * lam)
     dt = path.dt if not hasattr(path, "base") else path.base.dt
     n = max(int(round(4.0 / dt)), int(math.ceil(base_span / dt)))
@@ -102,13 +103,12 @@ def _weight_window(path, spec: ProblemSpec, quad_tol: float, kind: str):
     while True:
         span = n * dt
         s = -span + np.arange(n + 1) * dt
-        if kind == "additive":
-            z = ou_from_path(path, lam, -span, 0.0).values
+        z = ou_from_path(path, rate, -span, 0.0).values
+        if spec.noise_case == "additive":
             eta = make_eta(path, spec.eta, -span, 0.0).node_values(n + 1)
             integ = _cumtrapz(eta, dt)
             expo = 1.25 * lam * s - 2.0 * spec.alpha * (integ - integ[-1])
         else:
-            z = ou_from_path(path, 1.0, -span, 0.0).values
             eta = None
             integ = _cumtrapz(z, dt)
             expo = (1.25 * lam * s - 2.0 * spec.alpha * (integ - integ[-1])
@@ -144,7 +144,7 @@ def absorbing_radius_additive(tau: float, path, spec: ProblemSpec,
                       stacklevel=2)
     from .problem import check_growth_condition
     growth = check_growth_condition(spec, tau, grid=grid, quad_tol=quad_tol)
-    s, w, z, eta, span, converged = _weight_window(path, spec, quad_tol, "additive")
+    s, w, z, eta, span, converged = _weight_window(path, spec, quad_tol)
     dt = s[1] - s[0]
     eps = spec.epsilon
     noise_term = (np.abs(eps * z) ** spec.p + np.abs(eps * z) ** spec.q
@@ -181,8 +181,7 @@ def absorbing_radius_multiplicative(tau: float, path, spec: ProblemSpec,
         raise ValueError("spec is not the multiplicative model")
     from .problem import check_growth_condition
     growth = check_growth_condition(spec, tau, grid=grid, quad_tol=quad_tol)
-    s, w, z, _, span, converged = _weight_window(path, spec, quad_tol,
-                                                 "multiplicative")
+    s, w, z, _, span, converged = _weight_window(path, spec, quad_tol)
     dt = s[1] - s[0]
     forcing = ForcingNorms(spec, grid)
     parts = {
@@ -335,6 +334,7 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec, path=None):
         raise ValueError("audit needs consecutive snapshot triples")
     grid = snaps[ks[0]].grid
     ctx = _context(spec, grid)
+    co = _COUPLINGS[record.case]
     arrs = grid_arrays(grid)
     wts = arrs.weights
     dt = record.dt
@@ -351,8 +351,8 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec, path=None):
         dE = (energies[k + 1] - energies[k - 1]) / (2.0 * dt)
         zk = float(z[k - 1] + 2.0 * z[k] + z[k + 1]) / 4.0
         ek = float(eta[k - 1] + 2.0 * eta[k] + eta[k + 1]) / 4.0
+        w = Field(grid, co.w_of(v.values, zk, ctx))
         if record.case == "additive":
-            w = Field(grid, v.values + (spec.epsilon * zk) * ctx.h)
             lhs = (dE + 2.0 * (spec.lam - spec.alpha * ek) * energies[k]
                    + 2.0 * p_dissipation(w, spec.p, spec.delta))
             rhs = (2.0 * spec.epsilon * zk
@@ -374,7 +374,6 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec, path=None):
                    * forcing.g_l2_sq(t))
             residuals[i] = max(0.0, lhs - rhs)
         else:
-            w = v
             lhs = (dE + 2.0 * spec.lam * energies[k]
                    + 2.0 * p_dissipation(w, spec.p, spec.delta))
             rhs = (2.0 * float(np.sum(wts * ctx.f_of(t, w.values) * v.values))

@@ -127,15 +127,6 @@ def _str_list(text: str):
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-def _bool(text: str):
-    low = text.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 _SCHEMA = {
     "problem": {
         "lam": ("lam", float), "p": ("p", float), "q": ("q", float),

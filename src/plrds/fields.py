@@ -126,6 +126,28 @@ def _face_data(values: np.ndarray, dim: int, dx: float, p: float, delta: float):
     return ((gx, coef_x), (gy, coef_y))
 
 
+def _lap_diss(values: np.ndarray, grid: Grid, p: float, delta: float):
+    """p-Laplace array plus its dissipation pairing, sharing the face data.
+
+    In two dimensions the array is not zero on the boundary columns."""
+    dx = grid.dx
+    faces = _face_data(values, grid.dim, dx, p, delta)
+    out = np.zeros_like(values)
+    if grid.dim == 1:
+        gx, coef = faces[0]
+        flux = coef * gx
+        out[1:-1] = np.diff(flux) / dx
+        diss = float(np.sum(coef * gx * gx) * dx)
+    else:
+        (gx, cx), (gy, cy) = faces
+        fx = cx * gx
+        fy = cy * gy
+        out[1:-1, :] += (fx[1:, :] - fx[:-1, :]) / dx
+        out[:, 1:-1] += (fy[:, 1:] - fy[:, :-1]) / dx
+        diss = float((np.sum(cx * gx * gx) + np.sum(cy * gy * gy)) * dx * dx)
+    return out, diss
+
+
 def p_laplace(u: Field, p: float, delta: float = 0.0) -> Field:
     """div(|grad u|^(p-2) grad u) in flux form; boundary rows stay zero.
 
@@ -136,21 +158,9 @@ def p_laplace(u: Field, p: float, delta: float = 0.0) -> Field:
         raise ValueError(f"p must be >= 2, got {p!r}")
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    dx = u.grid.dx
-    faces = _face_data(u.values, u.grid.dim, dx, p, delta)
-    out = np.zeros_like(u.values)
-    if u.grid.dim == 1:
-        gx, coef = faces[0]
-        flux = coef * gx
-        out[1:-1] = np.diff(flux) / dx
-    else:
-        (gx, cx), (gy, cy) = faces
-        fx = cx * gx
-        fy = cy * gy
-        out[1:-1, :] += (fx[1:, :] - fx[:-1, :]) / dx
-        out[:, 1:-1] += (fy[:, 1:] - fy[:, :-1]) / dx
-        arrs = grid_arrays(u.grid)
-        out[arrs.boundary] = 0.0
+    out, _ = _lap_diss(u.values, u.grid, p, delta)
+    if u.grid.dim == 2:
+        out[grid_arrays(u.grid).boundary] = 0.0
     return Field(u.grid, out)
 
 
@@ -183,11 +193,6 @@ def flux_pairing(u: Field, other: Field, p: float, delta: float = 0.0) -> float:
     return float(sum(np.sum(cu * gu * go) for (gu, cu), (go, _) in zip(fu, fo)) * cell)
 
 
-def grad_p_pow(u: Field, p: float) -> float:
-    """Face quadrature of ||grad u||_p^p."""
-    return p_dissipation(u, p, 0.0)
-
-
 def lebesgue_pow(u: Field, r: float) -> float:
     """Trapezoid quadrature of ||u||_r^r."""
     arrs = grid_arrays(u.grid)
@@ -208,7 +213,7 @@ def norms(u: Field, p: float, q: float) -> dict:
         "l2": math.sqrt(l2_sq(u)),
         "lp": lp_pow ** (1.0 / p),
         "lq": lebesgue_pow(u, q) ** (1.0 / q),
-        "w1p": (lp_pow + grad_p_pow(u, p)) ** (1.0 / p),
+        "w1p": (lp_pow + p_dissipation(u, p, 0.0)) ** (1.0 / p),
     }
 
 

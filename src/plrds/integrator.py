@@ -1,6 +1,6 @@
-"""Time integration: IMEX exponential-Euler steppers for the additive,
+"""Time integration: the IMEX exponential-Euler step shared by the additive,
 multiplicative, and deterministic models, the solution operator built from
-them, and pullback runs.
+it, and pullback runs.
 
 The linear damping is integrated exactly and everything else explicitly:
 
@@ -10,7 +10,8 @@ with a = lam - alpha*eta for the additive model and a = lam otherwise.  The
 noise enters through the stationary OU value z: the additive model advances
 v = u - epsilon*h*z, the multiplicative model v = e^(-alpha z) u.  z and eta
 are sampled at step midpoints (left endpoint for the first substep when the
-divergence guard splits a step).
+divergence guard splits a step).  Everything that differs between the three
+models sits in one table, _COUPLINGS; the step itself is written once.
 
 Two reproducibility rules shape this module.  First, all step times are
 integer multiples of dt, and time-periodic coefficients are evaluated at the
@@ -26,11 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .fields import (EndpointEnsemble, EnsembleTag, Field, Grid, _face_data,
-                     grid_arrays, make_field)
+                     _lap_diss, grid_arrays, make_field)
 from .noise import make_eta, ou_from_path, snap_steps
 from .problem import ProblemSpec, compile_expression
 
@@ -128,83 +131,85 @@ class _ModelContext:
         return (spec.g_amp * math.cos(2.0 * math.pi * t / spec.period)) * self.gauss
 
 
-_CTX_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _context(spec: ProblemSpec, grid: Grid) -> _ModelContext:
-    key = (spec, grid)
-    ctx = _CTX_CACHE.get(key)
-    if ctx is None:
-        ctx = _ModelContext(spec, grid)
-        if len(_CTX_CACHE) > 64:
-            _CTX_CACHE.clear()
-        _CTX_CACHE[key] = ctx
-    return ctx
+    return _ModelContext(spec, grid)
 
 
-def _decay_coeffs(a: float, dt: float):
-    if a == 0.0:
-        return 1.0, dt
-    return math.exp(-a * dt), -math.expm1(-a * dt) / a
+# ---------------------------------------------------------------------------
+# Noise coupling: one table entry per case.  Each case keeps its own
+# arithmetic; one formula with identity coefficients would not keep the bits
+# (x + 0.0*y turns -0.0 into +0.0, and 0*inf into nan).
+# ---------------------------------------------------------------------------
+
+def _additive_rhs(v, w, lap, t, z, eta, ctx):
+    spec = ctx.spec
+    rhs = ((lap + ctx.f_of(t, w)) + ctx.g_of(t)) \
+        + (spec.alpha * spec.epsilon * eta * z) * ctx.h
+    return rhs, spec.lam - spec.alpha * eta
 
 
-def _lap_diss(values: np.ndarray, grid: Grid, p: float, delta: float):
-    """p-Laplace array plus its dissipation pairing, sharing the face data."""
-    dx = grid.dx
-    faces = _face_data(values, grid.dim, dx, p, delta)
-    out = np.zeros_like(values)
-    if grid.dim == 1:
-        gx, coef = faces[0]
-        flux = coef * gx
-        out[1:-1] = np.diff(flux) / dx
-        diss = float(np.sum(coef * gx * gx) * dx)
-    else:
-        (gx, cx), (gy, cy) = faces
-        fx = cx * gx
-        fy = cy * gy
-        out[1:-1, :] += (fx[1:, :] - fx[:-1, :]) / dx
-        out[:, 1:-1] += (fy[:, 1:] - fy[:, :-1]) / dx
-        diss = float((np.sum(cx * gx * gx) + np.sum(cy * gy * gy)) * dx * dx)
-    return out, diss
+def _multiplicative_rhs(v, w, lap, t, z, eta, ctx):
+    spec = ctx.spec
+    scale = math.exp(spec.alpha * z)
+    rhs = ((math.exp(spec.alpha * (spec.p - 2.0) * z) * lap
+            + (spec.alpha * z) * v)
+           + (1.0 / scale) * ctx.f_of(t, scale * v)) \
+        + (1.0 / scale) * ctx.g_of(t)
+    return rhs, spec.lam
 
 
-def _apply_update(vv, a, dtt, rhs, ctx, scheme):
-    if scheme == "imex":
-        decay, gain = _decay_coeffs(a, dtt)
-        out = decay * vv + gain * rhs
-    else:
-        out = vv + dtt * (rhs - a * vv)
-    out[ctx.arrs.boundary] = 0.0
-    return out
+def _deterministic_rhs(v, w, lap, t, z, eta, ctx):
+    return (lap + ctx.f_of(t, v)) + ctx.g_of(t), ctx.spec.lam
 
 
-def _single_step(case: str, vv: np.ndarray, t_eval: float, dtt: float,
+class _Coupling(NamedTuple):
+    """How one noise case enters the step."""
+
+    ou_rate: Callable | None    # spec -> OU rate of z; None: no noise
+    with_eta: bool              # eta modulates the damping rate
+    to_v: Callable              # (u, z, ctx) -> v at noise value z
+    to_u: Callable              # (v, z, ctx) -> u at noise value z
+    w_is_u: bool                # the dissipation argument is u, else v
+    rhs: Callable               # (v, w, lap, t, z, eta, ctx) -> (RHS, rate a)
+
+    def w_of(self, v, z, ctx):
+        """The dissipation argument of v at noise value z."""
+        return self.to_u(v, z, ctx) if self.w_is_u else v
+
+
+_COUPLINGS = {
+    "additive": _Coupling(
+        lambda spec: spec.lam, True,
+        lambda u, z, ctx: u - (ctx.spec.epsilon * z) * ctx.h,
+        lambda v, z, ctx: v + (ctx.spec.epsilon * z) * ctx.h,
+        True, _additive_rhs),
+    "multiplicative": _Coupling(
+        lambda spec: 1.0, False,
+        lambda u, z, ctx: math.exp(-ctx.spec.alpha * z) * u,
+        lambda v, z, ctx: math.exp(ctx.spec.alpha * z) * v,
+        False, _multiplicative_rhs),
+    "deterministic": _Coupling(
+        None, False, lambda u, z, ctx: u, lambda v, z, ctx: v,
+        False, _deterministic_rhs),
+}
+
+
+def _single_step(co: _Coupling, vv: np.ndarray, t_eval: float, dtt: float,
                  z_mid: float, eta_mid: float, ctx: _ModelContext, scheme: str):
     """One explicit/IMEX update; returns (v_new, diss_p, diss_q)."""
     spec = ctx.spec
-    w = ctx.arrs.weights
-    if case == "additive":
-        warg = vv + (spec.epsilon * z_mid) * ctx.h
-        lap, diss = _lap_diss(warg, ctx.grid, spec.p, spec.delta)
-        rhs = ((lap + ctx.f_of(t_eval, warg)) + ctx.g_of(t_eval)) \
-            + (spec.alpha * spec.epsilon * eta_mid * z_mid) * ctx.h
-        a = spec.lam - spec.alpha * eta_mid
-        dq = float(np.sum(w * np.abs(warg) ** spec.q))
-    elif case == "multiplicative":
-        lap, diss = _lap_diss(vv, ctx.grid, spec.p, spec.delta)
-        scale = math.exp(spec.alpha * z_mid)
-        rhs = ((math.exp(spec.alpha * (spec.p - 2.0) * z_mid) * lap
-                + (spec.alpha * z_mid) * vv)
-               + (1.0 / scale) * ctx.f_of(t_eval, scale * vv)) \
-            + (1.0 / scale) * ctx.g_of(t_eval)
-        a = spec.lam
-        dq = float(np.sum(w * np.abs(vv) ** spec.q))
+    warg = co.w_of(vv, z_mid, ctx)
+    lap, diss = _lap_diss(warg, ctx.grid, spec.p, spec.delta)
+    rhs, a = co.rhs(vv, warg, lap, t_eval, z_mid, eta_mid, ctx)
+    if scheme == "explicit":
+        out = vv + dtt * (rhs - a * vv)
+    elif a == 0.0:
+        out = vv + dtt * rhs
     else:
-        lap, diss = _lap_diss(vv, ctx.grid, spec.p, spec.delta)
-        rhs = (lap + ctx.f_of(t_eval, vv)) + ctx.g_of(t_eval)
-        a = spec.lam
-        dq = float(np.sum(w * np.abs(vv) ** spec.q))
-    return _apply_update(vv, a, dtt, rhs, ctx, scheme), diss, dq
+        out = math.exp(-a * dtt) * vv + (-math.expm1(-a * dtt) / a) * rhs
+    out[ctx.arrs.boundary] = 0.0
+    return out, diss, float(np.sum(ctx.arrs.weights * np.abs(warg) ** spec.q))
 
 
 def _norm_ok(l2_old: float, l2_new: float) -> bool:
@@ -215,21 +220,23 @@ def _weighted_l2(values: np.ndarray, ctx: _ModelContext) -> float:
     return math.sqrt(float(np.sum(ctx.arrs.weights * values * values)))
 
 
-def _macro_step(case, vv, t_eval, dtt, z0, z1, eta0, eta1, ctx, cfg):
-    """One dt step with the divergence guard; halves into substeps on blowup."""
+def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, ctx, cfg):
+    """One dt step with the divergence guard; halves into substeps on blowup.
+
+    Returns (v_new, diss_p, diss_q).  A StiffnessError reports as norm_after
+    the norm of the last rejected attempt."""
     z_mid = 0.5 * (z0 + z1)
     eta_mid = 0.5 * (eta0 + eta1)
-    cand, diss, dq = _single_step(case, vv, t_eval, dtt, z_mid, eta_mid, ctx, cfg.scheme)
+    cand, diss, dq = _single_step(co, vv, t_eval, dtt, z_mid, eta_mid, ctx, cfg.scheme)
     l2_old = _weighted_l2(vv, ctx)
     l2_new = _weighted_l2(cand, ctx)
     if _norm_ok(l2_old, l2_new):
-        return cand, diss, dq, l2_new
+        return cand, diss, dq
     for halvings in range(1, cfg.substep_limit + 1):
         nsub = 2 ** halvings
         hs = dtt / nsub
         cur = vv
         l2_cur = l2_old
-        good = True
         for i in range(nsub):
             if i == 0:
                 zs, es = z0, eta0          # left endpoint for the first substep
@@ -237,63 +244,27 @@ def _macro_step(case, vv, t_eval, dtt, z0, z1, eta0, eta1, ctx, cfg):
                 frac = (i + 0.5) / nsub
                 zs = z0 + frac * (z1 - z0)
                 es = eta0 + frac * (eta1 - eta0)
-            nxt, diss, dq = _single_step(case, cur, t_eval + i * hs, hs, zs, es,
+            nxt, diss, dq = _single_step(co, cur, t_eval + i * hs, hs, zs, es,
                                          ctx, cfg.scheme)
-            l2_nxt = _weighted_l2(nxt, ctx)
-            if not _norm_ok(l2_cur, l2_nxt):
-                good = False
+            l2_new = _weighted_l2(nxt, ctx)
+            if not _norm_ok(l2_cur, l2_new):
                 break
-            cur, l2_cur = nxt, l2_nxt
-        if good:
-            return cur, diss, dq, l2_cur
+            cur, l2_cur = nxt, l2_new
+        else:
+            return cur, diss, dq
     raise StiffnessError({
         "t": t_eval, "dt": dtt, "halvings": cfg.substep_limit,
         "norm_before": l2_old, "norm_after": l2_new,
-        "suggested_dt": stable_dt_bound_values(vv, ctx.grid, ctx.spec),
+        "suggested_dt": stable_dt_bound(Field(ctx.grid, vv), ctx.spec),
     })
 
 
-def stable_dt_bound_values(values: np.ndarray, grid: Grid, spec: ProblemSpec,
-                           safety: float = 0.2) -> float:
+def stable_dt_bound(u: Field, spec: ProblemSpec, safety: float = 0.2) -> float:
     """Empirical explicit-diffusion bound safety * dx^p / max face coefficient."""
-    faces = _face_data(values, grid.dim, grid.dx, spec.p, spec.delta)
+    grid = u.grid
+    faces = _face_data(u.values, grid.dim, grid.dx, spec.p, spec.delta)
     peak = max(float(np.max(coef)) for _, coef in faces)
     return safety * grid.dx ** spec.p / max(peak, 1e-12)
-
-
-def stable_dt_bound(u: Field, spec: ProblemSpec, safety: float = 0.2) -> float:
-    return stable_dt_bound_values(u.values, u.grid, spec, safety)
-
-
-# ---------------------------------------------------------------------------
-# Public single-step API (takes literal time and scalar noise samples).
-# ---------------------------------------------------------------------------
-
-def step_additive(v: Field, t: float, z_t: float, eta_t: float,
-                  spec: ProblemSpec, cfg: StepperConfig) -> Field:
-    """Advance the additive-model transformed state v by one dt."""
-    ctx = _context(spec, v.grid)
-    out, _, _, _ = _macro_step("additive", v.values, t, cfg.dt,
-                               z_t, z_t, eta_t, eta_t, ctx, cfg)
-    return Field(v.grid, out)
-
-
-def step_multiplicative(v: Field, t: float, z_t: float,
-                        spec: ProblemSpec, cfg: StepperConfig) -> Field:
-    """Advance the multiplicative-model transformed state v by one dt."""
-    ctx = _context(spec, v.grid)
-    out, _, _, _ = _macro_step("multiplicative", v.values, t, cfg.dt,
-                               z_t, z_t, 0.0, 0.0, ctx, cfg)
-    return Field(v.grid, out)
-
-
-def step_deterministic(u: Field, t: float, spec: ProblemSpec,
-                       cfg: StepperConfig) -> Field:
-    """Advance the noise-free model by one dt."""
-    ctx = _context(spec, u.grid)
-    out, _, _, _ = _macro_step("deterministic", u.values, t, cfg.dt,
-                               0.0, 0.0, 0.0, 0.0, ctx, cfg)
-    return Field(u.grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -301,38 +272,28 @@ def step_deterministic(u: Field, t: float, spec: ProblemSpec,
 # ---------------------------------------------------------------------------
 
 def transform_u_to_v(u: Field, z: float, spec: ProblemSpec) -> Field:
-    if spec.noise_case == "additive":
-        ctx = _context(spec, u.grid)
-        return Field(u.grid, u.values - (spec.epsilon * z) * ctx.h)
-    if spec.noise_case == "multiplicative":
-        return Field(u.grid, math.exp(-spec.alpha * z) * u.values)
-    return u.copy()
+    """The integrated variable v of u at noise value z, as a new field."""
+    to_v = _COUPLINGS[spec.noise_case].to_v
+    return Field(u.grid, np.array(to_v(u.values, z, _context(spec, u.grid))))
 
 
 def transform_v_to_u(v: Field, z: float, spec: ProblemSpec) -> Field:
-    if spec.noise_case == "additive":
-        ctx = _context(spec, v.grid)
-        return Field(v.grid, v.values + (spec.epsilon * z) * ctx.h)
-    if spec.noise_case == "multiplicative":
-        return Field(v.grid, math.exp(spec.alpha * z) * v.values)
-    return v.copy()
+    """The equation variable u of v at noise value z, as a new field."""
+    to_u = _COUPLINGS[spec.noise_case].to_u
+    return Field(v.grid, np.array(to_u(v.values, z, _context(spec, v.grid))))
 
 
 # ---------------------------------------------------------------------------
 # The solution operator and pullback runs.
 # ---------------------------------------------------------------------------
 
-def _noise_arrays(case: str, path, spec: ProblemSpec, span: float, dt: float,
-                  nsteps: int):
-    if case == "additive":
-        z = ou_from_path(path, spec.lam, 0.0, span, dt).values
-        eta = make_eta(path, spec.eta, 0.0, span, dt).node_values(nsteps + 1)
-    elif case == "multiplicative":
-        z = ou_from_path(path, 1.0, 0.0, span, dt).values
-        eta = np.zeros(nsteps + 1)
-    else:
-        z = np.zeros(nsteps + 1)
-        eta = np.zeros(nsteps + 1)
+def _noise_arrays(co: _Coupling, path, spec: ProblemSpec, nsteps: int,
+                  dt: float):
+    span = nsteps * dt
+    z = ou_from_path(path, co.ou_rate(spec), 0.0, span, dt).values \
+        if co.ou_rate else np.zeros(nsteps + 1)
+    eta = make_eta(path, spec.eta, 0.0, span, dt).node_values(nsteps + 1) \
+        if co.with_eta else np.zeros(nsteps + 1)
     return z, eta
 
 
@@ -358,86 +319,50 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
     m = snap_steps(spec.period, dt, "period")
     if m < 1:
         raise ValueError("period must be a positive multiple of dt")
-    case = spec.noise_case
+    co = _COUPLINGS[spec.noise_case]
     grid = u_tau.grid
     ctx = _context(spec, grid)
     want = set(int(i) for i in snapshot_indices) if snapshot_indices else set()
 
-    record = TrajectoryRecord(case=case, tau=tau, dt=dt, p=spec.p, q=spec.q) \
-        if with_record else None
-    if nsteps == 0:
-        out = u_tau.copy()
-        if with_record:
-            z, eta = _noise_arrays(case, path, spec, 0.0, dt, 0)
-            vv = transform_u_to_v(out, float(z[0]), spec)
-            arg0 = vv.values if case != "additive" else out.values
-            record.times = np.array([float(tau)])
-            record.l2_sq = np.array([_weighted_l2(vv.values, ctx) ** 2])
-            record.diss_p = np.array([_lap_diss(arg0, grid, spec.p, spec.delta)[1]])
-            record.diss_q = np.array([float(np.sum(ctx.arrs.weights
-                                                   * np.abs(arg0) ** spec.q))])
-            record.z = z
-            record.eta = eta
-            if 0 in want:
-                record.snapshots[0] = vv
-            return out, record
-        return out
-
-    z, eta = _noise_arrays(case, path, spec, nsteps * dt, dt, nsteps)
+    z, eta = _noise_arrays(co, path, spec, nsteps, dt)
     state = u_tau.values.copy()
-    eps = spec.epsilon
-    alpha = spec.alpha
 
     l2s = np.empty(nsteps + 1)
     dps = np.empty(nsteps + 1)
     dqs = np.empty(nsteps + 1)
+    snapshots = {}
 
-    vv_new = None
+    # v at the first node, and at the last node reached so far.
+    v0 = vv_new = co.to_v(state, z[0], ctx)
     for k in range(nsteps):
         t_eval = ((tau_k + k) % m) * dt
-        if case == "additive":
-            vv = state - (eps * z[k]) * ctx.h
-        elif case == "multiplicative":
-            vv = math.exp(-alpha * z[k]) * state
-        else:
-            vv = state
+        vv = co.to_v(state, z[k], ctx)
         if with_record:
             l2s[k] = float(np.sum(ctx.arrs.weights * vv * vv))
             if k in want:
-                record.snapshots[k] = Field(grid, vv.copy())
-        vv_new, diss, dq, _ = _macro_step(case, vv, t_eval, dt, z[k], z[k + 1],
-                                          eta[k], eta[k + 1], ctx, cfg)
+                snapshots[k] = Field(grid, vv.copy())
+        vv_new, diss, dq = _macro_step(co, vv, t_eval, dt, z[k], z[k + 1],
+                                       eta[k], eta[k + 1], ctx, cfg)
         if with_record:
             dps[k + 1] = diss
             dqs[k + 1] = dq
-        if case == "additive":
-            state = vv_new + (eps * z[k + 1]) * ctx.h
-        elif case == "multiplicative":
-            state = math.exp(alpha * z[k + 1]) * vv_new
-        else:
-            state = vv_new
+        state = co.to_u(vv_new, z[k + 1], ctx)
 
     out = Field(grid, state)
     if not with_record:
         return out
     l2s[nsteps] = float(np.sum(ctx.arrs.weights * vv_new * vv_new))
     if nsteps in want:
-        record.snapshots[nsteps] = Field(grid, vv_new.copy())
+        snapshots[nsteps] = Field(grid, vv_new.copy())
     # At node times the additive dissipation argument w = v + eps*h*z is u
-    # itself; the multiplicative and deterministic arguments are v.
-    if case == "multiplicative":
-        arg0 = math.exp(-alpha * z[0]) * u_tau.values
-    else:
-        arg0 = u_tau.values
+    # itself, taken as given rather than through the v round trip.
+    arg0 = u_tau.values if co.w_is_u else v0
     dps[0] = _lap_diss(arg0, grid, spec.p, spec.delta)[1]
     dqs[0] = float(np.sum(ctx.arrs.weights * np.abs(arg0) ** spec.q))
-    record.times = tau + np.arange(nsteps + 1) * dt
-    record.l2_sq = l2s
-    record.diss_p = dps
-    record.diss_q = dqs
-    record.z = z
-    record.eta = eta
-    return out, record
+    return out, TrajectoryRecord(
+        case=spec.noise_case, tau=tau, dt=dt,
+        times=tau + np.arange(nsteps + 1) * dt, l2_sq=l2s, diss_p=dps,
+        diss_q=dqs, z=z, eta=eta, p=spec.p, q=spec.q, snapshots=snapshots)
 
 
 @dataclass

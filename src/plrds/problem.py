@@ -216,9 +216,6 @@ class ProblemSpec:
     def g_pointwise(self, t, r2):
         return self.g_time(t) * np.exp(-r2)
 
-    def h_pointwise(self, r2):
-        return np.exp(-0.5 * r2)
-
     def f_pointwise(self, t, x, y, s):
         """f(t, x, s) for scalar/array inputs; y is ignored in one dimension."""
         nl = self.nonlinearity

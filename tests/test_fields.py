@@ -8,8 +8,8 @@ import pytest
 from plrds.fields import (EndpointEnsemble, EnsembleTag, Field, Grid,
                           cutoff_rho, field_from_binary, field_from_csv,
                           field_to_binary, field_to_csv, flux_pairing,
-                          grad_p_pow, grid_arrays, hausdorff_semidistance,
-                          l2_sq, lebesgue_pow, make_field, norms, p_dissipation,
+                          grid_arrays, hausdorff_semidistance, l2_sq,
+                          lebesgue_pow, make_field, norms, p_dissipation,
                           p_laplace, tail_mass, zero_field)
 
 
@@ -167,8 +167,8 @@ class TestNorms:
         assert math.isclose(l2_sq(u), L, rel_tol=1e-4)
         assert math.isclose(lebesgue_pow(u, 3.0), 8.0 * L / (3.0 * np.pi),
                             rel_tol=1e-4)
-        assert math.isclose(grad_p_pow(u, 3.0), (np.pi / L) ** 2 * 8.0 / 3.0,
-                            rel_tol=1e-3)
+        assert math.isclose(p_dissipation(u, 3.0, 0.0),
+                            (np.pi / L) ** 2 * 8.0 / 3.0, rel_tol=1e-3)
 
     def test_norms_dict_consistency(self):
         g = Grid(1, 8.0, 129)
@@ -178,7 +178,7 @@ class TestNorms:
         assert math.isclose(d["lp"] ** 3, lebesgue_pow(u, 3.0), rel_tol=1e-12)
         assert math.isclose(d["lq"] ** 4, lebesgue_pow(u, 4.0), rel_tol=1e-12)
         assert math.isclose(d["w1p"] ** 3,
-                            lebesgue_pow(u, 3.0) + grad_p_pow(u, 3.0),
+                            lebesgue_pow(u, 3.0) + p_dissipation(u, 3.0, 0.0),
                             rel_tol=1e-12)
         with pytest.raises(ValueError):
             norms(u, 1.5, 4.0)

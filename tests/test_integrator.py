@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from plrds.fields import Field, Grid, grid_arrays, l2_sq, make_field
+from plrds.analysis import sample_initial_ball
 from plrds.integrator import (StepperConfig, StiffnessError, cocycle_apply,
-                              pullback_run, stable_dt_bound, step_additive,
-                              step_deterministic, step_multiplicative,
-                              transform_u_to_v, transform_v_to_u)
-from plrds.noise import shift
+                              pullback_run, stable_dt_bound, transform_u_to_v,
+                              transform_v_to_u)
+from plrds.noise import TabulatedPath, shift
 from plrds.problem import ProblemSpec
 
 
@@ -84,16 +84,17 @@ class TestReductions:
         d = cocycle_apply(1.0, 0.25, None, u0, spec_det, cfg_fast)
         assert np.array_equal(m.values, d.values)
 
-    def test_single_step_api_reduces(self, grid65, cfg_fast, gaussian_u0,
-                                     spec_det):
+    def test_zero_noise_samples_reduce(self, grid65, cfg_fast, gaussian_u0,
+                                       spec_det):
         spec0 = ProblemSpec(noise_case="additive", alpha=0.0, epsilon=0.0)
         specm = ProblemSpec(noise_case="multiplicative", alpha=0.0)
-        va = vm = vd = gaussian_u0(grid65)
-        for k in range(200):
-            t = k * cfg_fast.dt
-            va = step_additive(va, t, 0.0, 0.0, spec0, cfg_fast)
-            vm = step_multiplicative(vm, t, 0.0, specm, cfg_fast)
-            vd = step_deterministic(vd, t, spec_det, cfg_fast)
+        # A path that is zero over every OU anchor window: z = eta = 0.
+        zero = TabulatedPath(np.zeros(16001), cfg_fast.dt, first_index=-14000)
+        u0 = gaussian_u0(grid65)
+        t = 200 * cfg_fast.dt
+        va = cocycle_apply(t, 0.0, zero, u0, spec0, cfg_fast)
+        vm = cocycle_apply(t, 0.0, zero, u0, specm, cfg_fast)
+        vd = cocycle_apply(t, 0.0, None, u0, spec_det, cfg_fast)
         assert np.array_equal(va.values, vd.values)
         assert np.array_equal(vm.values, vd.values)
 
@@ -149,6 +150,19 @@ class TestGuards:
         assert report["suggested_dt"] < cfg.dt
         assert "diverges" in str(exc_info.value)
 
+    def test_stiffness_report_has_last_attempt_norm(self, grid65, gaussian_u0,
+                                                    spec_det):
+        cfg = StepperConfig(dt=0.05, scheme="explicit", substep_limit=2)
+        u0 = gaussian_u0(grid65, amp=50.0)
+        with pytest.raises(StiffnessError) as full:
+            cocycle_apply(cfg.dt, 0.0, None, u0, spec_det, cfg)
+        # The last attempt splits the step into four substeps.  Its first
+        # substep is a one-step run at dt/4 without retries, which diverges.
+        sub = StepperConfig(dt=cfg.dt / 4, scheme="explicit", substep_limit=0)
+        with pytest.raises(StiffnessError) as first:
+            cocycle_apply(sub.dt, 0.0, None, u0, spec_det, sub)
+        assert full.value.report["norm_after"] == first.value.report["norm_after"]
+
     def test_stable_dt_bound_formula(self, grid65, gaussian_u0, spec_det):
         u = gaussian_u0(grid65, amp=2.0)
         dx = grid65.dx
@@ -203,6 +217,26 @@ class TestRecord:
                                  with_record=True)
         assert len(rec.times) == 1
         assert 0 in rec.snapshots
+
+    @pytest.mark.parametrize("case", ["additive", "multiplicative",
+                                      "deterministic"])
+    def test_zero_duration_record_is_row_zero(self, case, grid65, cfg_fast,
+                                              path_bank, spec_add, spec_mult,
+                                              spec_det):
+        spec = {"additive": spec_add, "multiplicative": spec_mult,
+                "deterministic": spec_det}[case]
+        path = None if case == "deterministic" else path_bank(4, cfg_fast.dt)
+        for u0 in sample_initial_ball(grid65, 2.0, 4):
+            _, r0 = cocycle_apply(0.0, 0.25, path, u0, spec, cfg_fast,
+                                  snapshot_indices={0}, with_record=True)
+            _, r5 = cocycle_apply(5 * cfg_fast.dt, 0.25, path, u0, spec,
+                                  cfg_fast, snapshot_indices={0},
+                                  with_record=True)
+            for name in ("times", "l2_sq", "diss_p", "diss_q", "z", "eta"):
+                assert getattr(r0, name).tobytes() == \
+                    getattr(r5, name)[:1].tobytes(), name
+            assert r0.snapshots[0].values.tobytes() == \
+                r5.snapshots[0].values.tobytes()
 
 
 class TestPullback:
