@@ -72,7 +72,6 @@ class RunConfig:
     alphas: tuple = (0.4, 0.2, 0.1, 0.05)
     n_seeds: int = 8
     n_initials: int = 2
-    span: float = 1.0
     c: float = 4.0
     quad_tol: float = 1e-12
     cluster_tol: float = 0.0       # 0 -> 1e-4 * absorbing radius
@@ -155,7 +154,7 @@ _SCHEMA = {
         "horizon": ("horizon", float), "horizons": ("horizons", _float_list),
         "k_list": ("k_list", _float_list), "alphas": ("alphas", _float_list),
         "n_seeds": ("n_seeds", int), "n_initials": ("n_initials", int),
-        "span": ("span", float), "c": ("c", float),
+        "c": ("c", float),
         "quad_tol": ("quad_tol", float),
         "cluster_tol": ("cluster_tol", float),
         "ball_radius": ("ball_radius", float),
@@ -287,8 +286,6 @@ def _validate(cfg: RunConfig, lines: dict) -> list:
         errors.append(f"{at('n_seeds')}n_seeds must be ≥ 1")
     if cfg.n_initials < 1:
         errors.append(f"{at('n_initials')}n_initials must be ≥ 1")
-    if cfg.span <= 0:
-        errors.append(f"{at('span')}span must be > 0")
     if cfg.c <= 0:
         errors.append(f"{at('c')}c must be > 0")
     if not 0 < cfg.quad_tol < 1:
