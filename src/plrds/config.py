@@ -9,11 +9,12 @@ the offending line number, and validation reports all errors at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 
 from .fields import Grid
 from .integrator import StepperConfig
-from .noise import EtaConfig
+from .noise import EtaConfig, snap_steps, violated
 from .problem import NonlinearitySpec, ProblemSpec
 
 EXPERIMENTS = ("validate", "simulate", "cocycle-test", "energy-audit",
@@ -115,11 +116,18 @@ class RunConfig:
 
 
 # Schema: section -> key -> (attribute, converter).
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _float_list(text: str):
     items = [s.strip() for s in text.split(",") if s.strip()]
     if not items:
         raise ValueError("empty list")
-    return tuple(float(s) for s in items)
+    return tuple(_float(s) for s in items)
 
 
 def _str_list(text: str):
@@ -128,37 +136,37 @@ def _str_list(text: str):
 
 _SCHEMA = {
     "problem": {
-        "lam": ("lam", float), "p": ("p", float), "q": ("q", float),
-        "alpha": ("alpha", float), "epsilon": ("epsilon", float),
-        "noise_case": ("noise_case", str), "g_amp": ("g_amp", float),
-        "period": ("period", float), "delta": ("delta", float),
-        "gamma": ("gamma", float), "phi_amp": ("phi_amp", float),
+        "lam": ("lam", _float), "p": ("p", _float), "q": ("q", _float),
+        "alpha": ("alpha", _float), "epsilon": ("epsilon", _float),
+        "noise_case": ("noise_case", str), "g_amp": ("g_amp", _float),
+        "period": ("period", _float), "delta": ("delta", _float),
+        "gamma": ("gamma", _float), "phi_amp": ("phi_amp", _float),
         "f_kind": ("f_kind", str), "f_expression": ("f_expression", str),
     },
     "grid": {
-        "dim": ("dim", int), "l": ("half_width", float), "n": ("n", int),
-        "half_width": ("half_width", float),
+        "dim": ("dim", int), "l": ("half_width", _float), "n": ("n", int),
+        "half_width": ("half_width", _float),
     },
     "stepper": {
-        "dt": ("dt", float), "scheme": ("scheme", str),
+        "dt": ("dt", _float), "scheme": ("scheme", str),
         "substep_limit": ("substep_limit", int),
     },
     "noise": {
-        "seed": ("seed", int), "dt": ("noise_dt", float),
-        "block_length": ("block_length", float),
-        "eta_kind": ("eta_kind", str), "eta_mean": ("eta_mean", float),
-        "eta_rate": ("eta_rate", float), "eta_seed": ("eta_seed", int),
+        "seed": ("seed", int), "dt": ("noise_dt", _float),
+        "block_length": ("block_length", _float),
+        "eta_kind": ("eta_kind", str), "eta_mean": ("eta_mean", _float),
+        "eta_rate": ("eta_rate", _float), "eta_seed": ("eta_seed", int),
     },
     "experiment": {
-        "name": ("experiment", str), "tau": ("tau", float),
-        "horizon": ("horizon", float), "horizons": ("horizons", _float_list),
+        "name": ("experiment", str), "tau": ("tau", _float),
+        "horizon": ("horizon", _float), "horizons": ("horizons", _float_list),
         "k_list": ("k_list", _float_list), "alphas": ("alphas", _float_list),
         "n_seeds": ("n_seeds", int), "n_initials": ("n_initials", int),
-        "c": ("c", float),
-        "quad_tol": ("quad_tol", float),
-        "cluster_tol": ("cluster_tol", float),
-        "ball_radius": ("ball_radius", float),
-        "sampler_seed": ("sampler_seed", int), "warmup": ("warmup", float),
+        "c": ("c", _float),
+        "quad_tol": ("quad_tol", _float),
+        "cluster_tol": ("cluster_tol", _float),
+        "ball_radius": ("ball_radius", _float),
+        "sampler_seed": ("sampler_seed", int), "warmup": ("warmup", _float),
         "workers": ("workers", int), "n_sigma": ("n_sigma", int),
     },
     "output": {
@@ -206,104 +214,65 @@ def _scan(text: str):
     return entries, errors
 
 
-def _validate(cfg: RunConfig, lines: dict) -> list:
-    """Cross-field validation; lines maps attribute -> source line number."""
+# The dataclasses that hold a config's model parameters, each with its map
+# from dataclass field to RunConfig attribute where the two names differ.
+_BUILT = ((ProblemSpec, {}), (Grid, {}), (StepperConfig, {}),
+          (NonlinearitySpec, {"kind": "f_kind", "expression": "f_expression"}),
+          (EtaConfig, {k: "eta_" + k
+                       for k in ("kind", "mean", "rate", "seed")}))
 
-    def at(attr):
-        ln = lines.get(attr)
+
+def _validate(cfg: RunConfig, lines: dict) -> list:
+    """Cross-field validation; lines maps attribute -> source line number.
+
+    Rules on values a dataclass holds come from that dataclass, so a config
+    error and the constructor's ValueError carry the same message."""
+
+    def at(*attrs):
+        ln = next((lines[a] for a in attrs if a in lines), None)
         return f"line {ln}: " if ln else ""
 
+    values = vars(cfg)
     errors = []
-    if cfg.lam <= 0:
-        errors.append(f"{at('lam')}lam must be > 0")
-    if cfg.p < 2:
-        errors.append(f"{at('p')}p must be ≥ 2")
-    if cfg.q < cfg.p:
-        errors.append(f"{at('q')}q must be ≥ p")
-    if cfg.alpha < 0:
-        errors.append(f"{at('alpha')}alpha must be ≥ 0")
-    if cfg.epsilon < 0:
-        errors.append(f"{at('epsilon')}epsilon must be ≥ 0")
-    if cfg.noise_case not in ("additive", "multiplicative", "deterministic"):
-        errors.append(f"{at('noise_case')}noise_case must be additive, "
-                      "multiplicative, or deterministic")
-    if cfg.period <= 0:
-        errors.append(f"{at('period')}period must be > 0")
-    if cfg.delta < 0:
-        errors.append(f"{at('delta')}delta must be ≥ 0")
-    if cfg.gamma <= 0:
-        errors.append(f"{at('gamma')}gamma must be > 0")
-    if cfg.f_kind not in ("power-plus-forcing", "custom"):
-        errors.append(f"{at('f_kind')}f_kind must be power-plus-forcing "
-                      "or custom")
-    if cfg.f_kind == "custom" and not cfg.f_expression:
-        errors.append(f"{at('f_kind')}f_kind = custom requires f_expression")
-    if cfg.dim not in (1, 2):
-        errors.append(f"{at('dim')}dim must be 1 or 2")
-    if cfg.half_width <= 0:
-        errors.append(f"{at('half_width')}L must be > 0")
-    if cfg.n < 3:
-        errors.append(f"{at('n')}n must be ≥ 3")
-    if cfg.dt <= 0:
-        errors.append(f"{at('dt')}dt must be > 0")
-    if cfg.scheme not in ("imex", "explicit"):
-        errors.append(f"{at('scheme')}scheme must be imex or explicit")
-    if cfg.substep_limit < 1:
-        errors.append(f"{at('substep_limit')}substep_limit must be ≥ 1")
-    if cfg.noise_dt < 0:
-        errors.append(f"{at('noise_dt')}noise dt must be ≥ 0 (0 = stepper dt)")
-    if cfg.block_length <= 0:
-        errors.append(f"{at('block_length')}block_length must be > 0")
-    if cfg.eta_kind not in ("constant", "ou", "shifted-ou"):
-        errors.append(f"{at('eta_kind')}eta_kind must be constant, ou, "
-                      "or shifted-ou")
-    if cfg.eta_rate <= 0:
-        errors.append(f"{at('eta_rate')}eta_rate must be > 0")
-    if cfg.experiment not in EXPERIMENTS:
-        errors.append(f"{at('experiment')}unknown experiment "
-                      f"{cfg.experiment!r}; choose from "
-                      + ", ".join(EXPERIMENTS))
-    if cfg.tau != cfg.tau:
-        errors.append(f"{at('tau')}tau must be finite")
-    if cfg.horizon <= 0:
-        errors.append(f"{at('horizon')}horizon must be > 0")
-    if any(h < 0 for h in cfg.horizons):
-        errors.append(f"{at('horizons')}horizons must be nonnegative")
-    if list(cfg.horizons) != sorted(cfg.horizons):
-        errors.append(f"{at('horizons')}horizons must be ascending")
-    if list(cfg.k_list) != sorted(cfg.k_list):
-        errors.append(f"{at('k_list')}k_list must be ascending")
-    if any(k <= 0 for k in cfg.k_list):
-        errors.append(f"{at('k_list')}k values must be > 0")
-    if any(k >= cfg.half_width for k in cfg.k_list):
-        errors.append(f"{at('k_list')}k values must be < L")
-    if any(a < 0 for a in cfg.alphas):
-        errors.append(f"{at('alphas')}alphas must be nonnegative")
-    if any(cfg.alphas[i + 1] >= cfg.alphas[i]
-           for i in range(len(cfg.alphas) - 1)):
-        errors.append(f"{at('alphas')}alphas must be strictly decreasing")
-    if cfg.n_seeds < 1:
-        errors.append(f"{at('n_seeds')}n_seeds must be ≥ 1")
-    if cfg.n_initials < 1:
-        errors.append(f"{at('n_initials')}n_initials must be ≥ 1")
-    if cfg.c <= 0:
-        errors.append(f"{at('c')}c must be > 0")
-    if not 0 < cfg.quad_tol < 1:
-        errors.append(f"{at('quad_tol')}quad_tol must be in (0, 1)")
-    if cfg.cluster_tol < 0:
-        errors.append(f"{at('cluster_tol')}cluster_tol must be ≥ 0")
-    if cfg.ball_radius <= 0:
-        errors.append(f"{at('ball_radius')}ball_radius must be > 0")
-    if cfg.warmup < 0:
-        errors.append(f"{at('warmup')}warmup must be ≥ 0")
-    if cfg.workers < 1:
-        errors.append(f"{at('workers')}workers must be ≥ 1")
-    if cfg.n_sigma < 2:
-        errors.append(f"{at('n_sigma')}n_sigma must be ≥ 2")
+    for cls, alias in _BUILT:
+        view = dict(values, **{k: values[a] for k, a in alias.items()})
+        errors += [at(alias.get(k, k)) + m for k, m in cls.violations(view)]
+    # cocycle_apply snaps both to the step grid; off-grid values fail there.
+    for attr in ("period", "tau"):
+        try:
+            if cfg.dt > 0:
+                snap_steps(getattr(cfg, attr), cfg.dt, attr)
+        except ValueError as exc:
+            errors.append(f"{at(attr, 'dt')}{exc}")
+    k, a = cfg.k_list, cfg.alphas
     bad = [f for f in cfg.formats if f not in ("csv", "json", "binary")]
-    if bad:
-        errors.append(f"{at('formats')}unknown output formats: "
-                      + ", ".join(bad))
+    errors += [at(attr) + m for attr, m in violated(
+        ("noise_dt", cfg.noise_dt >= 0,
+         "noise dt must be ≥ 0 (0 = stepper dt)"),
+        ("block_length", cfg.block_length > 0, "block_length must be > 0"),
+        ("experiment", cfg.experiment in EXPERIMENTS,
+         f"unknown experiment {cfg.experiment!r}; choose from "
+         + ", ".join(EXPERIMENTS)),
+        ("horizon", cfg.horizon > 0, "horizon must be > 0"),
+        ("horizons", min(cfg.horizons) >= 0, "horizons must be nonnegative"),
+        ("horizons", list(cfg.horizons) == sorted(cfg.horizons),
+         "horizons must be ascending"),
+        ("k_list", list(k) == sorted(k), "k_list must be ascending"),
+        ("k_list", min(k) > 0, "k values must be > 0"),
+        ("k_list", max(k) < cfg.half_width, "k values must be < L"),
+        ("alphas", min(a) >= 0, "alphas must be nonnegative"),
+        ("alphas", all(x > y for x, y in zip(a, a[1:])),
+         "alphas must be strictly decreasing"),
+        ("n_seeds", cfg.n_seeds >= 1, "n_seeds must be ≥ 1"),
+        ("n_initials", cfg.n_initials >= 1, "n_initials must be ≥ 1"),
+        ("c", cfg.c > 0, "c must be > 0"),
+        ("quad_tol", 0 < cfg.quad_tol < 1, "quad_tol must be in (0, 1)"),
+        ("cluster_tol", cfg.cluster_tol >= 0, "cluster_tol must be ≥ 0"),
+        ("ball_radius", cfg.ball_radius > 0, "ball_radius must be > 0"),
+        ("warmup", cfg.warmup >= 0, "warmup must be ≥ 0"),
+        ("workers", cfg.workers >= 1, "workers must be ≥ 1"),
+        ("n_sigma", cfg.n_sigma >= 2, "n_sigma must be ≥ 2"),
+        ("formats", not bad, "unknown output formats: " + ", ".join(bad)))]
     return errors
 
 
@@ -330,12 +299,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _line_of(msg: str) -> int:
-    if msg.startswith("line "):
-        try:
-            return int(msg[5:msg.index(":")])
-        except ValueError:
-            pass
-    return 0
+    return int(msg[5:msg.index(":")]) if msg.startswith("line ") else 0
 
 
 def config_errors(text: str) -> list:

@@ -23,6 +23,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .noise import raise_first, violated
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -33,12 +35,13 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim!r}")
-        if self.n < 3:
-            raise ValueError("need at least 3 nodes per direction")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        raise_first(self.violations(vars(self)))
+
+    @staticmethod
+    def violations(v) -> list:
+        return violated(("dim", v["dim"] in (1, 2), "dim must be 1 or 2"),
+                        ("half_width", v["half_width"] > 0, "L must be > 0"),
+                        ("n", v["n"] >= 3, "n must be ≥ 3"))
 
     @property
     def dx(self) -> float:

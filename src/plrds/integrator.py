@@ -34,7 +34,7 @@ import numpy as np
 
 from .fields import (EndpointEnsemble, EnsembleTag, Field, Grid, _face_data,
                      _lap_diss, grid_arrays, make_field)
-from .noise import make_eta, ou_from_path, snap_steps
+from .noise import make_eta, ou_from_path, raise_first, snap_steps, violated
 from .problem import ProblemSpec, compile_expression
 
 
@@ -47,12 +47,16 @@ class StepperConfig:
     substep_limit: int = 8
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.scheme not in ("imex", "explicit"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.substep_limit < 0:
-            raise ValueError("substep_limit must be >= 0")
+        raise_first(self.violations(vars(self)))
+
+    @staticmethod
+    def violations(v) -> list:
+        return violated(
+            ("dt", v["dt"] > 0, "dt must be > 0"),
+            ("scheme", v["scheme"] in ("imex", "explicit"),
+             "scheme must be imex or explicit"),
+            ("substep_limit", v["substep_limit"] >= 0,
+             "substep_limit must be ≥ 0"))
 
 
 class StiffnessError(RuntimeError):

@@ -36,6 +36,21 @@ def snap_steps(value: float, dt: float, name: str = "time") -> int:
     return k
 
 
+# Parameter rules.  Each parameter dataclass states its rules once, as
+# (field, holds, message) triples in a static violations(values) method, so
+# its constructor and the config parser report the same failures.
+def violated(*rules) -> list:
+    """The (field, message) pairs of the (field, holds, message) rules that
+    do not hold."""
+    return [(name, message) for name, holds, message in rules if not holds]
+
+
+def raise_first(violations: list) -> None:
+    """Raise the first (field, message) pair of a violations list."""
+    if violations:
+        raise ValueError(violations[0][1])
+
+
 # Anchor kernel: dot-product weights evaluating
 #   z(T) = omega(T) - e^{-rate*S} omega(T-S)
 #          - rate * int_{-S}^{0} e^{rate*tau} omega(T + tau) dtau
@@ -375,10 +390,14 @@ class EtaConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("constant", "ou", "shifted-ou"):
-            raise ValueError(f"unknown eta kind {self.kind!r}")
-        if self.rate <= 0:
-            raise ValueError("eta rate must be positive")
+        raise_first(self.violations(vars(self)))
+
+    @staticmethod
+    def violations(v) -> list:
+        return violated(
+            ("kind", v["kind"] in ("constant", "ou", "shifted-ou"),
+             "eta_kind must be constant, ou, or shifted-ou"),
+            ("rate", v["rate"] > 0, "eta_rate must be > 0"))
 
     @property
     def mean_value(self) -> float:

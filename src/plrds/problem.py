@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .noise import EtaConfig
+from .noise import EtaConfig, raise_first, violated
 
 NOISE_CASES = ("additive", "multiplicative", "deterministic")
 
@@ -129,14 +129,23 @@ class NonlinearitySpec:
     expression: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("power-plus-forcing", "custom"):
-            raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.kind == "custom":
-            if not self.expression:
-                raise ValueError("custom nonlinearity needs an expression")
-            compile_expression(self.expression)
+        raise_first(self.violations(vars(self)))
+
+    @staticmethod
+    def violations(v) -> list:
+        custom, error = v["kind"] == "custom", None
+        if custom and v["expression"]:
+            try:
+                compile_expression(v["expression"])
+            except ValueError as exc:
+                error = str(exc)
+        return violated(
+            ("kind", v["kind"] in ("power-plus-forcing", "custom"),
+             "f_kind must be power-plus-forcing or custom"),
+            ("gamma", v["gamma"] > 0, "gamma must be > 0"),
+            ("kind", not custom or v["expression"],
+             "f_kind = custom requires f_expression"),
+            ("expression", error is None, error))
 
 
 @dataclass(frozen=True)
@@ -161,22 +170,21 @@ class ProblemSpec:
     eta: EtaConfig = field(default_factory=EtaConfig)
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.p < 2:
-            raise ValueError("p must be >= 2")
-        if self.q < self.p:
-            raise ValueError("q must be >= p")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.noise_case not in NOISE_CASES:
-            raise ValueError(f"unknown noise case {self.noise_case!r}")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        raise_first(self.violations(vars(self)))
+
+    @staticmethod
+    def violations(v) -> list:
+        """(field, message) for each parameter hypothesis v breaks."""
+        return violated(
+            ("lam", v["lam"] > 0, "lam must be > 0"),
+            ("p", v["p"] >= 2, "p must be ≥ 2"),
+            ("q", v["q"] >= v["p"], "q must be ≥ p"),
+            ("alpha", v["alpha"] >= 0, "alpha must be ≥ 0"),
+            ("epsilon", v["epsilon"] >= 0, "epsilon must be ≥ 0"),
+            ("noise_case", v["noise_case"] in NOISE_CASES,
+             "noise_case must be additive, multiplicative, or deterministic"),
+            ("period", v["period"] > 0, "period must be > 0"),
+            ("delta", v["delta"] >= 0, "delta must be ≥ 0"))
 
     @property
     def gamma(self) -> float:

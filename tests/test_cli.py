@@ -1,12 +1,17 @@
 """Config parsing/validation and the in-process command-line interface."""
 
 import json
+import re
 
 import pytest
 
 from plrds.cli import main
 from plrds.config import (EXPERIMENTS, ConfigError, RunConfig, config_errors,
                           parse_config)
+from plrds.fields import Grid
+from plrds.integrator import StepperConfig
+from plrds.noise import EtaConfig
+from plrds.problem import NonlinearitySpec, ProblemSpec
 
 
 def base_config(out_dir, **overrides) -> str:
@@ -173,6 +178,91 @@ class TestMainValidate:
             main(["--version"])
         assert exc.value.code == 0
         assert "plrds" in capsys.readouterr().out
+
+
+# Configs that used to pass `validate` and then fail at run time: each is
+# (body, the line its error must name).
+PROBES = {
+    "custom-expression": ("[problem]\nf_kind = custom\nf_expression = s +\n",
+                          3),
+    "lam-nan": ("[problem]\nlam = nan\n", 2),
+    "gamma-nan": ("[problem]\ngamma = nan\n", 2),
+    "tau-inf": ("[experiment]\ntau = inf\n", 2),
+    "horizon-inf": ("[experiment]\nhorizon = inf\n", 2),
+    "period-off-dt-grid": ("[stepper]\ndt = 0.001\n[problem]\n"
+                           "period = 0.0015\n", 4),
+    "tau-off-dt-grid": ("[stepper]\ndt = 0.001\n[experiment]\n"
+                        "tau = 0.0005\n", 4),
+}
+
+# One case per rule a parameter dataclass states: a config whose last line
+# breaks the rule, and a constructor call that breaks it the same way.
+ONE_COPY = {
+    "lam": ("[problem]\nlam = 0\n", lambda: ProblemSpec(lam=0.0)),
+    "p": ("[problem]\np = 1.5\n", lambda: ProblemSpec(p=1.5)),
+    "q": ("[problem]\nq = 2.5\n", lambda: ProblemSpec(q=2.5)),
+    "alpha": ("[problem]\nalpha = -1\n", lambda: ProblemSpec(alpha=-1.0)),
+    "epsilon": ("[problem]\nepsilon = -1\n",
+                lambda: ProblemSpec(epsilon=-1.0)),
+    "noise_case": ("[problem]\nnoise_case = levy\n",
+                   lambda: ProblemSpec(noise_case="levy")),
+    "period": ("[problem]\nperiod = 0\n", lambda: ProblemSpec(period=0.0)),
+    "delta": ("[problem]\ndelta = -1\n", lambda: ProblemSpec(delta=-1.0)),
+    "f_kind": ("[problem]\nf_kind = table\n",
+               lambda: NonlinearitySpec(kind="table")),
+    "gamma": ("[problem]\ngamma = 0\n", lambda: NonlinearitySpec(gamma=0.0)),
+    "custom-needs-expression": ("[problem]\nf_kind = custom\n",
+                                lambda: NonlinearitySpec(kind="custom")),
+    "f_expression": ("[problem]\nf_kind = custom\nf_expression = s +\n",
+                     lambda: NonlinearitySpec(kind="custom",
+                                              expression="s +")),
+    "dim": ("[grid]\ndim = 3\n", lambda: Grid(3, 8.0, 257)),
+    "half_width": ("[grid]\nl = 0\n", lambda: Grid(1, 0.0, 257)),
+    "n": ("[grid]\nn = 2\n", lambda: Grid(1, 8.0, 2)),
+    "dt": ("[stepper]\ndt = 0\n", lambda: StepperConfig(dt=0.0)),
+    "scheme": ("[stepper]\nscheme = leapfrog\n",
+               lambda: StepperConfig(scheme="leapfrog")),
+    "substep_limit": ("[stepper]\nsubstep_limit = -1\n",
+                      lambda: StepperConfig(substep_limit=-1)),
+    "eta_kind": ("[noise]\neta_kind = levy\n",
+                 lambda: EtaConfig(kind="levy")),
+    "eta_rate": ("[noise]\neta_rate = 0\n", lambda: EtaConfig(rate=0.0)),
+}
+
+
+class TestParameterRules:
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("name", sorted(PROBES))
+    def test_probe_exits_2_at_its_line(self, name, command, tmp_path, capsys):
+        body, line = PROBES[name]
+        p = tmp_path / "probe.ini"
+        p.write_text(body + f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main([command, "--config", str(p)]) == 2
+        assert f"config error: line {line}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_substep_limit_zero_accepted(self):
+        cfg = parse_config("[stepper]\nsubstep_limit = 0\n")
+        assert cfg.stepper().substep_limit == 0
+
+    @pytest.mark.parametrize("name", sorted(ONE_COPY))
+    def test_constructor_and_config_share_message(self, name):
+        text, build = ONE_COPY[name]
+        last = text.count("\n")
+        errors = [e for e in config_errors(text)
+                  if e.startswith(f"line {last}: ")]
+        assert len(errors) == 1, config_errors(text)
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == re.sub(r"^line \d+: ", "", errors[0])
+
+    @pytest.mark.parametrize("build", [
+        lambda: ProblemSpec(lam=float("nan")),
+        lambda: NonlinearitySpec(gamma=float("nan")),
+        lambda: StepperConfig(dt=float("nan"))], ids=["lam", "gamma", "dt"])
+    def test_constructors_reject_nan(self, build):
+        with pytest.raises(ValueError, match="must be > 0"):
+            build()
 
 
 class TestMainRuns:
