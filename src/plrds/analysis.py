@@ -10,6 +10,7 @@ deterministic task order, so worker count never changes any reported number.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -615,7 +616,9 @@ def alpha_solution_distances(tau: float, u0: Field, path, spec: ProblemSpec,
 # ---------------------------------------------------------------------------
 
 def _run_pool(fn, tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
+    # Bounded before the pool starts: under fork it spawns every worker at once.
+    workers = min(int(workers), len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=int(workers)) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, tasks))

@@ -75,12 +75,17 @@ def _report_base(cfg: RunConfig, seeds) -> dict:
             "seeds": list(seeds)}
 
 
+def _noise_path(cfg: RunConfig, seed: int):
+    """The path driving seed's run; the deterministic model has none."""
+    return None if cfg.noise_case == "deterministic" else \
+        make_path(seed, cfg.path_dt(), cfg.block_length)
+
+
 def _single_seed_inputs(cfg: RunConfig):
     spec = cfg.problem_spec()
     grid = cfg.grid()
     stepper = cfg.stepper()
-    path = None if spec.noise_case == "deterministic" else \
-        make_path(cfg.seed, cfg.path_dt(), cfg.block_length)
+    path = _noise_path(cfg, cfg.seed)
     u0 = analysis.sample_initial_ball(grid, cfg.ball_radius, 1,
                                       cfg.sampler_seed)[0]
     return spec, grid, stepper, path, u0
@@ -189,8 +194,7 @@ def _run_absorb_check(cfg: RunConfig, out: Path):
         ball_radius=cfg.ball_radius, sampler_seed=cfg.sampler_seed,
         quad_tol=cfg.quad_tol, c=cfg.c, workers=cfg.workers)
     csv = out / "absorbing.csv"
-    _write_csv(csv, "seed,horizon,endpoint_l2_sq,bound,satisfied",
-               [(r[0], _fmt(r[1]), r[2], r[3], r[4]) for r in rep.rows])
+    _write_csv(csv, "seed,horizon,endpoint_l2_sq,bound,satisfied", rep.rows)
     outputs = [csv]
     seeds = [cfg.seed + i for i in range(cfg.n_seeds)]
     if "json" in cfg.formats:
@@ -242,8 +246,7 @@ def _run_tail_check(cfg: RunConfig, out: Path):
 
 def _run_estimate_attractor(cfg: RunConfig, out: Path):
     spec = cfg.problem_spec()
-    path = None if spec.noise_case == "deterministic" else \
-        make_path(cfg.seed, cfg.path_dt(), cfg.block_length)
+    path = _noise_path(cfg, cfg.seed)
     ens = analysis.estimate_attractor(
         cfg.tau, spec, path, cfg.horizon, n_initials=cfg.n_initials,
         grid=cfg.grid(), cfg=cfg.stepper(),
@@ -282,7 +285,7 @@ def _run_usc_sweep(cfg: RunConfig, out: Path):
         workers=cfg.workers)
     csv = out / "usc.csv"
     _write_csv(csv, "alpha,seed,distance",
-               [(a, _fmt(s), rep.distances[i, j])
+               [(a, s, rep.distances[i, j])
                 for i, a in enumerate(rep.alphas)
                 for j, s in enumerate(rep.seeds)])
     med = out / "usc_medians.csv"
@@ -306,8 +309,7 @@ def _run_periodicity_check(cfg: RunConfig, out: Path):
     rows = []
     for i in range(cfg.n_seeds):
         seed = cfg.seed + i
-        path = None if spec.noise_case == "deterministic" else \
-            make_path(seed, cfg.path_dt(), cfg.block_length)
+        path = _noise_path(cfg, seed)
         bound = analysis.absorbing_bound(cfg.tau, path, spec, cfg.quad_tol,
                                          grid, cfg.c)
         tol = cfg.cluster_tol if cfg.cluster_tol > 0 \
@@ -326,8 +328,7 @@ def _run_periodicity_check(cfg: RunConfig, out: Path):
                    hausdorff_semidistance(e2, e1))
         rows.append((seed, cfg.tau, dist, tol, bool(dist <= tol)))
     csv = out / "periodicity.csv"
-    _write_csv(csv, "seed,tau,distance,cluster_tol,within",
-               [(r[0],) + r[1:] for r in rows])
+    _write_csv(csv, "seed,tau,distance,cluster_tol,within", rows)
     outputs = [csv]
     if "json" in cfg.formats:
         fp = out / "report.json"

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from plrds import analysis
 from plrds.analysis import (absorbing_bound, absorbing_check,
                             absorbing_radius_additive,
                             absorbing_radius_deterministic,
@@ -331,3 +332,34 @@ class TestAlphaSolutionDistances:
                                          CFG, alphas=(0.4, 0.2, 0.1))
         assert all(d > 0.0 for d in dists)
         assert dists[0] > dists[1] > dists[2]
+
+
+class TestWorkerPool:
+    class FakePool:
+        """Stands in for ProcessPoolExecutor: records max_workers and maps
+        serially, so no process is ever started."""
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    @pytest.mark.parametrize("workers,n_tasks,cpus,size", [
+        (100000, 3, 4, 3), (100000, 10, 4, 4), (3, 10, 4, 3),
+        (100000, 10, None, None), (100000, 1, 4, None), (1, 10, 4, None)])
+    def test_pool_bounded_before_start(self, monkeypatch, workers, n_tasks,
+                                       cpus, size):
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", self.FakePool)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
+        self.FakePool.sizes.clear()
+        out = analysis._run_pool(abs, [-i for i in range(n_tasks)], workers)
+        assert out == list(range(n_tasks))
+        assert self.FakePool.sizes == ([] if size is None else [size])
