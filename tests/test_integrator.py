@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from plrds.fields import Field, Grid, grid_arrays, l2_sq, make_field
+from plrds.fields import (Field, Grid, grid_arrays, l2_sq, lebesgue_pow,
+                          make_field, p_dissipation)
 from plrds.analysis import sample_initial_ball
 from plrds.integrator import (StepperConfig, StiffnessError, cocycle_apply,
                               pullback_run, stable_dt_bound, transform_u_to_v,
@@ -237,6 +238,21 @@ class TestRecord:
                     getattr(r5, name)[:1].tobytes(), name
             assert r0.snapshots[0].values.tobytes() == \
                 r5.snapshots[0].values.tobytes()
+
+    def test_additive_node_zero_dissipates_u(self, grid65, cfg_fast,
+                                             path_bank, spec_add):
+        # The additive model dissipates w = v + eps*h*z = u; at node 0 that
+        # is the input itself, not its v round trip.  In 1D the record's
+        # quadratures are the same float operations as p_dissipation and
+        # lebesgue_pow, so they agree to the bit.
+        for seed in range(1, 5):
+            path = path_bank(seed, cfg_fast.dt)
+            for u0 in sample_initial_ball(grid65, 1.0, 8):
+                _, rec = cocycle_apply(0.002, 0.0, path, u0, spec_add,
+                                       cfg_fast, with_record=True)
+                assert rec.diss_p[0] == p_dissipation(u0, spec_add.p,
+                                                      spec_add.delta)
+                assert rec.diss_q[0] == lebesgue_pow(u0, spec_add.q)
 
 
 class TestPullback:
