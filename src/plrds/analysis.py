@@ -492,10 +492,11 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
                        check_contraction: bool = True) -> EndpointEnsemble:
     """Estimate the pullback attracting set at tau by long-horizon endpoints.
 
-    Initial states come from the absorbing ball of the given path; endpoints
-    closer than cluster_tol (default 1e-4 times the absorbing radius) are
-    merged.  Warns when the endpoint spread at the full horizon exceeds the
-    spread at half the horizon, which signals non-contraction.
+    Initial states come from the absorbing ball of the given path, whose
+    radius the tag records; endpoints closer than cluster_tol (default 1e-4
+    times that radius) are merged.  Warns when the endpoint spread at the
+    full horizon exceeds the spread at half the horizon, which signals
+    non-contraction.
     """
     bound = absorbing_bound(tau, path, spec, quad_tol, grid, c)
     radius = math.sqrt(max(bound, 1e-30))
@@ -524,7 +525,8 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
     seed = getattr(path.base if hasattr(path, "base") else path, "seed", None)
     return EndpointEnsemble(members=tuple(kept),
                             tag=EnsembleTag(tau=tau, seed=seed,
-                                            alpha=spec.alpha, horizon=horizon))
+                                            alpha=spec.alpha, horizon=horizon,
+                                            radius=radius))
 
 
 @dataclass(frozen=True)

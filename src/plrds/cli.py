@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -70,9 +69,11 @@ class _Manifest:
         _write_json(self.path, self.body)
 
 
-def _report_base(cfg: RunConfig, seeds) -> dict:
-    return {"artifact_version": __version__, "config": cfg.as_dict(),
-            "seeds": list(seeds)}
+def _seeds(cfg: RunConfig) -> list:
+    """The run's noise seeds: n_seeds of them for the fan-out experiments."""
+    fan_out = cfg.experiment in ("absorb-check", "tail-check", "usc-sweep",
+                                 "periodicity-check")
+    return [cfg.seed + i for i in range(cfg.n_seeds if fan_out else 1)]
 
 
 def _noise_path(cfg: RunConfig, seed: int):
@@ -91,38 +92,31 @@ def _single_seed_inputs(cfg: RunConfig):
     return spec, grid, stepper, path, u0
 
 
+def _write_field(cfg: RunConfig, out: Path, stem: str, field, files) -> None:
+    """Write field as stem.csv and/or stem.bin, as cfg.formats asks."""
+    # The writers are looked up per call, so wrapping them takes effect.
+    for fmt, suffix, writer in (("csv", ".csv", field_to_csv),
+                                ("binary", ".bin", field_to_binary)):
+        if fmt in cfg.formats:
+            files.append(out / (stem + suffix))
+            writer(field, files[-1])
+
+
 # ---------------------------------------------------------------------------
-# Experiment runners.  Each returns (exit_code, tasks, outputs).
+# Experiment runners.  Each returns (files, report, failures): the data files
+# it wrote, the report.json fields beyond artifact_version/config/seeds, and
+# its pullback failures.  run_experiment writes report.json and the manifest.
 # ---------------------------------------------------------------------------
 
 def _run_simulate(cfg: RunConfig, out: Path):
     spec, grid, stepper, path, u0 = _single_seed_inputs(cfg)
-    try:
-        endpoint, rec = cocycle_apply(cfg.horizon, cfg.tau, path, u0, spec,
-                                      stepper, with_record=True)
-    except StiffnessError as exc:
-        return 1, [{"task": "simulate", "status": "failed",
-                    "detail": exc.report}], []
-    outputs = []
-    series = out / "series.csv"
-    rec.to_csv(series)
-    outputs.append(series)
-    if "csv" in cfg.formats:
-        fp = out / "endpoint.csv"
-        field_to_csv(endpoint, fp)
-        outputs.append(fp)
-    if "binary" in cfg.formats:
-        fp = out / "endpoint.bin"
-        field_to_binary(endpoint, fp)
-        outputs.append(fp)
-    if "json" in cfg.formats:
-        fp = out / "report.json"
-        body = _report_base(cfg, [cfg.seed])
-        body["endpoint_l2_sq"] = l2_sq(endpoint)
-        body["final_time"] = cfg.tau + cfg.horizon
-        _write_json(fp, body)
-        outputs.append(fp)
-    return 0, [{"task": "simulate", "status": "done"}], outputs
+    endpoint, rec = cocycle_apply(cfg.horizon, cfg.tau, path, u0, spec,
+                                  stepper, with_record=True)
+    files = [out / "series.csv"]
+    rec.to_csv(files[0])
+    _write_field(cfg, out, "endpoint", endpoint, files)
+    return files, {"endpoint_l2_sq": l2_sq(endpoint),
+                   "final_time": cfg.tau + cfg.horizon}, []
 
 
 def _run_cocycle_test(cfg: RunConfig, out: Path):
@@ -135,32 +129,20 @@ def _run_cocycle_test(cfg: RunConfig, out: Path):
         second = cocycle_apply(t, cfg.tau + s, view, first, spec, stepper)
         residuals[f"({s:g},{t:g})"] = float(
             np.max(np.abs(long.values - second.values)))
-    worst = max(residuals.values())
-    csv = out / "cocycle.csv"
-    _write_csv(csv, "max_composition_residual", [(worst,)])
-    outputs = [csv]
-    if "json" in cfg.formats:
-        fp = out / "report.json"
-        body = _report_base(cfg, [cfg.seed])
-        body["residuals"] = residuals
-        _write_json(fp, body)
-        outputs.append(fp)
-    return 0, [{"task": "cocycle-test", "status": "done",
-                "residual": worst}], outputs
+    files = [out / "cocycle.csv"]
+    _write_csv(files[0], "max_composition_residual",
+               [(max(residuals.values()),)])
+    return files, {"residuals": residuals}, []
 
 
 def _run_energy_audit(cfg: RunConfig, out: Path):
     spec, grid, stepper, path, u0 = _single_seed_inputs(cfg)
     nsteps = int(round((cfg.warmup + cfg.horizon) / stepper.dt))
     k0 = int(round(cfg.warmup / stepper.dt))
-    try:
-        _, rec = cocycle_apply(cfg.warmup + cfg.horizon, cfg.tau, path, u0,
-                               spec, stepper,
-                               snapshot_indices=range(k0, nsteps + 1),
-                               with_record=True)
-    except StiffnessError as exc:
-        return 1, [{"task": "energy-audit", "status": "failed",
-                    "detail": exc.report}], []
+    _, rec = cocycle_apply(cfg.warmup + cfg.horizon, cfg.tau, path, u0,
+                           spec, stepper,
+                           snapshot_indices=range(k0, nsteps + 1),
+                           with_record=True)
     max_res, series = analysis.energy_audit(rec, spec)
     res_at = {float(t): r for t, r in zip(series["times"] - cfg.tau,
                                           series["residuals"])}
@@ -171,18 +153,10 @@ def _run_energy_audit(cfg: RunConfig, out: Path):
         elapsed = k * stepper.dt
         rows.append((rec.times[k], rec.l2_sq[k], gp[k], qn[k], rec.z[k],
                      rec.eta[k], res_at.get(elapsed, float("nan"))))
-    csv = out / "energy.csv"
-    _write_csv(csv, "t,l2_sq,grad_p,q_norm,z,eta,residual", rows)
-    outputs = [csv]
-    if "json" in cfg.formats:
-        fp = out / "report.json"
-        body = _report_base(cfg, [cfg.seed])
-        body["max_abs_residual"] = max_res
-        body["audited_nodes"] = len(series["residuals"])
-        _write_json(fp, body)
-        outputs.append(fp)
-    return 0, [{"task": "energy-audit", "status": "done",
-                "max_abs_residual": max_res}], outputs
+    files = [out / "energy.csv"]
+    _write_csv(files[0], "t,l2_sq,grad_p,q_norm,z,eta,residual", rows)
+    return files, {"max_abs_residual": max_res,
+                   "audited_nodes": len(series["residuals"])}, []
 
 
 def _run_absorb_check(cfg: RunConfig, out: Path):
@@ -193,27 +167,13 @@ def _run_absorb_check(cfg: RunConfig, out: Path):
         block_length=cfg.block_length, base_seed=cfg.seed,
         ball_radius=cfg.ball_radius, sampler_seed=cfg.sampler_seed,
         quad_tol=cfg.quad_tol, c=cfg.c, workers=cfg.workers)
-    csv = out / "absorbing.csv"
-    _write_csv(csv, "seed,horizon,endpoint_l2_sq,bound,satisfied", rep.rows)
-    outputs = [csv]
-    seeds = [cfg.seed + i for i in range(cfg.n_seeds)]
-    if "json" in cfg.formats:
-        fp = out / "report.json"
-        body = _report_base(cfg, seeds)
-        body["radius_sq"] = rep.radius_sq
-        body["entry_time"] = rep.entry_time
-        body["per_path"] = [{"seed": s, "satisfied": ok, "margin": m}
-                            for s, ok, m in rep.per_path]
-        body["n_failures"] = len(rep.failures)
-        _write_json(fp, body)
-        outputs.append(fp)
-    tasks = [{"task": "absorb-check", "status": "done",
-              "entry_time": rep.entry_time}]
-    if rep.failures:
-        tasks.append({"task": "absorb-check", "status": "failed",
-                      "detail": [str(f) for f in rep.failures]})
-        return 1, tasks, outputs
-    return 0, tasks, outputs
+    files = [out / "absorbing.csv"]
+    _write_csv(files[0], "seed,horizon,endpoint_l2_sq,bound,satisfied",
+               rep.rows)
+    return files, {"radius_sq": rep.radius_sq, "entry_time": rep.entry_time,
+                   "per_path": [{"seed": s, "satisfied": ok, "margin": m}
+                                for s, ok, m in rep.per_path],
+                   "n_failures": len(rep.failures)}, rep.failures
 
 
 def _run_tail_check(cfg: RunConfig, out: Path):
@@ -224,55 +184,29 @@ def _run_tail_check(cfg: RunConfig, out: Path):
         base_seed=cfg.seed, ball_radius=cfg.ball_radius,
         sampler_seed=cfg.sampler_seed, n_sigma=cfg.n_sigma,
         workers=cfg.workers)
-    csv = out / "tail.csv"
-    _write_csv(csv, "seed,k,sigma,tail_mass",
+    files = [out / "tail.csv"]
+    _write_csv(files[0], "seed,k,sigma,tail_mass",
                [(r[0], r[1], r[2], r[3]) for r in rep.rows])
-    outputs = [csv]
-    seeds = [cfg.seed + i for i in range(cfg.n_seeds)]
-    if "json" in cfg.formats:
-        fp = out / "report.json"
-        body = _report_base(cfg, seeds)
-        body["max_per_k"] = {_fmt(k): v for k, v in rep.max_per_k.items()}
-        body["monotone_in_k"] = rep.monotone_in_k
-        body["sigmas"] = list(rep.sigmas)
-        body["n_failures"] = len(rep.failures)
-        _write_json(fp, body)
-        outputs.append(fp)
-    if rep.failures:
-        return 1, [{"task": "tail-check", "status": "failed",
-                    "detail": [str(f) for f in rep.failures]}], outputs
-    return 0, [{"task": "tail-check", "status": "done"}], outputs
+    return files, {"max_per_k": {_fmt(k): v
+                                 for k, v in rep.max_per_k.items()},
+                   "monotone_in_k": rep.monotone_in_k,
+                   "sigmas": list(rep.sigmas),
+                   "n_failures": len(rep.failures)}, rep.failures
 
 
 def _run_estimate_attractor(cfg: RunConfig, out: Path):
-    spec = cfg.problem_spec()
-    path = _noise_path(cfg, cfg.seed)
     ens = analysis.estimate_attractor(
-        cfg.tau, spec, path, cfg.horizon, n_initials=cfg.n_initials,
-        grid=cfg.grid(), cfg=cfg.stepper(),
-        cluster_tol=cfg.cluster_tol if cfg.cluster_tol > 0 else None,
-        sampler_seed=cfg.sampler_seed, quad_tol=cfg.quad_tol, c=cfg.c)
-    outputs = []
+        cfg.tau, cfg.problem_spec(), _noise_path(cfg, cfg.seed), cfg.horizon,
+        n_initials=cfg.n_initials, grid=cfg.grid(), cfg=cfg.stepper(),
+        cluster_tol=cfg.cluster_tol or None, sampler_seed=cfg.sampler_seed,
+        quad_tol=cfg.quad_tol, c=cfg.c)
+    files = []
     for i, member in enumerate(ens.members):
-        if "csv" in cfg.formats:
-            fp = out / f"member_{i:03d}.csv"
-            field_to_csv(member, fp)
-            outputs.append(fp)
-        if "binary" in cfg.formats:
-            fp = out / f"member_{i:03d}.bin"
-            field_to_binary(member, fp)
-            outputs.append(fp)
-    if "json" in cfg.formats:
-        fp = out / "report.json"
-        body = _report_base(cfg, [cfg.seed])
-        body["members"] = len(ens.members)
-        body["spread"] = ens.spread()
-        body["tag"] = {"tau": ens.tag.tau, "seed": ens.tag.seed,
-                       "alpha": ens.tag.alpha, "horizon": ens.tag.horizon}
-        _write_json(fp, body)
-        outputs.append(fp)
-    return 0, [{"task": "estimate-attractor", "status": "done",
-                "members": len(ens.members)}], outputs
+        _write_field(cfg, out, f"member_{i:03d}", member, files)
+    tag = ens.tag
+    return files, {"members": len(ens.members), "spread": ens.spread(),
+                   "tag": {"tau": tag.tau, "seed": tag.seed,
+                           "alpha": tag.alpha, "horizon": tag.horizon}}, []
 
 
 def _run_usc_sweep(cfg: RunConfig, out: Path):
@@ -283,61 +217,42 @@ def _run_usc_sweep(cfg: RunConfig, out: Path):
         block_length=cfg.block_length, base_seed=cfg.seed,
         sampler_seed=cfg.sampler_seed, quad_tol=cfg.quad_tol, c=cfg.c,
         workers=cfg.workers)
-    csv = out / "usc.csv"
-    _write_csv(csv, "alpha,seed,distance",
+    files = [out / "usc.csv", out / "usc_medians.csv"]
+    _write_csv(files[0], "alpha,seed,distance",
                [(a, s, rep.distances[i, j])
                 for i, a in enumerate(rep.alphas)
                 for j, s in enumerate(rep.seeds)])
-    med = out / "usc_medians.csv"
-    _write_csv(med, "alpha,median_distance",
+    _write_csv(files[1], "alpha,median_distance",
                [(a, m) for a, m in zip(rep.alphas, rep.medians)])
-    outputs = [csv, med]
-    if "json" in cfg.formats:
-        fp = out / "report.json"
-        body = _report_base(cfg, list(rep.seeds))
-        body["alphas"] = list(rep.alphas)
-        body["medians"] = list(rep.medians)
-        _write_json(fp, body)
-        outputs.append(fp)
-    return 0, [{"task": "usc-sweep", "status": "done"}], outputs
+    return files, {"alphas": list(rep.alphas),
+                   "medians": list(rep.medians)}, rep.failures
 
 
 def _run_periodicity_check(cfg: RunConfig, out: Path):
     spec = cfg.problem_spec()
     grid = cfg.grid()
     stepper = cfg.stepper()
-    rows = []
-    for i in range(cfg.n_seeds):
-        seed = cfg.seed + i
-        path = _noise_path(cfg, seed)
-        bound = analysis.absorbing_bound(cfg.tau, path, spec, cfg.quad_tol,
-                                         grid, cfg.c)
-        tol = cfg.cluster_tol if cfg.cluster_tol > 0 \
-            else 1e-4 * math.sqrt(bound)
-        e1 = analysis.estimate_attractor(
-            cfg.tau, spec, path, cfg.horizon, n_initials=cfg.n_initials,
+
+    def estimate(tau, path, tol):
+        return analysis.estimate_attractor(
+            tau, spec, path, cfg.horizon, n_initials=cfg.n_initials,
             grid=grid, cfg=stepper, cluster_tol=tol,
             sampler_seed=cfg.sampler_seed, quad_tol=cfg.quad_tol, c=cfg.c,
             check_contraction=False)
-        e2 = analysis.estimate_attractor(
-            cfg.tau + cfg.period, spec, path, cfg.horizon,
-            n_initials=cfg.n_initials, grid=grid, cfg=stepper,
-            cluster_tol=tol, sampler_seed=cfg.sampler_seed,
-            quad_tol=cfg.quad_tol, c=cfg.c, check_contraction=False)
+
+    rows = []
+    for seed in _seeds(cfg):
+        path = _noise_path(cfg, seed)
+        e1 = estimate(cfg.tau, path, cfg.cluster_tol or None)
+        # e1 computed the absorbing radius at tau; e2 reuses its tolerance.
+        tol = cfg.cluster_tol or 1e-4 * e1.tag.radius
+        e2 = estimate(cfg.tau + cfg.period, path, tol)
         dist = max(hausdorff_semidistance(e1, e2),
                    hausdorff_semidistance(e2, e1))
         rows.append((seed, cfg.tau, dist, tol, bool(dist <= tol)))
-    csv = out / "periodicity.csv"
-    _write_csv(csv, "seed,tau,distance,cluster_tol,within", rows)
-    outputs = [csv]
-    if "json" in cfg.formats:
-        fp = out / "report.json"
-        body = _report_base(cfg, [cfg.seed + i for i in range(cfg.n_seeds)])
-        body["all_within"] = all(r[4] for r in rows)
-        _write_json(fp, body)
-        outputs.append(fp)
-    return 0, [{"task": "periodicity-check", "status": "done",
-                "all_within": all(r[4] for r in rows)}], outputs
+    files = [out / "periodicity.csv"]
+    _write_csv(files[0], "seed,tau,distance,cluster_tol,within", rows)
+    return files, {"all_within": all(r[4] for r in rows)}, []
 
 
 _RUNNERS = {
@@ -353,27 +268,35 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: RunConfig) -> int:
-    """Dispatch a validated config; write manifest + reports; return exit code."""
+    """Dispatch a validated config; write manifest + reports; return exit code.
+
+    Exit 1 when the runner raises or reports pullback failures, else 0."""
     if cfg.experiment == "validate":
         return 0
     out = Path(cfg.directory)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.experiment in ("absorb-check", "tail-check", "usc-sweep",
-                          "periodicity-check"):
-        seeds = [cfg.seed + i for i in range(cfg.n_seeds)]
-    else:
-        seeds = [cfg.seed]
+    seeds = _seeds(cfg)
     manifest = _Manifest(out, cfg, seeds)
+    task = {"task": cfg.experiment, "status": "done"}
     try:
-        code, tasks, outputs = _RUNNERS[cfg.experiment](cfg, out)
+        files, report, failures = _RUNNERS[cfg.experiment](cfg, out)
     except Exception as exc:  # noqa: BLE001 - reported via manifest + exit 1
-        manifest.finish("failed", [{"task": cfg.experiment, "status": "failed",
-                                    "detail": f"{type(exc).__name__}: {exc}"}],
-                        [])
+        detail = exc.report if isinstance(exc, StiffnessError) \
+            else f"{type(exc).__name__}: {exc}"
+        manifest.finish("failed", [dict(task, status="failed",
+                                        detail=detail)], [])
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    manifest.finish("done" if code == 0 else "failed", tasks, outputs)
-    return code
+    if "json" in cfg.formats:
+        files.append(out / "report.json")
+        _write_json(files[-1], {"artifact_version": __version__,
+                                "config": cfg.as_dict(), "seeds": seeds,
+                                **report})
+    task.update(report)
+    if failures:
+        task.update(status="failed", detail=failures)
+    manifest.finish(task["status"], [task], files)
+    return 1 if failures else 0
 
 
 def main(argv=None) -> int:
@@ -397,33 +320,22 @@ def main(argv=None) -> int:
                         help="worker processes (default: PLRDS_WORKERS or 1)")
     args = parser.parse_args(argv)
 
-    text = ""
-    if args.config is not None:
-        try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
+    overrides = {"experiment": args.command, "seed": args.seed,
+                 "directory": args.out, "workers": args.workers}
     try:
-        cfg = parse_config(text)
-    except ConfigError as exc:
-        for line in exc.errors:
+        text = "" if args.config is None else Path(args.config).read_text()
+        if args.workers is None and os.environ.get("PLRDS_WORKERS"):
+            try:
+                overrides["workers"] = int(os.environ["PLRDS_WORKERS"])
+            except ValueError:
+                raise ConfigError(["PLRDS_WORKERS must be an integer"]) \
+                    from None
+        cfg = parse_config(text, **{k: v for k, v in overrides.items()
+                                    if v is not None})
+    except (OSError, ConfigError) as exc:
+        for line in getattr(exc, "errors", [exc]):
             print(f"config error: {line}", file=sys.stderr)
         return 2
-    cfg.experiment = args.command
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.directory = args.out
-    if args.workers is not None:
-        cfg.workers = args.workers
-    elif os.environ.get("PLRDS_WORKERS"):
-        try:
-            cfg.workers = max(1, int(os.environ["PLRDS_WORKERS"]))
-        except ValueError:
-            print("config error: PLRDS_WORKERS must be an integer",
-                  file=sys.stderr)
-            return 2
 
     if args.command == "validate":
         print("config OK")

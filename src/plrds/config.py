@@ -10,16 +10,20 @@ the offending line number, and validation reports all errors at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 
 from .fields import Grid
 from .integrator import StepperConfig
 from .noise import EtaConfig, snap_steps, violated
 from .problem import NonlinearitySpec, ProblemSpec
 
-EXPERIMENTS = ("validate", "simulate", "cocycle-test", "energy-audit",
-               "absorb-check", "tail-check", "estimate-attractor",
-               "usc-sweep", "periodicity-check")
+# Each experiment, with the [experiment] times it steps to; each must sit on
+# the stepper's dt grid.
+EXPERIMENTS = {"validate": (), "simulate": ("horizon",), "cocycle-test": (),
+               "energy-audit": ("warmup", "horizon"),
+               "absorb-check": ("horizons",), "tail-check": ("horizon",),
+               "estimate-attractor": ("horizon",), "usc-sweep": ("horizon",),
+               "periodicity-check": ("horizon",)}
 
 
 class ConfigError(ValueError):
@@ -158,7 +162,7 @@ _SCHEMA = {
         "eta_rate": ("eta_rate", _float), "eta_seed": ("eta_seed", int),
     },
     "experiment": {
-        "name": ("experiment", str), "tau": ("tau", _float),
+        "tau": ("tau", _float),
         "horizon": ("horizon", _float), "horizons": ("horizons", _float_list),
         "k_list": ("k_list", _float_list), "alphas": ("alphas", _float_list),
         "n_seeds": ("n_seeds", int), "n_initials": ("n_initials", int),
@@ -222,8 +226,10 @@ _BUILT = ((ProblemSpec, {}), (Grid, {}), (StepperConfig, {}),
                        for k in ("kind", "mean", "rate", "seed")}))
 
 
-def _validate(cfg: RunConfig, lines: dict) -> list:
-    """Cross-field validation; lines maps attribute -> source line number.
+def _validate(cfg: RunConfig, lines: dict, times: tuple) -> list:
+    """Cross-field validation; lines maps attribute -> source line number,
+    and times names the attributes, beyond period and tau, to check against
+    the step grid.
 
     Rules on values a dataclass holds come from that dataclass, so a config
     error and the constructor's ValueError carry the same message."""
@@ -237,11 +243,13 @@ def _validate(cfg: RunConfig, lines: dict) -> list:
     for cls, alias in _BUILT:
         view = dict(values, **{k: values[a] for k, a in alias.items()})
         errors += [at(alias.get(k, k)) + m for k, m in cls.violations(view)]
-    # cocycle_apply snaps both to the step grid; off-grid values fail there.
-    for attr in ("period", "tau"):
+    # cocycle_apply snaps these to the step grid; off-grid values fail there.
+    for attr in ("period", "tau") + times:
+        value = getattr(cfg, attr)
         try:
-            if cfg.dt > 0:
-                snap_steps(getattr(cfg, attr), cfg.dt, attr)
+            for v in value if isinstance(value, tuple) else (value,):
+                if cfg.dt > 0:
+                    snap_steps(v, cfg.dt, attr)
         except ValueError as exc:
             errors.append(f"{at(attr, 'dt')}{exc}")
     k, a = cfg.k_list, cfg.alphas
@@ -250,9 +258,6 @@ def _validate(cfg: RunConfig, lines: dict) -> list:
         ("noise_dt", cfg.noise_dt >= 0,
          "noise dt must be ≥ 0 (0 = stepper dt)"),
         ("block_length", cfg.block_length > 0, "block_length must be > 0"),
-        ("experiment", cfg.experiment in EXPERIMENTS,
-         f"unknown experiment {cfg.experiment!r}; choose from "
-         + ", ".join(EXPERIMENTS)),
         ("horizon", cfg.horizon > 0, "horizon must be > 0"),
         ("horizons", min(cfg.horizons) >= 0, "horizons must be nonnegative"),
         ("horizons", list(cfg.horizons) == sorted(cfg.horizons),
@@ -276,10 +281,14 @@ def _validate(cfg: RunConfig, lines: dict) -> list:
     return errors
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, **overrides) -> RunConfig:
     """Parse and fully validate a config; raises ConfigError listing every
     problem (unknown keys, duplicates, constraint violations) with line
-    numbers.  An empty config is valid and yields the documented defaults."""
+    numbers.  An empty config is valid and yields the documented defaults.
+
+    overrides set RunConfig attributes over the text's values, before
+    validation; their errors carry no line.  An experiment override also
+    checks the times that experiment steps to (EXPERIMENTS)."""
     entries, errors = _scan(text)
     cfg = RunConfig()
     lines = {}
@@ -292,7 +301,10 @@ def parse_config(text: str) -> RunConfig:
         except (TypeError, ValueError) as exc:
             errors.append(f"line {lineno}: invalid value for {key!r} in "
                           f"[{section}]: {exc}")
-    errors.extend(_validate(cfg, lines))
+    cfg = replace(cfg, **overrides)
+    lines = {a: n for a, n in lines.items() if a not in overrides}
+    times = EXPERIMENTS[cfg.experiment] if "experiment" in overrides else ()
+    errors.extend(_validate(cfg, lines, times))
     if errors:
         raise ConfigError(sorted(errors, key=_line_of))
     return cfg

@@ -293,6 +293,7 @@ class EnsembleTag:
     seed: int | None = None
     alpha: float | None = None
     horizon: float | None = None
+    radius: float | None = None    # absorbing radius the ensemble came from
 
 
 @dataclass(frozen=True)

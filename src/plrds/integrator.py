@@ -331,9 +331,8 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
     z, eta = _noise_arrays(co, path, spec, nsteps, dt)
     state = u_tau.values.copy()
 
-    l2s = np.empty(nsteps + 1)
-    dps = np.empty(nsteps + 1)
-    dqs = np.empty(nsteps + 1)
+    if with_record:
+        l2s, dps, dqs = np.empty((3, nsteps + 1))
     snapshots = {}
 
     # v at the first node, and at the last node reached so far.

@@ -285,6 +285,14 @@ class TestEstimateAttractor:
                                   check_contraction=False)
         assert 1 <= len(fine) <= 3
 
+    def test_tag_records_absorbing_radius(self):
+        spec = ProblemSpec(noise_case="additive")
+        path = make_path(5, DT)
+        ens = estimate_attractor(0.0, spec, path, horizon=0.2, n_initials=1,
+                                 grid=GRID, cfg=CFG, check_contraction=False)
+        bound = absorbing_bound(0.0, path, spec, grid=GRID)
+        assert ens.tag.radius == math.sqrt(bound)
+
 
 class TestUscSweep:
     def test_smoke_shapes_and_zero_alpha(self):

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from plrds import analysis
 from plrds.cli import main
 from plrds.config import (EXPERIMENTS, ConfigError, RunConfig, config_errors,
                           parse_config)
@@ -102,12 +103,10 @@ class TestParseConfig:
         errors = config_errors("[problem]\np = 4\nq = 3\n")
         assert any("line 3" in e and "q must be ≥ p" in e for e in errors)
 
-    def test_unknown_experiment_lists_choices(self):
-        errors = config_errors("[experiment]\nname = warp\n")
-        assert len(errors) == 1
-        assert "unknown experiment 'warp'" in errors[0]
-        for name in EXPERIMENTS:
-            assert name in errors[0]
+    def test_experiment_name_key_is_unknown(self):
+        # The subcommand names the experiment; a config cannot.
+        errors = config_errors("[experiment]\nname = simulate\n")
+        assert errors == ["line 2: unknown key 'name' in section [experiment]"]
 
     def test_horizons_must_ascend(self):
         errors = config_errors("[experiment]\nhorizons = 8,4\n")
@@ -265,6 +264,114 @@ class TestParameterRules:
             build()
 
 
+# Inputs that reach a run through the command line, the environment, or the
+# step-grid times of the chosen experiment: (argv after the config, env,
+# config body, the error it must print).
+OVERRIDE_PROBES = {
+    "workers-flag": (["simulate", "--workers", "-3"], {}, "",
+                     "workers must be ≥ 1"),
+    "workers-env": (["simulate"], {"PLRDS_WORKERS": "0"}, "",
+                    "workers must be ≥ 1"),
+    "simulate-horizon": (["simulate"], {},
+                         "[stepper]\ndt = 0.001\n[experiment]\n"
+                         "horizon = 0.0015\n",
+                         "line 4: horizon=0.0015 is not an integer multiple "
+                         "of dt=0.001"),
+    "absorb-horizons": (["absorb-check"], {},
+                        "[stepper]\ndt = 0.001\n[experiment]\n"
+                        "horizons = 0.5, 0.0015\n",
+                        "line 4: horizons=0.0015 is not an integer multiple "
+                        "of dt=0.001"),
+    "energy-audit-warmup": (["energy-audit"], {},
+                            "[stepper]\ndt = 0.001\n[experiment]\n"
+                            "warmup = 0.0015\n",
+                            "line 4: warmup=0.0015 is not an integer "
+                            "multiple of dt=0.001"),
+    "name-key": (["simulate"], {}, "[experiment]\nname = simulate\n",
+                 "line 2: unknown key 'name' in section [experiment]"),
+}
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("name", sorted(OVERRIDE_PROBES))
+    def test_probe_exits_2_and_writes_nothing(self, name, tmp_path,
+                                              monkeypatch, capsys):
+        argv, env, body, message = OVERRIDE_PROBES[name]
+        monkeypatch.delenv("PLRDS_WORKERS", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        p = tmp_path / "probe.ini"
+        p.write_text(body + f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main([argv[0], "--config", str(p), *argv[1:]]) == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_only_the_experiments_own_times_are_checked(self):
+        text = ("[stepper]\ndt = 0.001\n[experiment]\nhorizon = 0.0015\n"
+                "warmup = 0.0015\n")
+        # absorb-check never reads horizon or warmup; without an experiment
+        # no experiment's times are checked.
+        assert parse_config(text, experiment="absorb-check").horizon == 0.0015
+        assert parse_config(text).warmup == 0.0015
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, experiment="energy-audit")
+        assert [e[:7] for e in err.value.errors] == ["line 4:", "line 5:"]
+
+    def test_overridden_attribute_drops_its_line(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[experiment]\nworkers = 2\n", workers=0)
+        assert err.value.errors == ["workers must be ≥ 1"]
+        assert parse_config("[experiment]\nworkers = 0\n",
+                            workers=2).workers == 2
+
+
+RUNNABLE = [e for e in EXPERIMENTS if e != "validate"]
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("formats", ["csv", "csv,json,binary"])
+    @pytest.mark.parametrize("experiment", RUNNABLE)
+    def test_manifest_lists_the_files_written(self, experiment, formats,
+                                              tmp_path):
+        out = tmp_path / "out"
+        p = tmp_path / "run.ini"
+        p.write_text(base_config(out, n=33, dt=0.01, warmup=0.2,
+                                 horizons="0.5,1", formats=formats))
+        assert main([experiment, "--config", str(p), "--workers", "1"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == sorted(
+            str(f) for f in out.iterdir() if f.name != "manifest.json")
+        assert (out / "report.json").exists() == ("json" in formats)
+        (task,) = manifest["tasks"]
+        assert (task["task"], task["status"]) == (experiment, "done")
+        if "json" in formats:
+            report = json.loads((out / "report.json").read_text())
+            assert report["seeds"] == manifest["seeds"]
+            extra = set(report) - {"artifact_version", "config", "seeds"}
+            assert extra and {k: task[k] for k in extra} == {
+                k: report[k] for k in extra}
+
+    def test_periodicity_one_absorbing_bound_per_seed_and_tau(
+            self, tmp_path, monkeypatch):
+        calls = []
+        real = analysis.absorbing_bound
+
+        def counting(tau, path, *args):
+            calls.append((tau, path.seed))
+            return real(tau, path, *args)
+
+        monkeypatch.setattr(analysis, "absorbing_bound", counting)
+        p = tmp_path / "run.ini"
+        p.write_text(base_config(tmp_path / "out", n=33, dt=0.01))
+        assert main(["periodicity-check", "--config", str(p)]) == 0
+        assert sorted(calls) == [(0.0, 0), (0.0, 1), (1.0, 0), (1.0, 1)]
+
+
+# Explicit steps this coarse blow up from a large initial state.
+STIFF = ("\n[stepper]\nscheme = explicit\nsubstep_limit = 1\n"
+         "[experiment]\nball_radius = 50\n")
+
+
 class TestMainRuns:
     def test_simulate_artifacts(self, tmp_path):
         out = tmp_path / "out"
@@ -392,15 +499,27 @@ class TestMainRuns:
                                                       capsys):
         out = tmp_path / "out"
         p = tmp_path / "run.ini"
-        p.write_text(base_config(out, dt=0.01) + "\n[stepper]\n"
-                     "scheme = explicit\nsubstep_limit = 1\n"
-                     "[experiment]\nball_radius = 50\n")
+        p.write_text(base_config(out, dt=0.01) + STIFF)
         code = main(["simulate", "--config", str(p)])
         assert code == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["tasks"][0]["status"] == "failed"
         assert not (out / "series.csv").exists()
+
+    def test_cocycle_test_divergence_records_stiffness_report(self, tmp_path,
+                                                              capsys):
+        out = tmp_path / "out"
+        p = tmp_path / "run.ini"
+        p.write_text(base_config(out, dt=0.01) + STIFF)
+        assert main(["cocycle-test", "--config", str(p)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["outputs"]) == ("failed", [])
+        (task,) = manifest["tasks"]
+        assert task["status"] == "failed"
+        assert set(task["detail"]) == {"t", "dt", "halvings", "norm_before",
+                                       "norm_after", "suggested_dt"}
+        assert "StiffnessError" in capsys.readouterr().err
 
 
 class TestDeterminism:
