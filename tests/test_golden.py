@@ -1,15 +1,19 @@
 """Golden bytes: every report file the CLI writes, pinned by SHA-256.
 
 Each run executes one experiment on a small grid (1D n = 33, plus the 2D
-attractor estimates on n = 17) and hashes every output file except
-manifest.json, which carries wall-clock fields.  A change meant to leave the
-numbers alone must leave every digest alone.  The fixture records the NumPy
-version and platform it was made on; elsewhere the last-bit behaviour of
-NumPy's kernels may differ, so the comparison is skipped there.
+attractor estimates and a 2D simulate on n = 17) and hashes every output
+file except manifest.json, which carries wall-clock fields.  A change meant
+to leave the numbers alone must leave every digest alone.  The fixture
+records the NumPy version and platform it was made on; elsewhere the
+last-bit behaviour of NumPy's kernels may differ, so the comparison is
+skipped there.
 
 After a deliberate change of output, regenerate the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints every run whose digests it adds, changes or drops before it
+writes the file.
 """
 
 import hashlib
@@ -64,6 +68,21 @@ RUNS.update({f"estimate-attractor-{case}-2d": (
     "estimate-attractor",
     _BASE.format(case=case, dim=2, n=17) + "horizon = 1\nn_initials = 3\n")
     for case in _EXPERIMENTS["estimate-attractor"][0]})
+# At lam = 8 the absorbing-radius windows are shorter than four time units,
+# so the noise-free window rule differs visibly from the noisy one.
+RUNS.update({f"absorb-check-{case}-lam8-1d": (
+    "absorb-check",
+    _BASE.format(case=case, dim=1, n=33).replace("[grid]", "lam = 8\n[grid]")
+    + _EXPERIMENTS["absorb-check"][1])
+    for case in _EXPERIMENTS["absorb-check"][0]})
+# A custom reaction term, through the multiplicative rescaling f(t, e^z v).
+_CUSTOM = ("f_kind = custom\n"
+           "f_expression = -abspow(s, 2) + 0.5*sin(2*t)*exp(-(x*x + y*y))\n")
+RUNS.update({f"simulate-custom-multiplicative-{dim}d": (
+    "simulate",
+    _BASE.format(case="multiplicative", dim=dim, n=n).replace(
+        "[grid]", _CUSTOM + "[grid]") + "horizon = 1\n")
+    for dim, n in ((1, 33), (2, 17))})
 
 
 def _environment() -> dict:
@@ -108,8 +127,24 @@ def test_report_bytes_match_golden(name, tmp_path):
     assert run_and_hash(name, tmp_path) == expected
 
 
+def _report_changes(old: dict, new: dict) -> None:
+    """Print each run whose digests the rewrite adds, changes or drops."""
+    for name in sorted(set(old) | set(new)):
+        if name not in old:
+            print(f"added   {name}")
+        elif name not in new:
+            print(f"dropped {name}")
+        elif old[name] != new[name]:
+            files = sorted(f for f in set(old[name]) | set(new[name])
+                           if old[name].get(f) != new[name].get(f))
+            print(f"changed {name}: {', '.join(files)}")
+
+
 def main(root: Path) -> None:
     digests = {name: run_and_hash(name, root) for name in sorted(RUNS)}
+    old = json.loads(FIXTURE.read_text())["digests"] if FIXTURE.exists() \
+        else {}
+    _report_changes(old, digests)
     body = {"environment": _environment(), "digests": digests}
     FIXTURE.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE} ({sum(map(len, digests.values()))} files)")
