@@ -4,9 +4,7 @@ p-Laplace reaction-diffusion models with additive or multiplicative noise."""
 __version__ = "0.1.0"
 
 from .analysis import (AbsorbingReport, RadiusReport, TailReport, UscReport,
-                       absorbing_check, absorbing_radius_additive,
-                       absorbing_radius_deterministic,
-                       absorbing_radius_multiplicative,
+                       absorbing_check, absorbing_radius,
                        alpha_solution_distances, energy_audit,
                        estimate_attractor, sample_initial_ball, tail_check,
                        usc_sweep)

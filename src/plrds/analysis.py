@@ -13,17 +13,17 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import (EndpointEnsemble, EnsembleTag, Field, Grid,
-                     grid_arrays, hausdorff_semidistance, l2_sq,
-                     make_field, p_dissipation, flux_pairing, tail_mass)
+from .fields import (EndpointEnsemble, Field, Grid, grid_arrays,
+                     hausdorff_semidistance, l2_distance, l2_sq, make_field,
+                     p_dissipation, flux_pairing, tail_mass)
 from .integrator import (StepperConfig, TrajectoryRecord, cocycle_apply,
                          pullback_run, _context, _COUPLINGS)
 from .noise import NoisePath, make_eta, make_path, ou_from_path, snap_steps
-from .problem import ForcingNorms, ProblemSpec, alpha_zero
+from .problem import ForcingNorms, ProblemSpec, check_growth_condition
 
 DEFAULT_GRID = Grid(1, 8.0, 257)
 DEFAULT_C = 4.0
@@ -94,17 +94,28 @@ def _cumtrapz(values: np.ndarray, dx: float) -> np.ndarray:
 
 def _weight_window(path, spec: ProblemSpec, quad_tol: float):
     """Weights and noise samples on [-S, 0] with S chosen so the weight tail
-    falls below quad_tol (capped; the cap flags non-convergence)."""
+    falls below quad_tol (capped; the cap flags non-convergence).
+
+    Returns (s, w, z, eta, ds, S, converged) with ds the quadrature step.
+    The noise-free window has its own rule: step 1e-3 and the bare span, with
+    z = eta = 0.
+    """
     lam = spec.lam
-    rate = _COUPLINGS[spec.noise_case].ou_rate(spec)
+    rate = _COUPLINGS[spec.noise_case].ou_rate
     base_span = math.log(1.0 / quad_tol) / (1.25 * lam)
-    dt = path.dt if not hasattr(path, "base") else path.base.dt
+    if rate is None:
+        ds = 1e-3
+        n = int(math.ceil(base_span / ds))
+        s = -(n * ds) + np.arange(n + 1) * ds
+        zero = np.zeros(n + 1)
+        return s, np.exp(1.25 * lam * s), zero, zero, ds, n * ds, True
+    dt = path.dt
     n = max(int(round(4.0 / dt)), int(math.ceil(base_span / dt)))
     cap = 16 * max(int(math.ceil(base_span / dt)), int(round(1.0 / dt)))
     while True:
         span = n * dt
         s = -span + np.arange(n + 1) * dt
-        z = ou_from_path(path, rate, -span, 0.0).values
+        z = ou_from_path(path, rate(spec), -span, 0.0).values
         if spec.noise_case == "additive":
             eta = make_eta(path, spec.eta, -span, 0.0).node_values(n + 1)
             integ = _cumtrapz(eta, dt)
@@ -116,117 +127,67 @@ def _weight_window(path, spec: ProblemSpec, quad_tol: float):
                     - 2.0 * spec.alpha * z)
         with np.errstate(over="ignore"):
             w = np.exp(expo)
-        if w[0] < quad_tol:
-            return s, w, z, eta, span, True
-        if n >= cap:
-            return s, w, z, eta, span, False
+        converged = bool(w[0] < quad_tol)
+        if converged or n >= cap:
+            return s, w, z, eta, s[1] - s[0], span, converged
         n = min(2 * n, cap)
 
 
-def absorbing_radius_additive(tau: float, path, spec: ProblemSpec,
-                              quad_tol: float = DEFAULT_QUAD_TOL,
-                              grid: Grid = DEFAULT_GRID,
-                              c: float = DEFAULT_C) -> RadiusReport:
-    """Absorbing radius for the additive model at observation time tau.
+def absorbing_radius(tau: float, path, spec: ProblemSpec,
+                     quad_tol: float = DEFAULT_QUAD_TOL,
+                     grid: Grid = DEFAULT_GRID,
+                     c: float = DEFAULT_C) -> RadiusReport:
+    """Absorbing radius R at observation time tau for the spec's noise case.
 
-    R = c + c * int_{-S}^0 w(s) (|eps z|^p + |eps z|^q + (alpha eps eta z)^2) ds
-          + c * int_{-S}^0 w(s) (||g(s+tau)||^2 + ||psi1||_1 + ||psi3||_q1^q1) ds
+    R = c + c * int_{-S}^0 w(s) F(s) ds, truncated at S where w falls below
+    quad_tol, with the forcing norms in F taken at s + tau:
 
-    with weight w(s) = exp((5/4) lam s - 2 alpha int_0^s eta dr), truncated
-    where the weight falls below quad_tol.  The returned bound on ||u(tau)||^2
-    is 2 ||eps h z(omega)||^2 + 2 R.  Warns when alpha exceeds the
-    admissibility threshold for this eta.
+    additive        w = exp((5/4) lam s - 2 alpha int_0^s eta dr), F = ||g||^2
+                    + ||psi1||_1 + ||psi3||_q1^q1 + |eps z|^p + |eps z|^q
+                    + (alpha eps eta z)^2; bound 2 ||eps h z(omega)||^2 + 2 R
+    multiplicative  w = exp((5/4) lam s - 2 alpha int_0^s z dr - 2 alpha z),
+                    F = ||g||^2 + ||psi1||_1; bound e^{2 alpha z(omega)} R
+    deterministic   w = exp((5/4) lam s), F as multiplicative; bound R
+
+    The bound is on ||u(tau)||^2.  The noise-free case ignores path.  Warns
+    when an additive alpha exceeds the admissibility threshold.
     """
-    if spec.noise_case != "additive":
-        raise ValueError("spec is not the additive model")
-    if spec.alpha > spec.alpha_max:
+    case = spec.noise_case
+    if case == "additive" and spec.alpha > spec.alpha_max:
         warnings.warn(f"alpha={spec.alpha} exceeds the admissible threshold "
                       f"{spec.alpha_max:.6g}; the radius bound is heuristic there",
                       stacklevel=2)
-    from .problem import check_growth_condition
-    growth = check_growth_condition(spec, tau, grid=grid, quad_tol=quad_tol)
-    s, w, z, eta, span, converged = _weight_window(path, spec, quad_tol)
-    dt = s[1] - s[0]
+    forcing = ForcingNorms(spec, grid)
+    growth = check_growth_condition(spec, tau, quad_tol=quad_tol,
+                                    integrand=forcing.total)
+    s, w, z, eta, ds, span, converged = _weight_window(path, spec, quad_tol)
     eps = spec.epsilon
-    noise_term = (np.abs(eps * z) ** spec.p + np.abs(eps * z) ** spec.q
-                  + (spec.alpha * eps * eta * z) ** 2)
-    forcing = ForcingNorms(spec, grid)
-    forcing_g = w * forcing.g_l2_sq(s + tau)
-    forcing_psi = w * (forcing.psi1_l1(s + tau) + forcing.psi3_q1_pow(s + tau))
-    parts = {
-        "constant": c,
-        "noise": c * float(np.trapezoid(w * noise_term, dx=dt)),
-        "g": c * float(np.trapezoid(forcing_g, dx=dt)),
-        "psi": c * float(np.trapezoid(forcing_psi, dx=dt)),
-    }
-    radius = parts["constant"] + parts["noise"] + parts["g"] + parts["psi"]
-    hsq = float(np.sum(grid_arrays(grid).weights
-                       * np.exp(-grid_arrays(grid).radial_sq)))
-    shift_sq = (eps * float(z[-1])) ** 2 * hsq
-    return RadiusReport(radius=radius, bound=2.0 * shift_sq + 2.0 * radius,
-                        shift_sq=shift_sq, parts=parts, truncation=span,
-                        converged=converged, growth_finite=growth.finite)
-
-
-def absorbing_radius_multiplicative(tau: float, path, spec: ProblemSpec,
-                                    quad_tol: float = DEFAULT_QUAD_TOL,
-                                    grid: Grid = DEFAULT_GRID,
-                                    c: float = DEFAULT_C) -> RadiusReport:
-    """Absorbing radius for the multiplicative model.
-
-    R = c + c * int_{-S}^0 w(s) (||psi1(s+tau)||_1 + ||g(s+tau)||^2) ds with
-    weight w(s) = exp((5/4) lam s - 2 alpha int_0^s z dr - 2 alpha z(theta_s)).
-    The bound on ||u(tau)||^2 is e^{2 alpha z(omega)} R.
-    """
-    if spec.noise_case != "multiplicative":
-        raise ValueError("spec is not the multiplicative model")
-    from .problem import check_growth_condition
-    growth = check_growth_condition(spec, tau, grid=grid, quad_tol=quad_tol)
-    s, w, z, _, span, converged = _weight_window(path, spec, quad_tol)
-    dt = s[1] - s[0]
-    forcing = ForcingNorms(spec, grid)
-    parts = {
-        "constant": c,
-        "g": c * float(np.trapezoid(w * forcing.g_l2_sq(s + tau), dx=dt)),
-        "psi": c * float(np.trapezoid(w * forcing.psi1_l1(s + tau), dx=dt)),
-    }
-    radius = parts["constant"] + parts["g"] + parts["psi"]
-    bound = math.exp(2.0 * spec.alpha * float(z[-1])) * radius
-    return RadiusReport(radius=radius, bound=bound, shift_sq=0.0, parts=parts,
-                        truncation=span, converged=converged,
+    parts = {"constant": c}
+    psi = forcing.psi1_l1(s + tau)
+    if case == "additive":
+        noise_term = (np.abs(eps * z) ** spec.p + np.abs(eps * z) ** spec.q
+                      + (spec.alpha * eps * eta * z) ** 2)
+        parts["noise"] = c * float(np.trapezoid(w * noise_term, dx=ds))
+        psi = psi + forcing.psi3_q1_pow(s + tau)
+    parts["g"] = c * float(np.trapezoid(w * forcing.g_l2_sq(s + tau), dx=ds))
+    parts["psi"] = c * float(np.trapezoid(w * psi, dx=ds))
+    radius = sum(parts.values())
+    shift_sq, bound = 0.0, radius
+    if case == "additive":
+        shift_sq = (eps * float(z[-1])) ** 2 * forcing.h_l2_sq
+        bound = 2.0 * shift_sq + 2.0 * radius
+    elif case == "multiplicative":
+        bound = math.exp(2.0 * spec.alpha * float(z[-1])) * radius
+    return RadiusReport(radius=radius, bound=bound, shift_sq=shift_sq,
+                        parts=parts, truncation=span, converged=converged,
                         growth_finite=growth.finite)
-
-
-def absorbing_radius_deterministic(tau: float, spec: ProblemSpec,
-                                   quad_tol: float = DEFAULT_QUAD_TOL,
-                                   grid: Grid = DEFAULT_GRID,
-                                   c: float = DEFAULT_C,
-                                   ds: float = 1e-3) -> RadiusReport:
-    """The noise-free radius R0 = c + c int e^{(5/4) lam s} (||psi1||_1 + ||g||^2)."""
-    span = math.log(1.0 / quad_tol) / (1.25 * spec.lam)
-    n = int(math.ceil(span / ds))
-    s = -(n * ds) + np.arange(n + 1) * ds
-    w = np.exp(1.25 * spec.lam * s)
-    forcing = ForcingNorms(spec, grid)
-    parts = {
-        "constant": c,
-        "g": c * float(np.trapezoid(w * forcing.g_l2_sq(s + tau), dx=ds)),
-        "psi": c * float(np.trapezoid(w * forcing.psi1_l1(s + tau), dx=ds)),
-    }
-    radius = parts["constant"] + parts["g"] + parts["psi"]
-    return RadiusReport(radius=radius, bound=radius, shift_sq=0.0, parts=parts,
-                        truncation=n * ds, converged=True, growth_finite=True)
 
 
 def absorbing_bound(tau: float, path, spec: ProblemSpec,
                     quad_tol: float = DEFAULT_QUAD_TOL,
                     grid: Grid = DEFAULT_GRID, c: float = DEFAULT_C) -> float:
     """The case-appropriate absorbing bound on ||u(tau)||^2."""
-    if spec.noise_case == "additive":
-        return absorbing_radius_additive(tau, path, spec, quad_tol, grid, c).bound
-    if spec.noise_case == "multiplicative":
-        return absorbing_radius_multiplicative(tau, path, spec, quad_tol, grid, c).bound
-    return absorbing_radius_deterministic(tau, spec, quad_tol, grid, c).bound
+    return absorbing_radius(tau, path, spec, quad_tol, grid, c).bound
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +457,8 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
     radius the tag records; endpoints closer than cluster_tol (default 1e-4
     times that radius) are merged.  Warns when the endpoint spread at the
     full horizon exceeds the spread at half the horizon, which signals
-    non-contraction.
+    non-contraction.  The failure entries of the pullback runs ride along
+    as the ensemble's failures.
     """
     bound = absorbing_bound(tau, path, spec, quad_tol, grid, c)
     radius = math.sqrt(max(bound, 1e-30))
@@ -517,16 +479,13 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
                           f"{half} to {s_full:.3g} at {horizon}; "
                           "no contraction yet", stacklevel=2)
     kept = []
-    w = grid_arrays(grid).weights
     for m in ens.members:
-        if all(math.sqrt(float(np.sum(w * (m.values - k.values) ** 2)))
-               >= cluster_tol for k in kept):
+        if all(l2_distance(m, k) >= cluster_tol for k in kept):
             kept.append(m)
-    seed = getattr(path.base if hasattr(path, "base") else path, "seed", None)
     return EndpointEnsemble(members=tuple(kept),
-                            tag=EnsembleTag(tau=tau, seed=seed,
-                                            alpha=spec.alpha, horizon=horizon,
-                                            radius=radius))
+                            tag=replace(ens.tag, horizon=horizon,
+                                        radius=radius),
+                            failures=tuple(result.failures))
 
 
 @dataclass(frozen=True)
@@ -565,7 +524,8 @@ def usc_sweep(tau: float, spec: ProblemSpec, alphas=(0.4, 0.2, 0.1, 0.05),
 
     Estimates A_alpha per (alpha, seed) and A_0 once (deterministic run), and
     reports dist(A_alpha, A_0) with per-alpha medians.  alphas must be
-    strictly decreasing and nonnegative.
+    strictly decreasing and nonnegative.  failures holds the pullback
+    failures of A_0 and of every A_alpha, each tagged with its alpha.
     """
     alphas = tuple(float(a) for a in alphas)
     if any(a < 0 for a in alphas):
@@ -589,8 +549,10 @@ def usc_sweep(tau: float, spec: ProblemSpec, alphas=(0.4, 0.2, 0.1, 0.05),
             dist[i, j] = hausdorff_semidistance(ensembles[idx], a0)
             idx += 1
     medians = tuple(float(np.median(dist[i])) for i in range(len(alphas)))
+    failures = [dict(f, alpha=ens.tag.alpha)
+                for ens in (a0, *ensembles) for f in ens.failures]
     return UscReport(alphas=alphas, seeds=seeds, distances=dist,
-                     medians=medians, failures=[])
+                     medians=medians, failures=failures)
 
 
 def alpha_solution_distances(tau: float, u0: Field, path, spec: ProblemSpec,
@@ -603,14 +565,9 @@ def alpha_solution_distances(tau: float, u0: Field, path, spec: ProblemSpec,
     """
     ref = cocycle_apply(span, tau, path, u0,
                         spec.with_alpha(0.0, "deterministic"), cfg)
-    w = grid_arrays(u0.grid).weights
-    out = []
-    for a in alphas:
-        ua = cocycle_apply(span, tau, path, u0,
-                           spec.with_alpha(float(a), "multiplicative"), cfg)
-        d = ua.values - ref.values
-        out.append(math.sqrt(float(np.sum(w * d * d))))
-    return out
+    specs = [spec.with_alpha(float(a), "multiplicative") for a in alphas]
+    return [l2_distance(cocycle_apply(span, tau, path, u0, s, cfg), ref)
+            for s in specs]
 
 
 # ---------------------------------------------------------------------------

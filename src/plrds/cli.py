@@ -206,7 +206,8 @@ def _run_estimate_attractor(cfg: RunConfig, out: Path):
     tag = ens.tag
     return files, {"members": len(ens.members), "spread": ens.spread(),
                    "tag": {"tau": tag.tau, "seed": tag.seed,
-                           "alpha": tag.alpha, "horizon": tag.horizon}}, []
+                           "alpha": tag.alpha, "horizon": tag.horizon}}, \
+        list(ens.failures)
 
 
 def _run_usc_sweep(cfg: RunConfig, out: Path):
@@ -240,7 +241,7 @@ def _run_periodicity_check(cfg: RunConfig, out: Path):
             sampler_seed=cfg.sampler_seed, quad_tol=cfg.quad_tol, c=cfg.c,
             check_contraction=False)
 
-    rows = []
+    rows, failures = [], []
     for seed in _seeds(cfg):
         path = _noise_path(cfg, seed)
         e1 = estimate(cfg.tau, path, cfg.cluster_tol or None)
@@ -250,9 +251,10 @@ def _run_periodicity_check(cfg: RunConfig, out: Path):
         dist = max(hausdorff_semidistance(e1, e2),
                    hausdorff_semidistance(e2, e1))
         rows.append((seed, cfg.tau, dist, tol, bool(dist <= tol)))
+        failures.extend(e1.failures + e2.failures)
     files = [out / "periodicity.csv"]
     _write_csv(files[0], "seed,tau,distance,cluster_tol,within", rows)
-    return files, {"all_within": all(r[4] for r in rows)}, []
+    return files, {"all_within": all(r[4] for r in rows)}, failures
 
 
 _RUNNERS = {

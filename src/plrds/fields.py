@@ -207,6 +207,11 @@ def l2_sq(u: Field) -> float:
     return float(np.sum(arrs.weights * u.values * u.values))
 
 
+def l2_distance(a: Field, b: Field) -> float:
+    """The weighted L2 distance ||a - b||."""
+    return math.sqrt(l2_sq(Field(a.grid, a.values - b.values)))
+
+
 def norms(u: Field, p: float, q: float) -> dict:
     """{l2, lp, lq, w1p} with trapezoid node weights and face gradients."""
     if p < 2 or q < p:
@@ -298,10 +303,12 @@ class EnsembleTag:
 
 @dataclass(frozen=True)
 class EndpointEnsemble:
-    """A finite set of endpoint fields with a provenance tag."""
+    """A finite set of endpoint fields with a provenance tag, plus the
+    failure entries of the runs that produced no member."""
 
     members: tuple
     tag: EnsembleTag
+    failures: tuple = ()
 
     def __len__(self):
         return len(self.members)
@@ -309,14 +316,10 @@ class EndpointEnsemble:
     def spread(self) -> float:
         """Largest pairwise L2 distance among members."""
         worst = 0.0
-        w = None
         for i, f in enumerate(self.members):
-            if w is None:
-                w = grid_arrays(f.grid).weights
             for g in self.members[i + 1:]:
-                d = f.values - g.values
-                worst = max(worst, float(np.sum(w * d * d)))
-        return math.sqrt(worst)
+                worst = max(worst, l2_distance(f, g))
+        return worst
 
 
 # ---------------------------------------------------------------------------

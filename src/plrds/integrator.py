@@ -35,7 +35,7 @@ import numpy as np
 from .fields import (EndpointEnsemble, EnsembleTag, Field, Grid, _face_data,
                      _lap_diss, grid_arrays, make_field)
 from .noise import make_eta, ou_from_path, raise_first, snap_steps, violated
-from .problem import ProblemSpec, compile_expression
+from .problem import ProblemSpec
 
 
 @dataclass(frozen=True)
@@ -117,22 +117,12 @@ class _ModelContext:
         self.gauss = make_field(grid, np.exp(-arrs.radial_sq)).values
         self.x = arrs.x
         self.y = arrs.y if grid.dim == 2 else 0.0
-        nl = spec.nonlinearity
-        self._custom = compile_expression(nl.expression) if nl.kind == "custom" else None
 
     def f_of(self, t: float, w: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        if self._custom is not None:
-            out = self._custom(t=t, x=self.x, y=self.y, s=w)
-            out = np.asarray(out, dtype=float)
-            return np.broadcast_to(out, w.shape) if out.shape != w.shape else out
-        return (-spec.gamma * np.abs(w) ** (spec.q - 2.0) * w
-                + (spec.nonlinearity.phi_amp * math.sin(2.0 * math.pi * t / spec.period))
-                * self.gauss)
+        return self.spec.f_pointwise(t, self.x, self.y, w, self.gauss)
 
     def g_of(self, t: float) -> np.ndarray:
-        spec = self.spec
-        return (spec.g_amp * math.cos(2.0 * math.pi * t / spec.period)) * self.gauss
+        return self.spec.g_time(t) * self.gauss
 
 
 @lru_cache(maxsize=64)
@@ -385,7 +375,8 @@ def pullback_run(tau: float, horizons, initial_set, path, spec: ProblemSpec,
     Uses the run started at tau - horizon with the noise shifted back by the
     horizon, which is the pullback convention: larger horizons look further
     into the past while the observation time stays tau.  Failed runs are
-    recorded as annotations and skipped in the ensembles.
+    recorded as annotations naming the path's seed, tau, the horizon and the
+    initial state, and skipped in the ensembles.
     """
     from .noise import shift
     horizons = list(horizons)
@@ -406,8 +397,8 @@ def pullback_run(tau: float, horizons, initial_set, path, spec: ProblemSpec,
                                     snapshot_indices=snapshot_indices,
                                     with_record=with_records)
             except StiffnessError as exc:
-                failures.append({"horizon": h, "initial": idx,
-                                 "report": exc.report})
+                failures.append({"seed": seed, "tau": tau, "horizon": h,
+                                 "initial": idx, "report": exc.report})
                 continue
             if with_records:
                 endpoint, rec = res

@@ -83,7 +83,8 @@ def _anchor_kernel(rate: float, dt: float, quad_tol: float = QUAD_TOL):
 
 
 class _OuDerivable:
-    """Mixin: canonical OU values for anything exposing a sample grid.
+    """Mixin: the sample grid checks, linear interpolation between samples,
+    and canonical OU values for anything exposing grid_values.
 
     OU values are organized in blocks of K = steps_per_block // m entries at
     step m*dt.  Each block starts from a fresh quadrature anchor at the block
@@ -96,6 +97,32 @@ class _OuDerivable:
     input, so its mismatch with the value recursed out of the previous block
     is truncation-sized (the quad_tol tail weight, far below solver error).
     """
+
+    def _init_grid(self, dt: float, block_length: float) -> int:
+        """Check and set the sample step; return the steps per block."""
+        if dt <= 0:
+            raise ValueError(f"dt must be positive, got {dt!r}")
+        spb = snap_steps(block_length, dt, "block_length")
+        if spb < 1:
+            raise ValueError("block_length must be a positive multiple of dt")
+        self.dt = float(dt)
+        self.steps_per_block = spb
+        self._ou: dict = {}
+        self._lock = threading.RLock()
+        return spb
+
+    def values(self, ts) -> np.ndarray:
+        """Path values at arbitrary times (linear between grid nodes)."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        pos = ts / self.dt
+        idx = np.floor(pos).astype(np.int64)
+        frac = pos - idx
+        lo = int(idx.min())
+        base = self.grid_values(lo, int(idx.max()) + 1)
+        return base[idx - lo] * (1.0 - frac) + base[idx - lo + 1] * frac
+
+    def value(self, t: float) -> float:
+        return float(self.values([t])[0])
 
     def ou_grid_values(self, rate: float, k0: int, k1: int, m: int = 1) -> np.ndarray:
         """OU values at indices k0..k1 (inclusive) of the coarse grid m*dt."""
@@ -147,20 +174,12 @@ class NoisePath(_OuDerivable):
     """
 
     def __init__(self, seed: int, dt: float, block_length: float = 4.0):
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt!r}")
-        spb = snap_steps(block_length, dt, "block_length")
-        if spb < 1:
-            raise ValueError("block_length must be a positive multiple of dt")
+        self._init_grid(dt, block_length)
         self.seed = int(seed)
-        self.dt = float(dt)
         self.block_length = float(block_length)
-        self.steps_per_block = spb
         self._inc: dict = {}
         self._blk: dict = {}
         self._bnd: dict = {0: 0.0}
-        self._ou: dict = {}
-        self._lock = threading.RLock()
 
     def __repr__(self):
         return (f"NoisePath(seed={self.seed}, dt={self.dt}, "
@@ -221,20 +240,6 @@ class NoisePath(_OuDerivable):
                 out[lo - i0 : hi - i0 + 1] = vals[lo - j * spb : hi - j * spb + 1]
         return out
 
-    def values(self, ts) -> np.ndarray:
-        """Path values at arbitrary times (linear between grid nodes)."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        pos = ts / self.dt
-        idx = np.floor(pos).astype(np.int64)
-        frac = pos - idx
-        lo = int(idx.min())
-        hi = int(idx.max()) + 1
-        base = self.grid_values(lo, hi)
-        return base[idx - lo] * (1.0 - frac) + base[idx - lo + 1] * frac
-
-    def value(self, t: float) -> float:
-        return float(self.values([t])[0])
-
 
 class TabulatedPath(_OuDerivable):
     """Path given by explicit grid samples (testing and replay).
@@ -245,20 +250,12 @@ class TabulatedPath(_OuDerivable):
 
     def __init__(self, values, dt: float, first_index: int = 0,
                  block_length: float = 4.0):
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt!r}")
-        spb = snap_steps(block_length, dt, "block_length")
-        if spb < 1:
-            raise ValueError("block_length must be a positive multiple of dt")
+        spb = self._init_grid(dt, block_length)
         self.arr = np.asarray(values, dtype=float).copy()
         if self.arr.ndim != 1 or len(self.arr) < 2:
             raise ValueError("need a 1-d array of at least two samples")
-        self.dt = float(dt)
         self.first_index = int(first_index)
         self.block_length = spb * self.dt
-        self.steps_per_block = spb
-        self._ou: dict = {}
-        self._lock = threading.RLock()
 
     def grid_values(self, i0: int, i1: int) -> np.ndarray:
         lo = self.first_index
@@ -266,18 +263,6 @@ class TabulatedPath(_OuDerivable):
         if i0 < lo or i1 > hi:
             raise ValueError(f"indices [{i0}, {i1}] outside tabulated window [{lo}, {hi}]")
         return self.arr[i0 - lo : i1 - lo + 1]
-
-    def values(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        pos = ts / self.dt
-        idx = np.floor(pos).astype(np.int64)
-        frac = pos - idx
-        base = self.grid_values(int(idx.min()), int(idx.max()) + 1)
-        off = int(idx.min())
-        return base[idx - off] * (1.0 - frac) + base[idx - off + 1] * frac
-
-    def value(self, t: float) -> float:
-        return float(self.values([t])[0])
 
 
 @dataclass(frozen=True)
@@ -421,11 +406,6 @@ class EtaProcess:
         if self.mean == 0.0:
             return self.source.values
         return self.mean + self.source.values
-
-    def value_at(self, t: float) -> float:
-        if self.source is None:
-            return self.mean
-        return self.mean + self.source.value_at(t)
 
 
 def make_eta(path, cfg: EtaConfig, t0: float, t1: float, dt: float | None = None) -> EtaProcess:

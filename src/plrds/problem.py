@@ -224,24 +224,24 @@ class ProblemSpec:
     def g_pointwise(self, t, r2):
         return self.g_time(t) * np.exp(-r2)
 
-    def f_pointwise(self, t, x, y, s):
-        """f(t, x, s) for scalar/array inputs; y is ignored in one dimension."""
+    def f_pointwise(self, t, x, y, s, gauss):
+        """f(t, x, s) for scalar/array inputs, given gauss = exp(-|x|^2) at the
+        same points; y is ignored in one dimension, gauss by a custom f."""
         nl = self.nonlinearity
         if nl.kind == "custom":
             fn = compile_expression(nl.expression)
             out = fn(t=t, x=x, y=y, s=s)
             return np.broadcast_to(np.asarray(out, dtype=float), np.shape(s)).copy() \
                 if np.shape(out) != np.shape(s) else out
-        r2 = np.asarray(x) ** 2 + (np.asarray(y) ** 2 if y is not None else 0.0)
-        return -nl.gamma * np.abs(s) ** (self.q - 2.0) * s + self.phi_pointwise(t, r2)
+        return -nl.gamma * np.abs(s) ** (self.q - 2.0) * s + self.phi_time(t) * gauss
 
     def f_prime_pointwise(self, t, x, y, s):
         """d f/d s; analytic for the default family, central difference otherwise."""
         nl = self.nonlinearity
         if nl.kind == "custom":
             step = 1e-5 * (1.0 + np.abs(s))
-            up = self.f_pointwise(t, x, y, s + step)
-            dn = self.f_pointwise(t, x, y, s - step)
+            up = self.f_pointwise(t, x, y, s + step, None)
+            dn = self.f_pointwise(t, x, y, s - step, None)
             return (up - dn) / (2.0 * step)
         return -nl.gamma * (self.q - 1.0) * np.abs(s) ** (self.q - 2.0)
 
@@ -279,7 +279,8 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 
 class ForcingNorms:
-    """Norm accessors ||g(t)||^2, ||psi1(t)||_1, ||psi3(t)||_{q1}^{q1} on a grid.
+    """Norm accessors ||g(t)||^2, ||psi1(t)||_1, ||psi3(t)||_{q1}^{q1} on a
+    grid, and ||h||^2 of the additive noise profile h = exp(-|x|^2/2).
 
     Profile integrals are computed once with the grid's trapezoid weights;
     the time dependence multiplies through.
@@ -293,6 +294,7 @@ class ForcingNorms:
         self.spec = spec
         self._g_prof_sq = float(np.sum(w * prof * prof))
         self._phi_prof_q1 = float(np.sum(w * prof ** spec.q1))
+        self.h_l2_sq = float(np.sum(w * prof))    # h^2 = prof
 
     def g_l2_sq(self, t):
         return self.spec.g_time(t) ** 2 * self._g_prof_sq
@@ -344,7 +346,7 @@ def validate_structure(spec: ProblemSpec, sample_count: int = 100_000,
     s = rng.uniform(-s_bound, s_bound, sample_count)
     r2 = x ** 2 + y ** 2
 
-    fv = spec.f_pointwise(t, x, y, s)
+    fv = spec.f_pointwise(t, x, y, s, np.exp(-r2))
     fp = spec.f_prime_pointwise(t, x, y, s)
     aq = np.abs(s) ** spec.q
     margins = {

@@ -8,10 +8,8 @@ import pytest
 
 from plrds import analysis
 from plrds.analysis import (absorbing_bound, absorbing_check,
-                            absorbing_radius_additive,
-                            absorbing_radius_deterministic,
-                            absorbing_radius_multiplicative,
-                            alpha_solution_distances, energy_audit,
+                            absorbing_radius, alpha_solution_distances,
+                            energy_audit,
                             estimate_attractor, sample_initial_ball,
                             tail_check, usc_sweep)
 from plrds.fields import Grid, l2_sq
@@ -54,8 +52,7 @@ class TestSampleInitialBall:
 
 class TestAbsorbingRadii:
     def test_additive_quiet_model_radius_is_c(self):
-        rep = absorbing_radius_additive(0.0, zero_path(), quiet_additive(),
-                                        grid=GRID)
+        rep = absorbing_radius(0.0, zero_path(), quiet_additive(), grid=GRID)
         assert rep.radius == 4.0
         assert rep.bound == 8.0
         assert rep.shift_sq == 0.0
@@ -66,10 +63,8 @@ class TestAbsorbingRadii:
 
     def test_g_part_scales_quadratically(self):
         path = zero_path()
-        r1 = absorbing_radius_additive(0.0, path, quiet_additive(0.5),
-                                       grid=GRID)
-        r2 = absorbing_radius_additive(0.0, path, quiet_additive(1.0),
-                                       grid=GRID)
+        r1 = absorbing_radius(0.0, path, quiet_additive(0.5), grid=GRID)
+        r2 = absorbing_radius(0.0, path, quiet_additive(1.0), grid=GRID)
         assert math.isclose(r2.parts["g"], 4.0 * r1.parts["g"],
                             rel_tol=1e-12)
         assert r1.parts["g"] > 0.0
@@ -77,34 +72,44 @@ class TestAbsorbingRadii:
     def test_truncation_tolerance_insensitive(self):
         spec = ProblemSpec(noise_case="additive")
         path = make_path(0, DT)
-        a = absorbing_radius_additive(0.0, path, spec, quad_tol=1e-10,
-                                      grid=GRID)
-        b = absorbing_radius_additive(0.0, path, spec, quad_tol=1e-12,
-                                      grid=GRID)
+        a = absorbing_radius(0.0, path, spec, quad_tol=1e-10, grid=GRID)
+        b = absorbing_radius(0.0, path, spec, quad_tol=1e-12, grid=GRID)
         assert abs(a.radius - b.radius) <= 1e-7 * b.radius
         assert b.truncation >= a.truncation
 
-    def test_case_mismatch_rejected(self):
-        spec = ProblemSpec(noise_case="multiplicative", alpha=0.1)
-        with pytest.raises(ValueError):
-            absorbing_radius_additive(0.0, zero_path(), spec, grid=GRID)
-        with pytest.raises(ValueError):
-            absorbing_radius_multiplicative(0.0, zero_path(),
-                                            ProblemSpec(), grid=GRID)
+    @pytest.mark.parametrize("case, keys", [
+        ("additive", ["constant", "noise", "g", "psi"]),
+        ("multiplicative", ["constant", "g", "psi"]),
+        ("deterministic", ["constant", "g", "psi"])])
+    def test_parts_follow_the_noise_case(self, case, keys):
+        spec = ProblemSpec(noise_case=case)
+        path = None if case == "deterministic" else make_path(2, DT)
+        rep = absorbing_radius(0.0, path, spec, grid=GRID)
+        assert list(rep.parts) == keys
+        assert rep.radius == sum(rep.parts.values())
+        assert (rep.shift_sq > 0.0) == (case == "additive")
+
+    def test_noise_free_window_has_no_floor(self):
+        # The noise-free window is the bare span at step 1e-3, even when
+        # the span is shorter than the four time units noisy windows keep.
+        spec = ProblemSpec(noise_case="deterministic", lam=8.0)
+        rep = absorbing_radius(0.0, None, spec, grid=GRID)
+        span = math.log(1e12) / (1.25 * 8.0)
+        assert rep.truncation == math.ceil(span / 1e-3) * 1e-3
+        assert rep.truncation < 4.0
 
     def test_multiplicative_quiet_model(self):
         spec = ProblemSpec(noise_case="multiplicative", alpha=0.1, g_amp=0.0,
                            nonlinearity=NonlinearitySpec(phi_amp=0.0))
-        rep = absorbing_radius_multiplicative(0.0, zero_path(), spec,
-                                              grid=GRID)
+        rep = absorbing_radius(0.0, zero_path(), spec, grid=GRID)
         assert rep.radius == 4.0
         assert rep.bound == 4.0  # exp(2 alpha z(0)) = 1 on the zero path
 
     def test_multiplicative_small_alpha_approaches_noise_free(self):
         spec = ProblemSpec(noise_case="multiplicative", alpha=1e-7)
         path = make_path(0, DT)
-        rep = absorbing_radius_multiplicative(0.0, path, spec, grid=GRID)
-        det = absorbing_radius_deterministic(0.0, spec.with_alpha(
+        rep = absorbing_radius(0.0, path, spec, grid=GRID)
+        det = absorbing_radius(0.0, None, spec.with_alpha(
             0.0, "deterministic"), grid=GRID)
         assert abs(rep.radius - det.radius) <= 1e-6 * det.radius
 
@@ -112,27 +117,24 @@ class TestAbsorbingRadii:
         spec = ProblemSpec(noise_case="additive",
                            eta=EtaConfig(kind="constant", mean=50.0))
         with pytest.warns(UserWarning, match="admissible threshold"):
-            rep = absorbing_radius_additive(0.0, make_path(1, DT), spec,
-                                            grid=GRID)
+            rep = absorbing_radius(0.0, make_path(1, DT), spec, grid=GRID)
         assert not rep.converged
 
     def test_deterministic_radius(self):
-        rep = absorbing_radius_deterministic(0.0, ProblemSpec(), grid=GRID)
+        rep = absorbing_radius(0.0, None,
+                               ProblemSpec(noise_case="deterministic"),
+                               grid=GRID)
         assert rep.bound == rep.radius
         assert rep.converged and rep.growth_finite
         assert rep.radius > 4.0  # forcing adds on top of the constant part
 
     def test_bound_dispatch(self):
         path = zero_path()
-        add = quiet_additive()
-        mult = ProblemSpec(noise_case="multiplicative", alpha=0.1)
-        det = ProblemSpec(noise_case="deterministic", alpha=0.0)
-        assert absorbing_bound(0.0, path, add, grid=GRID) == \
-            absorbing_radius_additive(0.0, path, add, grid=GRID).bound
-        assert absorbing_bound(0.0, path, mult, grid=GRID) == \
-            absorbing_radius_multiplicative(0.0, path, mult, grid=GRID).bound
-        assert absorbing_bound(0.0, path, det, grid=GRID) == \
-            absorbing_radius_deterministic(0.0, det, grid=GRID).bound
+        for spec in (quiet_additive(),
+                     ProblemSpec(noise_case="multiplicative", alpha=0.1),
+                     ProblemSpec(noise_case="deterministic", alpha=0.0)):
+            assert absorbing_bound(0.0, path, spec, grid=GRID) == \
+                absorbing_radius(0.0, path, spec, grid=GRID).bound
 
 
 class TestAbsorbingCheck:

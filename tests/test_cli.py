@@ -507,6 +507,25 @@ class TestMainRuns:
         assert manifest["tasks"][0]["status"] == "failed"
         assert not (out / "series.csv").exists()
 
+    @pytest.mark.parametrize("experiment, seeds", [
+        ("estimate-attractor", {0}), ("usc-sweep", {None, 0, 1}),
+        ("periodicity-check", {0, 1})],
+        ids=["estimate-attractor", "usc-sweep", "periodicity-check"])
+    def test_diverged_pullback_members_fail_the_run(self, experiment, seeds,
+                                                    tmp_path):
+        # Every member diverges; the run must not report an empty set as a
+        # spread, distance or periodicity of zero and exit 0.
+        out = tmp_path / "out"
+        p = tmp_path / "run.ini"
+        p.write_text(base_config(out, dt=0.25, horizon=2, n_initials=4,
+                                 alphas="0.4") + STIFF)
+        assert main([experiment, "--config", str(p)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        (task,) = manifest["tasks"]
+        assert (manifest["status"], task["status"]) == ("failed", "failed")
+        assert {f["seed"] for f in task["detail"]} == seeds
+        assert all("suggested_dt" in f["report"] for f in task["detail"])
+
     def test_cocycle_test_divergence_records_stiffness_report(self, tmp_path,
                                                               capsys):
         out = tmp_path / "out"

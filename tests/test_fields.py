@@ -8,8 +8,8 @@ import pytest
 from plrds.fields import (EndpointEnsemble, EnsembleTag, Field, Grid,
                           cutoff_rho, field_from_binary, field_from_csv,
                           field_to_binary, field_to_csv, flux_pairing,
-                          grid_arrays, hausdorff_semidistance, l2_sq,
-                          lebesgue_pow, make_field, norms, p_dissipation,
+                          grid_arrays, hausdorff_semidistance,
+                          l2_distance, l2_sq, lebesgue_pow, make_field, norms, p_dissipation,
                           p_laplace, tail_mass, zero_field)
 
 
@@ -294,6 +294,28 @@ class TestEnsemble:
         single = EndpointEnsemble(members=(u,), tag=EnsembleTag(tau=0.0))
         assert single.spread() == 0.0
         assert len(ens) == 2
+        assert ens.failures == ()
+
+    def test_spread_is_sqrt_of_largest_squared_distance_bitwise(self):
+        # Weights 1.3/16 are not powers of two, so rounding would show.
+        g = Grid(2, 1.3, 33)
+        members = tuple(random_field(g, s) for s in range(4))
+        w = grid_arrays(g).weights
+        worst = max(float(np.sum(w * (f.values - h.values)
+                                 * (f.values - h.values)))
+                    for i, f in enumerate(members) for h in members[i + 1:])
+        ens = EndpointEnsemble(members=members, tag=EnsembleTag(tau=0.0))
+        assert ens.spread() == math.sqrt(worst)
+
+
+class TestL2Distance:
+    def test_symmetric_and_zero_on_self(self):
+        g = Grid(1, 8.0, 65)
+        u, v = random_field(g, 1), random_field(g, 2)
+        assert l2_distance(u, v) == l2_distance(v, u) > 0.0
+        assert l2_distance(u, u) == 0.0
+        assert l2_distance(u, v) == math.sqrt(
+            l2_sq(make_field(g, u.values - v.values)))
 
 
 class TestSerialization:

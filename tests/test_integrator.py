@@ -296,5 +296,6 @@ class TestPullback:
         assert len(res.failures) == 1
         note = res.failures[0]
         assert note["horizon"] == 0.1 and note["initial"] == 1
+        assert note["seed"] is None and note["tau"] == 0.0  # no noise path
         assert "suggested_dt" in note["report"]
         assert len(res.ensembles[0.1]) == 1
