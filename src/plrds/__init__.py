@@ -16,7 +16,7 @@ from .fields import (EndpointEnsemble, EnsembleTag, Field, Grid, TailMass,
 from .integrator import (PullbackResult, StepperConfig, StiffnessError,
                          TrajectoryRecord, cocycle_apply, pullback_run,
                          stable_dt_bound, transform_u_to_v, transform_v_to_u)
-from .noise import (EtaConfig, EtaProcess, NoisePath, OUPath, ShiftedView,
+from .noise import (EtaConfig, NoisePath, OUPath, ShiftedView,
                     TabulatedPath, ergodic_diagnostics, make_eta, make_path,
                     ou_from_path, shift, snap_steps)
 from .problem import (ForcingNorms, GrowthReport, NonlinearitySpec,

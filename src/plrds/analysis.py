@@ -2,9 +2,10 @@
 checks, energy audits, tail monitors, attractor estimation, and the
 noise-intensity (upper-semicontinuity) sweep.
 
-Every sweep fans out over (seed, alpha, initial condition) tasks on an
-optional process pool; tasks share only immutable inputs and results merge in
-deterministic task order, so worker count never changes any reported number.
+Every sweep maps pullback_run or estimate_attractor over noise paths on an
+optional process pool.  A path pickles by its recipe and its values are pure
+functions of it, and results come back in task order, so worker count never
+changes any reported number.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .fields import (EndpointEnsemble, Field, Grid, grid_arrays,
                      p_dissipation, flux_pairing, tail_mass)
 from .integrator import (StepperConfig, TrajectoryRecord, cocycle_apply,
                          pullback_run, _context, _COUPLINGS)
-from .noise import NoisePath, make_eta, make_path, ou_from_path, snap_steps
+from .noise import make_eta, make_path, ou_from_path, snap_steps
 from .problem import ForcingNorms, ProblemSpec, check_growth_condition
 
 DEFAULT_GRID = Grid(1, 8.0, 257)
@@ -117,7 +119,7 @@ def _weight_window(path, spec: ProblemSpec, quad_tol: float):
         s = -span + np.arange(n + 1) * dt
         z = ou_from_path(path, rate(spec), -span, 0.0).values
         if spec.noise_case == "additive":
-            eta = make_eta(path, spec.eta, -span, 0.0).node_values(n + 1)
+            eta = make_eta(path, spec.eta, -span, 0.0)
             integ = _cumtrapz(eta, dt)
             expo = 1.25 * lam * s - 2.0 * spec.alpha * (integ - integ[-1])
         else:
@@ -211,22 +213,6 @@ class AbsorbingReport:
     failures: list
 
 
-def _absorb_task(args):
-    (seed, tau, horizons, spec, grid, cfg, noise_dt, block_length,
-     ball_radius, n_initials, sampler_seed, quad_tol, c) = args
-    path = make_path(seed, noise_dt, block_length)
-    bound = absorbing_bound(tau, path, spec, quad_tol, grid, c)
-    initials = sample_initial_ball(grid, ball_radius, n_initials, sampler_seed)
-    result = pullback_run(tau, horizons, initials, path, spec, cfg,
-                          with_records=False)
-    rows = []
-    for h in horizons:
-        members = result.ensembles[h].members
-        worst = max((l2_sq(m) for m in members), default=float("nan"))
-        rows.append((seed, h, worst, bound, bool(worst <= bound)))
-    return rows, result.failures
-
-
 def absorbing_check(tau: float, spec: ProblemSpec, horizons=(4.0, 8.0, 16.0, 32.0),
                     n_seeds: int = 16, n_initials: int = 4,
                     grid: Grid = DEFAULT_GRID,
@@ -243,14 +229,20 @@ def absorbing_check(tau: float, spec: ProblemSpec, horizons=(4.0, 8.0, 16.0, 32.
     """
     horizons = sorted(float(h) for h in horizons)
     noise_dt = cfg.dt if noise_dt is None else noise_dt
-    tasks = [(base_seed + i, tau, horizons, spec, grid, cfg, noise_dt,
-              block_length, ball_radius, n_initials, sampler_seed, quad_tol, c)
+    paths = [make_path(base_seed + i, noise_dt, block_length)
              for i in range(n_seeds)]
-    results = _run_pool(_absorb_task, tasks, workers)
+    initials = sample_initial_ball(grid, ball_radius, n_initials, sampler_seed)
+    run = partial(pullback_run, tau, horizons, initials, spec=spec, cfg=cfg,
+                  with_records=False)
+    results = _run_pool(run, [{"path": p} for p in paths], workers)
     rows, failures = [], []
-    for r, f in results:
-        rows.extend(r)
-        failures.extend(f)
+    for path, result in zip(paths, results):
+        bound = absorbing_bound(tau, path, spec, quad_tol, grid, c)
+        for h in horizons:
+            worst = max((l2_sq(m) for m in result.ensembles[h].members),
+                        default=float("nan"))
+            rows.append((path.seed, h, worst, bound, bool(worst <= bound)))
+        failures.extend(result.failures)
     sat_by_h = {h: all(r[4] for r in rows if r[1] == h) for h in horizons}
     entry = None
     for i, h in enumerate(horizons):
@@ -366,28 +358,6 @@ class TailReport:
     failures: list
 
 
-def _tail_task(args):
-    (seed, tau, horizon, k_list, spec, grid, cfg, noise_dt, block_length,
-     ball_radius, sampler_seed, sigma_idx) = args
-    path = make_path(seed, noise_dt, block_length)
-    initials = sample_initial_ball(grid, ball_radius, 1, sampler_seed)
-    result = pullback_run(tau, [horizon], initials, path, spec, cfg,
-                          snapshot_indices=sigma_idx, with_records=True)
-    rows = []
-    rec = result.records.get((horizon, 0))
-    if rec is not None:
-        for k_idx in sigma_idx:
-            snap = rec.snapshots.get(k_idx)
-            if snap is None:
-                continue
-            sigma = tau - horizon + k_idx * cfg.dt
-            base = l2_sq(snap)
-            for k in k_list:
-                tm = tail_mass(snap, k)
-                rows.append((seed, k, sigma, tm.plain, tm.rho_weighted, base))
-    return rows, result.failures
-
-
 def tail_check(tau: float, spec: ProblemSpec, horizon: float = 32.0,
                k_list=(2.0, 3.0, 4.0), n_seeds: int = 16,
                grid: Grid = DEFAULT_GRID, cfg: StepperConfig = StepperConfig(),
@@ -416,14 +386,27 @@ def tail_check(tau: float, spec: ProblemSpec, horizon: float = 32.0,
     sigma_frac = np.linspace(0.0, 1.0, n_sigma)
     sigma_idx = sorted({nsteps - int(round(f / cfg.dt)) for f in (1.0 - sigma_frac)})
     sigma_idx = [i for i in sigma_idx if 0 <= i <= nsteps]
-    tasks = [(base_seed + i, tau, float(horizon), k_list, spec, grid, cfg,
-              noise_dt, block_length, ball_radius, sampler_seed, sigma_idx)
+    paths = [make_path(base_seed + i, noise_dt, block_length)
              for i in range(n_seeds)]
-    results = _run_pool(_tail_task, tasks, workers)
+    initials = sample_initial_ball(grid, ball_radius, 1, sampler_seed)
+    run = partial(pullback_run, tau, [float(horizon)], initials, spec=spec,
+                  cfg=cfg, snapshot_indices=sigma_idx, with_records=True)
+    results = _run_pool(run, [{"path": p} for p in paths], workers)
     rows, failures = [], []
-    for r, f in results:
-        rows.extend(r)
-        failures.extend(f)
+    for path, result in zip(paths, results):
+        rec = result.records.get((horizon, 0))
+        snaps = rec.snapshots if rec is not None else {}
+        for k_idx in sigma_idx:
+            snap = snaps.get(k_idx)
+            if snap is None:
+                continue
+            sigma = tau - horizon + k_idx * cfg.dt
+            base = l2_sq(snap)
+            for k in k_list:
+                tm = tail_mass(snap, k)
+                rows.append((path.seed, k, sigma, tm.plain, tm.rho_weighted,
+                             base))
+        failures.extend(result.failures)
     max_per_k = {k: max((r[3] for r in rows if r[1] == k), default=float("nan"))
                  for k in k_list}
     monotone = True
@@ -499,18 +482,6 @@ class UscReport:
     failures: list
 
 
-def _usc_task(args):
-    (alpha, seed, tau, spec, grid, cfg, noise_dt, block_length, horizon,
-     n_initials, sampler_seed, quad_tol, c) = args
-    case = "multiplicative" if alpha > 0 else "deterministic"
-    spec_a = spec.with_alpha(alpha, case)
-    path = make_path(seed, noise_dt, block_length)
-    ens = estimate_attractor(tau, spec_a, path, horizon, n_initials, grid, cfg,
-                             sampler_seed=sampler_seed, quad_tol=quad_tol, c=c,
-                             check_contraction=False)
-    return ens
-
-
 def usc_sweep(tau: float, spec: ProblemSpec, alphas=(0.4, 0.2, 0.1, 0.05),
               n_seeds: int = 8, horizon: float = 16.0,
               n_initials: int = 2, grid: Grid = DEFAULT_GRID,
@@ -523,9 +494,10 @@ def usc_sweep(tau: float, spec: ProblemSpec, alphas=(0.4, 0.2, 0.1, 0.05),
     multiplicative intensity alpha decreases toward zero.
 
     Estimates A_alpha per (alpha, seed) and A_0 once (deterministic run), and
-    reports dist(A_alpha, A_0) with per-alpha medians.  alphas must be
-    strictly decreasing and nonnegative.  failures holds the pullback
-    failures of A_0 and of every A_alpha, each tagged with its alpha.
+    reports dist(A_alpha, A_0) with per-alpha medians; a distance involving
+    an empty ensemble is nan.  alphas must be strictly decreasing and
+    nonnegative.  failures holds the pullback failures of A_0 and of every
+    A_alpha, each tagged with its alpha.
     """
     alphas = tuple(float(a) for a in alphas)
     if any(a < 0 for a in alphas):
@@ -533,21 +505,21 @@ def usc_sweep(tau: float, spec: ProblemSpec, alphas=(0.4, 0.2, 0.1, 0.05),
     if any(alphas[i + 1] >= alphas[i] for i in range(len(alphas) - 1)):
         raise ValueError("alphas must be strictly decreasing")
     noise_dt = cfg.dt if noise_dt is None else noise_dt
-    spec0 = spec.with_alpha(0.0, "deterministic")
-    a0 = estimate_attractor(tau, spec0, None, horizon, n_initials, grid, cfg,
-                            sampler_seed=sampler_seed, quad_tol=quad_tol, c=c,
-                            check_contraction=False)
     seeds = tuple(base_seed + i for i in range(n_seeds))
-    tasks = [(a, s, tau, spec, grid, cfg, noise_dt, block_length, float(horizon),
-              n_initials, sampler_seed, quad_tol, c)
-             for a in alphas for s in seeds]
-    ensembles = _run_pool(_usc_task, tasks, workers)
-    dist = np.empty((len(alphas), len(seeds)))
-    idx = 0
-    for i in range(len(alphas)):
-        for j in range(len(seeds)):
-            dist[i, j] = hausdorff_semidistance(ensembles[idx], a0)
-            idx += 1
+    paths = [make_path(s, noise_dt, block_length) for s in seeds]
+    tasks = [{"spec": spec.with_alpha(0.0, "deterministic"), "path": None}]
+    tasks += [{"spec": spec.with_alpha(
+                   a, "multiplicative" if a > 0 else "deterministic"),
+               "path": p} for a in alphas for p in paths]
+    run = partial(estimate_attractor, tau, horizon=float(horizon),
+                  n_initials=n_initials, grid=grid, cfg=cfg,
+                  sampler_seed=sampler_seed, quad_tol=quad_tol, c=c,
+                  check_contraction=False)
+    a0, *ensembles = _run_pool(run, tasks, workers)
+    # A distance to or from an empty ensemble is unknown, not zero.
+    dist = np.array([hausdorff_semidistance(e, a0)
+                     if e.members and a0.members else math.nan
+                     for e in ensembles]).reshape(len(alphas), len(seeds))
     medians = tuple(float(np.median(dist[i])) for i in range(len(alphas)))
     failures = [dict(f, alpha=ens.tag.alpha)
                 for ens in (a0, *ensembles) for f in ens.failures]
@@ -574,10 +546,15 @@ def alpha_solution_distances(tau: float, u0: Field, path, spec: ProblemSpec,
 # Worker pool.
 # ---------------------------------------------------------------------------
 
-def _run_pool(fn, tasks, workers: int):
+def _call(fn, task: dict):
+    return fn(**task)
+
+
+def _run_pool(fn, tasks, workers: int) -> list:
+    """fn(**task) for each keyword dict in tasks, in task order."""
     # Bounded before the pool starts: under fork it spawns every worker at once.
     workers = min(int(workers), len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(t) for t in tasks]
+        return [fn(**t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, tasks))
+        return list(ex.map(partial(_call, fn), tasks))

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +94,13 @@ def _single_seed_inputs(cfg: RunConfig):
     return spec, grid, stepper, path, u0
 
 
+def _series_rows(rec) -> list:
+    """One (t, l2_sq, grad_p, q_norm, z, eta) row per node of a record."""
+    gp = np.asarray(rec.diss_p) ** (1.0 / rec.p)
+    qn = np.asarray(rec.diss_q) ** (1.0 / rec.q)
+    return list(zip(rec.times, rec.l2_sq, gp, qn, rec.z, rec.eta))
+
+
 def _write_field(cfg: RunConfig, out: Path, stem: str, field, files) -> None:
     """Write field as stem.csv and/or stem.bin, as cfg.formats asks."""
     # The writers are looked up per call, so wrapping them takes effect.
@@ -113,7 +122,7 @@ def _run_simulate(cfg: RunConfig, out: Path):
     endpoint, rec = cocycle_apply(cfg.horizon, cfg.tau, path, u0, spec,
                                   stepper, with_record=True)
     files = [out / "series.csv"]
-    rec.to_csv(files[0])
+    _write_csv(files[0], "t,l2_sq,grad_p,q_norm,z,eta", _series_rows(rec))
     _write_field(cfg, out, "endpoint", endpoint, files)
     return files, {"endpoint_l2_sq": l2_sq(endpoint),
                    "final_time": cfg.tau + cfg.horizon}, []
@@ -146,13 +155,8 @@ def _run_energy_audit(cfg: RunConfig, out: Path):
     max_res, series = analysis.energy_audit(rec, spec)
     res_at = {float(t): r for t, r in zip(series["times"] - cfg.tau,
                                           series["residuals"])}
-    rows = []
-    gp = np.asarray(rec.diss_p) ** (1.0 / spec.p)
-    qn = np.asarray(rec.diss_q) ** (1.0 / spec.q)
-    for k in range(k0, nsteps + 1):
-        elapsed = k * stepper.dt
-        rows.append((rec.times[k], rec.l2_sq[k], gp[k], qn[k], rec.z[k],
-                     rec.eta[k], res_at.get(elapsed, float("nan"))))
+    rows = [row + (res_at.get(k * stepper.dt, float("nan")),)
+            for k, row in enumerate(_series_rows(rec)[k0:], k0)]
     files = [out / "energy.csv"]
     _write_csv(files[0], "t,l2_sq,grad_p,q_norm,z,eta,residual", rows)
     return files, {"max_abs_residual": max_res,
@@ -230,26 +234,28 @@ def _run_usc_sweep(cfg: RunConfig, out: Path):
 
 
 def _run_periodicity_check(cfg: RunConfig, out: Path):
-    spec = cfg.problem_spec()
-    grid = cfg.grid()
-    stepper = cfg.stepper()
-
-    def estimate(tau, path, tol):
-        return analysis.estimate_attractor(
-            tau, spec, path, cfg.horizon, n_initials=cfg.n_initials,
-            grid=grid, cfg=stepper, cluster_tol=tol,
-            sampler_seed=cfg.sampler_seed, quad_tol=cfg.quad_tol, c=cfg.c,
-            check_contraction=False)
-
+    seeds = _seeds(cfg)
+    paths = [_noise_path(cfg, seed) for seed in seeds]
+    estimate = partial(
+        analysis.estimate_attractor, spec=cfg.problem_spec(),
+        horizon=cfg.horizon, n_initials=cfg.n_initials, grid=cfg.grid(),
+        cfg=cfg.stepper(), sampler_seed=cfg.sampler_seed,
+        quad_tol=cfg.quad_tol, c=cfg.c, check_contraction=False)
+    first = analysis._run_pool(estimate, [
+        {"tau": cfg.tau, "path": p, "cluster_tol": cfg.cluster_tol or None}
+        for p in paths], cfg.workers)
+    # The first pass computed the absorbing radius at tau; the second, a
+    # period later, reuses its tolerance.
+    tols = [cfg.cluster_tol or 1e-4 * e1.tag.radius for e1 in first]
+    second = analysis._run_pool(estimate, [
+        {"tau": cfg.tau + cfg.period, "path": p, "cluster_tol": tol}
+        for p, tol in zip(paths, tols)], cfg.workers)
     rows, failures = [], []
-    for seed in _seeds(cfg):
-        path = _noise_path(cfg, seed)
-        e1 = estimate(cfg.tau, path, cfg.cluster_tol or None)
-        # e1 computed the absorbing radius at tau; e2 reuses its tolerance.
-        tol = cfg.cluster_tol or 1e-4 * e1.tag.radius
-        e2 = estimate(cfg.tau + cfg.period, path, tol)
+    for seed, tol, e1, e2 in zip(seeds, tols, first, second):
+        # A distance to or from an empty ensemble is unknown, not zero.
         dist = max(hausdorff_semidistance(e1, e2),
-                   hausdorff_semidistance(e2, e1))
+                   hausdorff_semidistance(e2, e1)) \
+            if e1.members and e2.members else math.nan
         rows.append((seed, cfg.tau, dist, tol, bool(dist <= tol)))
         failures.extend(e1.failures + e2.failures)
     files = [out / "periodicity.csv"]

@@ -93,15 +93,6 @@ class TrajectoryRecord:
     q: float = 4.0
     snapshots: dict = field(default_factory=dict)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,l2_sq,grad_p,q_norm,z,eta\n")
-            gp = np.asarray(self.diss_p) ** (1.0 / self.p)
-            qn = np.asarray(self.diss_q) ** (1.0 / self.q)
-            for i, t in enumerate(self.times):
-                fh.write(f"{t:.17g},{self.l2_sq[i]:.17g},{gp[i]:.17g},"
-                         f"{qn[i]:.17g},{self.z[i]:.17g},{self.eta[i]:.17g}\n")
-
 
 # ---------------------------------------------------------------------------
 # Model context: grid-bound profiles and coefficient closures.
@@ -286,8 +277,8 @@ def _noise_arrays(co: _Coupling, path, spec: ProblemSpec, nsteps: int,
     span = nsteps * dt
     z = ou_from_path(path, co.ou_rate(spec), 0.0, span, dt).values \
         if co.ou_rate else np.zeros(nsteps + 1)
-    eta = make_eta(path, spec.eta, 0.0, span, dt).node_values(nsteps + 1) \
-        if co.with_eta else np.zeros(nsteps + 1)
+    eta = make_eta(path, spec.eta, 0.0, span, dt) if co.with_eta \
+        else np.zeros(nsteps + 1)
     return z, eta
 
 

@@ -185,6 +185,11 @@ class NoisePath(_OuDerivable):
         return (f"NoisePath(seed={self.seed}, dt={self.dt}, "
                 f"block_length={self.block_length})")
 
+    def __reduce__(self):
+        # Pickles by its recipe: values are pure functions of it, so a worker's
+        # rebuilt path gives the same bits.  The caches and the lock stay behind.
+        return NoisePath, (self.seed, self.dt, self.block_length)
+
     def _increments(self, j: int) -> np.ndarray:
         inc = self._inc.get(j)
         if inc is None:
@@ -320,17 +325,6 @@ class OUPath:
     dt: float
     values: np.ndarray
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(len(self.values)) * self.dt
-
-    def value_at(self, t: float) -> float:
-        pos = (t - self.t0) / self.dt
-        idx = int(math.floor(pos))
-        idx = min(max(idx, 0), len(self.values) - 2)
-        frac = pos - idx
-        return float(self.values[idx] * (1.0 - frac) + self.values[idx + 1] * frac)
-
 
 def ou_from_path(path, rate: float, t0: float, t1: float, dt: float | None = None) -> OUPath:
     """Stationary OU process driven by the given path, sampled on [t0, t1].
@@ -390,36 +384,20 @@ class EtaConfig:
         return 0.0 if self.kind == "ou" else self.mean
 
 
-@dataclass(frozen=True)
-class EtaProcess:
-    """Realized eta on a node grid: constant, OU, or mean-shifted OU."""
-
-    kind: str
-    mean: float
-    source: OUPath | None = None
-
-    def node_values(self, n_nodes: int) -> np.ndarray:
-        if self.source is None:
-            return np.full(n_nodes, self.mean)
-        if len(self.source.values) != n_nodes:
-            raise ValueError("eta source does not match the requested grid")
-        if self.mean == 0.0:
-            return self.source.values
-        return self.mean + self.source.values
-
-
-def make_eta(path, cfg: EtaConfig, t0: float, t1: float, dt: float | None = None) -> EtaProcess:
-    """Realize eta alongside a path window (same offsets as the path)."""
+def make_eta(path, cfg: EtaConfig, t0: float, t1: float,
+             dt: float | None = None) -> np.ndarray:
+    """eta at the nodes of [t0, t1] with step dt (default: the path step),
+    realized alongside a path window (same offsets as the path)."""
     if cfg.kind == "constant":
-        return EtaProcess(cfg.kind, cfg.mean, None)
+        step = path.dt if dt is None else float(dt)
+        return np.full(snap_steps(t1 - t0, step, "window") + 1, cfg.mean)
     src_path = path
     if cfg.seed is not None:
         base, off = _resolve(path)
         independent = NoisePath(cfg.seed, base.dt, base.block_length)
         src_path = shift(independent, off) if off != 0.0 else independent
-    src = ou_from_path(src_path, cfg.rate, t0, t1, dt)
-    mean = cfg.mean if cfg.kind == "shifted-ou" else 0.0
-    return EtaProcess(cfg.kind, mean, src)
+    z = ou_from_path(src_path, cfg.rate, t0, t1, dt).values
+    return cfg.mean + z if cfg.kind == "shifted-ou" and cfg.mean != 0.0 else z
 
 
 def ergodic_diagnostics(z: OUPath) -> dict:

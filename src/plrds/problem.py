@@ -221,9 +221,6 @@ class ProblemSpec:
         """phi(t, x) with r2 = |x|^2."""
         return self.phi_time(t) * np.exp(-r2)
 
-    def g_pointwise(self, t, r2):
-        return self.g_time(t) * np.exp(-r2)
-
     def f_pointwise(self, t, x, y, s, gauss):
         """f(t, x, s) for scalar/array inputs, given gauss = exp(-|x|^2) at the
         same points; y is ignored in one dimension, gauss by a custom f."""

@@ -370,6 +370,7 @@ class TestWorkerPool:
         monkeypatch.setattr(analysis, "ProcessPoolExecutor", self.FakePool)
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
         self.FakePool.sizes.clear()
-        out = analysis._run_pool(abs, [-i for i in range(n_tasks)], workers)
+        out = analysis._run_pool(lambda x: abs(x),
+                                 [{"x": -i} for i in range(n_tasks)], workers)
         assert out == list(range(n_tasks))
         assert self.FakePool.sizes == ([] if size is None else [size])

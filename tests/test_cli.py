@@ -525,6 +525,18 @@ class TestMainRuns:
         assert (manifest["status"], task["status"]) == ("failed", "failed")
         assert {f["seed"] for f in task["detail"]} == seeds
         assert all("suggested_dt" in f["report"] for f in task["detail"])
+        # A distance involving an empty ensemble is nan, never 0.
+        report = json.loads((out / "report.json").read_text())
+        if experiment == "usc-sweep":
+            dist = dict(line.split(",")[1:] for line in
+                        (out / "usc.csv").read_text().splitlines()[1:])
+            assert dist["0"] == "nan" and dist["1"] != "nan"
+            assert report["medians"] == [pytest.approx(float("nan"),
+                                                       nan_ok=True)]
+        if experiment == "periodicity-check":
+            rows = (out / "periodicity.csv").read_text().splitlines()[1:]
+            assert [r.split(",")[2::2] for r in rows] == [["nan", "false"]] * 2
+            assert report["all_within"] is False
 
     def test_cocycle_test_divergence_records_stiffness_report(self, tmp_path,
                                                               capsys):

@@ -90,23 +90,28 @@ def _environment() -> dict:
             "machine": platform.machine(), "system": platform.system()}
 
 
-def run_and_hash(name: str, root: Path) -> dict:
+def run_and_hash(name: str, root: Path, workers: int = 1) -> dict:
     """Run one golden experiment under root; return {file name: sha256}.
 
     The output directory is given relative to root because report.json
-    echoes it."""
+    echoes it.  report.json echoes the worker count too; it is written back
+    as 1 before hashing, so every worker count must give the same digests."""
     experiment, text = RUNS[name]
     (root / f"{name}.ini").write_text(text)
     cwd = os.getcwd()
     os.chdir(root)
     try:
         code = cli.main([experiment, "--config", f"{name}.ini",
-                         "--out", f"out/{name}", "--workers", "1"])
+                         "--out", f"out/{name}", "--workers", str(workers)])
     finally:
         os.chdir(cwd)
     if code != 0:
         raise RuntimeError(f"{name}: plrds {experiment} exited {code}")
     out = root / "out" / name
+    if workers != 1:
+        report = out / "report.json"
+        report.write_text(report.read_text().replace(
+            f'"workers": {workers}', '"workers": 1'))
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir()) if p.name != "manifest.json"}
 
@@ -125,6 +130,16 @@ def _fixture() -> dict:
 def test_report_bytes_match_golden(name, tmp_path):
     expected = _fixture()[name]
     assert run_and_hash(name, tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (experiment, _) in RUNS.items()
+    if experiment in ("absorb-check", "tail-check", "usc-sweep",
+                      "periodicity-check")))
+def test_pool_writes_the_golden_bytes(name, tmp_path):
+    # The fan-out experiments send noise paths to two worker processes.
+    expected = _fixture()[name]
+    assert run_and_hash(name, tmp_path, workers=2) == expected
 
 
 def _report_changes(old: dict, new: dict) -> None:

@@ -184,7 +184,7 @@ class TestGuards:
 
 class TestRecord:
     def test_series_and_snapshots(self, grid65, cfg_fast, gaussian_u0,
-                                  path_bank, spec_add, tmp_path):
+                                  path_bank, spec_add):
         u0 = gaussian_u0(grid65)
         path = path_bank(4, cfg_fast.dt)
         nsteps = 50
@@ -203,12 +203,6 @@ class TestRecord:
         v_end = rec.snapshots[nsteps]
         u_end = transform_v_to_u(v_end, float(rec.z[-1]), spec_add)
         assert np.allclose(u_end.values, out.values, rtol=0.0, atol=1e-12)
-
-        csv_path = tmp_path / "series.csv"
-        rec.to_csv(csv_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "t,l2_sq,grad_p,q_norm,z,eta"
-        assert len(lines) == nsteps + 2
 
     def test_zero_duration_record(self, grid65, cfg_fast, gaussian_u0,
                                   path_bank, spec_add):
