@@ -39,8 +39,8 @@ for seed in (0, 1, 2):
     print(f"  seed {seed}:  {row}   (fitted order {order:.2f})")
 
 print("\nset level: median over seeds of dist(A_alpha, A_0)")
-rep = usc_sweep(0.0, SPEC, alphas=ALPHAS, n_seeds=4, horizon=8.0,
-                n_initials=2, grid=GRID, cfg=CFG)
+rep = usc_sweep(0.0, SPEC, [make_path(seed, CFG.dt) for seed in range(4)],
+                alphas=ALPHAS, horizon=8.0, n_initials=2, grid=GRID, cfg=CFG)
 for a, m in zip(rep.alphas, rep.medians):
     print(f"  alpha = {a:<5g} median distance = {m:.3e}")
 print("\nhalving alpha roughly halves both gaps: the noisy dynamics")

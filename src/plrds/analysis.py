@@ -2,10 +2,10 @@
 checks, energy audits, tail monitors, attractor estimation, and the
 noise-intensity (upper-semicontinuity) sweep.
 
-Every sweep maps pullback_run or estimate_attractor over noise paths on an
-optional process pool.  A path pickles by its recipe and its values are pure
-functions of it, and results come back in task order, so worker count never
-changes any reported number.
+Every sweep maps pullback_run or estimate_attractor over the caller's noise
+paths on an optional process pool.  A path pickles by its recipe and its
+values are pure functions of it, and results come back in task order, so
+worker count never changes any reported number.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .fields import (EndpointEnsemble, Field, Grid, grid_arrays,
                      p_dissipation, flux_pairing, tail_mass)
 from .integrator import (StepperConfig, TrajectoryRecord, cocycle_apply,
                          pullback_run, _context, _COUPLINGS)
-from .noise import make_eta, make_path, ou_from_path, snap_steps
+from .noise import make_eta, ou_from_path, snap_steps
 from .problem import ForcingNorms, ProblemSpec, check_growth_condition
 
 DEFAULT_GRID = Grid(1, 8.0, 257)
@@ -213,31 +213,25 @@ class AbsorbingReport:
     failures: list
 
 
-def absorbing_check(tau: float, spec: ProblemSpec, horizons=(4.0, 8.0, 16.0, 32.0),
-                    n_seeds: int = 16, n_initials: int = 4,
-                    grid: Grid = DEFAULT_GRID,
+def absorbing_check(tau: float, spec: ProblemSpec, paths, initials,
+                    horizons=(4.0, 8.0, 16.0, 32.0),
                     cfg: StepperConfig = StepperConfig(),
-                    noise_dt: float | None = None, block_length: float = 4.0,
-                    base_seed: int = 0, ball_radius: float = 1.0,
-                    sampler_seed: int = 1234,
                     quad_tol: float = DEFAULT_QUAD_TOL, c: float = DEFAULT_C,
                     workers: int = 1) -> AbsorbingReport:
     """Check that pullback endpoints enter the absorbing ball.
 
-    For each seed, compares ||u(tau)||^2 at every horizon against the path's
-    absorbing bound, with all initial states drawn from one fixed ball.
+    For each path, in the given order, compares ||u(tau)||^2 at every
+    horizon, started from every initial state, against the path's absorbing
+    bound.
     """
     horizons = sorted(float(h) for h in horizons)
-    noise_dt = cfg.dt if noise_dt is None else noise_dt
-    paths = [make_path(base_seed + i, noise_dt, block_length)
-             for i in range(n_seeds)]
-    initials = sample_initial_ball(grid, ball_radius, n_initials, sampler_seed)
     run = partial(pullback_run, tau, horizons, initials, spec=spec, cfg=cfg,
                   with_records=False)
     results = _run_pool(run, [{"path": p} for p in paths], workers)
     rows, failures = [], []
     for path, result in zip(paths, results):
-        bound = absorbing_bound(tau, path, spec, quad_tol, grid, c)
+        bound = absorbing_bound(tau, path, spec, quad_tol,
+                                initials[0].grid, c)
         for h in horizons:
             worst = max((l2_sq(m) for m in result.ensembles[h].members),
                         default=float("nan"))
@@ -260,10 +254,11 @@ def absorbing_check(tau: float, spec: ProblemSpec, horizons=(4.0, 8.0, 16.0, 32.
 # Energy audit.
 # ---------------------------------------------------------------------------
 
-def energy_audit(record: TrajectoryRecord, spec: ProblemSpec, path=None):
+def energy_audit(record: TrajectoryRecord, spec: ProblemSpec):
     """Audit the energy balance along a recorded trajectory.
 
-    Additive model: evaluates the discrete residual of the energy identity
+    Additive and noise-free models (z = eta = 0): evaluates the discrete
+    residual of the energy identity
 
         d/dt ||v||^2 + 2 (lam - alpha eta) ||v||^2 + 2 ||grad w||_p^p
           = 2 eps z (|grad w|^{p-2} grad w, grad h) + 2 (f(t,x,w), v)
@@ -272,7 +267,8 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec, path=None):
     with centered differences in time; the residual is O(dt + dx^2) on smooth
     data.  Multiplicative model: checks the corresponding differential
     inequality directionally, reporting max(0, lhs - rhs) per step.  Requires
-    snapshots at consecutive node indices; returns (max |residual|, series).
+    snapshots at consecutive node indices; returns (max |residual|, series)
+    with series holding the audited node indices, their times and residuals.
 
     Noise samples are quadratured over the centered window as
     (z[k-1] + 2 z[k] + z[k+1]) / 4, matching the two step increments the
@@ -294,7 +290,7 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec, path=None):
     dt = record.dt
     z = record.z
     eta = record.eta
-    energies = {k: l2_sq(snaps[k]) for k in ks}
+    energies = record.l2_sq
     hfield = Field(grid, ctx.h)
     residuals = np.empty(len(interior))
     times = np.empty(len(interior))
@@ -306,17 +302,7 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec, path=None):
         zk = float(z[k - 1] + 2.0 * z[k] + z[k + 1]) / 4.0
         ek = float(eta[k - 1] + 2.0 * eta[k] + eta[k + 1]) / 4.0
         w = Field(grid, co.w_of(v.values, zk, ctx))
-        if record.case == "additive":
-            lhs = (dE + 2.0 * (spec.lam - spec.alpha * ek) * energies[k]
-                   + 2.0 * p_dissipation(w, spec.p, spec.delta))
-            rhs = (2.0 * spec.epsilon * zk
-                   * flux_pairing(w, hfield, spec.p, spec.delta)
-                   + 2.0 * float(np.sum(wts * ctx.f_of(t, w.values) * v.values))
-                   + 2.0 * float(np.sum(wts * ctx.g_of(t) * v.values))
-                   + 2.0 * spec.alpha * spec.epsilon * ek * zk
-                   * float(np.sum(wts * ctx.h * v.values)))
-            residuals[i] = lhs - rhs
-        elif record.case == "multiplicative":
+        if record.case == "multiplicative":
             lhs = (dE
                    + 2.0 * math.exp(spec.alpha * (spec.p - 2.0) * zk)
                    * p_dissipation(v, spec.p, spec.delta)
@@ -328,13 +314,18 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec, path=None):
                    * forcing.g_l2_sq(t))
             residuals[i] = max(0.0, lhs - rhs)
         else:
-            lhs = (dE + 2.0 * spec.lam * energies[k]
+            lhs = (dE + 2.0 * (spec.lam - spec.alpha * ek) * energies[k]
                    + 2.0 * p_dissipation(w, spec.p, spec.delta))
-            rhs = (2.0 * float(np.sum(wts * ctx.f_of(t, w.values) * v.values))
-                   + 2.0 * float(np.sum(wts * ctx.g_of(t) * v.values)))
+            rhs = (2.0 * spec.epsilon * zk
+                   * flux_pairing(w, hfield, spec.p, spec.delta)
+                   + 2.0 * float(np.sum(wts * ctx.f_of(t, w.values) * v.values))
+                   + 2.0 * float(np.sum(wts * ctx.g_of(t) * v.values))
+                   + 2.0 * spec.alpha * spec.epsilon * ek * zk
+                   * float(np.sum(wts * ctx.h * v.values)))
             residuals[i] = lhs - rhs
         times[i] = t
-    return float(np.max(np.abs(residuals))), {"times": times, "residuals": residuals}
+    return float(np.max(np.abs(residuals))), {
+        "nodes": interior, "times": times, "residuals": residuals}
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +349,18 @@ class TailReport:
     failures: list
 
 
-def tail_check(tau: float, spec: ProblemSpec, horizon: float = 32.0,
-               k_list=(2.0, 3.0, 4.0), n_seeds: int = 16,
-               grid: Grid = DEFAULT_GRID, cfg: StepperConfig = StepperConfig(),
-               noise_dt: float | None = None, block_length: float = 4.0,
-               base_seed: int = 0, ball_radius: float = 1.0,
-               sampler_seed: int = 1234, n_sigma: int = 8,
+def tail_check(tau: float, spec: ProblemSpec, paths, u0: Field,
+               horizon: float = 32.0, k_list=(2.0, 3.0, 4.0),
+               cfg: StepperConfig = StepperConfig(), n_sigma: int = 8,
                workers: int = 1) -> TailReport:
     """Measure how much of v sits outside radius k along the last time unit.
 
-    Samples n_sigma evenly spaced observation times in [tau-1, tau] (snapped
-    to the step grid) at the given pullback horizon.  k_list must be
-    ascending and inside the grid; tails decrease pointwise in k.
+    Pulls u0 back along each path, in the given order, and samples n_sigma
+    evenly spaced observation times in [tau-1, tau] (snapped to the step
+    grid) at the given horizon.  k_list must be ascending and inside the
+    grid; tails decrease pointwise in k.
     """
+    grid = u0.grid
     if horizon < 1.0:
         raise ValueError("tail_check samples the last time unit; horizon >= 1")
     k_list = tuple(float(k) for k in k_list)
@@ -381,18 +371,15 @@ def tail_check(tau: float, spec: ProblemSpec, horizon: float = 32.0,
     if k_list and grid.half_width <= math.sqrt(2.0) * k_list[-1]:
         warnings.warn("half_width is not beyond sqrt(2) * max(k); the cutoff "
                       "plateau leaves the domain", stacklevel=2)
-    noise_dt = cfg.dt if noise_dt is None else noise_dt
     nsteps = snap_steps(horizon, cfg.dt, "horizon")
     sigma_frac = np.linspace(0.0, 1.0, n_sigma)
     sigma_idx = sorted({nsteps - int(round(f / cfg.dt)) for f in (1.0 - sigma_frac)})
     sigma_idx = [i for i in sigma_idx if 0 <= i <= nsteps]
-    paths = [make_path(base_seed + i, noise_dt, block_length)
-             for i in range(n_seeds)]
-    initials = sample_initial_ball(grid, ball_radius, 1, sampler_seed)
-    run = partial(pullback_run, tau, [float(horizon)], initials, spec=spec,
+    run = partial(pullback_run, tau, [float(horizon)], [u0], spec=spec,
                   cfg=cfg, snapshot_indices=sigma_idx, with_records=True)
     results = _run_pool(run, [{"path": p} for p in paths], workers)
     rows, failures = [], []
+    monotone = True
     for path, result in zip(paths, results):
         rec = result.records.get((horizon, 0))
         snaps = rec.snapshots if rec is not None else {}
@@ -402,21 +389,14 @@ def tail_check(tau: float, spec: ProblemSpec, horizon: float = 32.0,
                 continue
             sigma = tau - horizon + k_idx * cfg.dt
             base = l2_sq(snap)
-            for k in k_list:
-                tm = tail_mass(snap, k)
-                rows.append((path.seed, k, sigma, tm.plain, tm.rho_weighted,
-                             base))
+            tails = [tail_mass(snap, k) for k in k_list]
+            monotone = monotone and not any(
+                b.plain > a.plain + 1e-15 for a, b in zip(tails, tails[1:]))
+            rows.extend((path.seed, k, sigma, tm.plain, tm.rho_weighted, base)
+                        for k, tm in zip(k_list, tails))
         failures.extend(result.failures)
     max_per_k = {k: max((r[3] for r in rows if r[1] == k), default=float("nan"))
                  for k in k_list}
-    monotone = True
-    by_loc = {}
-    for r in rows:
-        by_loc.setdefault((r[0], r[2]), {})[r[1]] = r[3]
-    for vals in by_loc.values():
-        seq = [vals[k] for k in k_list if k in vals]
-        if any(seq[i + 1] > seq[i] + 1e-15 for i in range(len(seq) - 1)):
-            monotone = False
     sigmas = tuple(sorted({r[2] for r in rows}))
     return TailReport(k_list=k_list, sigmas=sigmas, rows=rows,
                       max_per_k=max_per_k, monotone_in_k=monotone,
@@ -482,31 +462,26 @@ class UscReport:
     failures: list
 
 
-def usc_sweep(tau: float, spec: ProblemSpec, alphas=(0.4, 0.2, 0.1, 0.05),
-              n_seeds: int = 8, horizon: float = 16.0,
+def usc_sweep(tau: float, spec: ProblemSpec, paths,
+              alphas=(0.4, 0.2, 0.1, 0.05), horizon: float = 16.0,
               n_initials: int = 2, grid: Grid = DEFAULT_GRID,
-              cfg: StepperConfig = StepperConfig(),
-              noise_dt: float | None = None, block_length: float = 4.0,
-              base_seed: int = 0, sampler_seed: int = 1234,
+              cfg: StepperConfig = StepperConfig(), sampler_seed: int = 1234,
               quad_tol: float = DEFAULT_QUAD_TOL, c: float = DEFAULT_C,
               workers: int = 1) -> UscReport:
     """Compare the noisy attracting sets against the noise-free one as the
     multiplicative intensity alpha decreases toward zero.
 
-    Estimates A_alpha per (alpha, seed) and A_0 once (deterministic run), and
+    Estimates A_alpha per (alpha, path) and A_0 once (deterministic run), and
     reports dist(A_alpha, A_0) with per-alpha medians; a distance involving
-    an empty ensemble is nan.  alphas must be strictly decreasing and
-    nonnegative.  failures holds the pullback failures of A_0 and of every
-    A_alpha, each tagged with its alpha.
+    an empty ensemble is nan.  Columns and seeds follow the order of paths.
+    alphas must be strictly decreasing and nonnegative.  failures holds the
+    pullback failures of A_0 and of every A_alpha, each tagged with its alpha.
     """
     alphas = tuple(float(a) for a in alphas)
     if any(a < 0 for a in alphas):
         raise ValueError("alphas must be nonnegative")
     if any(alphas[i + 1] >= alphas[i] for i in range(len(alphas) - 1)):
         raise ValueError("alphas must be strictly decreasing")
-    noise_dt = cfg.dt if noise_dt is None else noise_dt
-    seeds = tuple(base_seed + i for i in range(n_seeds))
-    paths = [make_path(s, noise_dt, block_length) for s in seeds]
     tasks = [{"spec": spec.with_alpha(0.0, "deterministic"), "path": None}]
     tasks += [{"spec": spec.with_alpha(
                    a, "multiplicative" if a > 0 else "deterministic"),
@@ -519,12 +494,12 @@ def usc_sweep(tau: float, spec: ProblemSpec, alphas=(0.4, 0.2, 0.1, 0.05),
     # A distance to or from an empty ensemble is unknown, not zero.
     dist = np.array([hausdorff_semidistance(e, a0)
                      if e.members and a0.members else math.nan
-                     for e in ensembles]).reshape(len(alphas), len(seeds))
+                     for e in ensembles]).reshape(len(alphas), len(paths))
     medians = tuple(float(np.median(dist[i])) for i in range(len(alphas)))
     failures = [dict(f, alpha=ens.tag.alpha)
                 for ens in (a0, *ensembles) for f in ens.failures]
-    return UscReport(alphas=alphas, seeds=seeds, distances=dist,
-                     medians=medians, failures=failures)
+    return UscReport(alphas=alphas, seeds=tuple(p.seed for p in paths),
+                     distances=dist, medians=medians, failures=failures)
 
 
 def alpha_solution_distances(tau: float, u0: Field, path, spec: ProblemSpec,

@@ -78,20 +78,25 @@ def _seeds(cfg: RunConfig) -> list:
     return [cfg.seed + i for i in range(cfg.n_seeds if fan_out else 1)]
 
 
-def _noise_path(cfg: RunConfig, seed: int):
-    """The path driving seed's run; the deterministic model has none."""
-    return None if cfg.noise_case == "deterministic" else \
-        make_path(seed, cfg.path_dt(), cfg.block_length)
+def _paths(cfg: RunConfig) -> list:
+    """One noise path per seed of the run, in seed order."""
+    return [make_path(s, cfg.path_dt(), cfg.block_length) for s in _seeds(cfg)]
+
+
+def _noise_path(cfg: RunConfig):
+    """The path driving a single-seed run; the deterministic model has none."""
+    return None if cfg.noise_case == "deterministic" else _paths(cfg)[0]
+
+
+def _initials(cfg: RunConfig, n: int) -> list:
+    """n initial states drawn from the configured ball."""
+    return analysis.sample_initial_ball(cfg.grid(), cfg.ball_radius, n,
+                                        cfg.sampler_seed)
 
 
 def _single_seed_inputs(cfg: RunConfig):
-    spec = cfg.problem_spec()
-    grid = cfg.grid()
-    stepper = cfg.stepper()
-    path = _noise_path(cfg, cfg.seed)
-    u0 = analysis.sample_initial_ball(grid, cfg.ball_radius, 1,
-                                      cfg.sampler_seed)[0]
-    return spec, grid, stepper, path, u0
+    return (cfg.problem_spec(), cfg.stepper(), _noise_path(cfg),
+            _initials(cfg, 1)[0])
 
 
 def _series_rows(rec) -> list:
@@ -118,7 +123,7 @@ def _write_field(cfg: RunConfig, out: Path, stem: str, field, files) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_simulate(cfg: RunConfig, out: Path):
-    spec, grid, stepper, path, u0 = _single_seed_inputs(cfg)
+    spec, stepper, path, u0 = _single_seed_inputs(cfg)
     endpoint, rec = cocycle_apply(cfg.horizon, cfg.tau, path, u0, spec,
                                   stepper, with_record=True)
     files = [out / "series.csv"]
@@ -129,7 +134,7 @@ def _run_simulate(cfg: RunConfig, out: Path):
 
 
 def _run_cocycle_test(cfg: RunConfig, out: Path):
-    spec, grid, stepper, path, u0 = _single_seed_inputs(cfg)
+    spec, stepper, path, u0 = _single_seed_inputs(cfg)
     residuals = {}
     for (s, t) in ((1.0, 1.0), (2.0, 3.0)):
         long = cocycle_apply(s + t, cfg.tau, path, u0, spec, stepper)
@@ -145,7 +150,7 @@ def _run_cocycle_test(cfg: RunConfig, out: Path):
 
 
 def _run_energy_audit(cfg: RunConfig, out: Path):
-    spec, grid, stepper, path, u0 = _single_seed_inputs(cfg)
+    spec, stepper, path, u0 = _single_seed_inputs(cfg)
     nsteps = int(round((cfg.warmup + cfg.horizon) / stepper.dt))
     k0 = int(round(cfg.warmup / stepper.dt))
     _, rec = cocycle_apply(cfg.warmup + cfg.horizon, cfg.tau, path, u0,
@@ -153,9 +158,8 @@ def _run_energy_audit(cfg: RunConfig, out: Path):
                            snapshot_indices=range(k0, nsteps + 1),
                            with_record=True)
     max_res, series = analysis.energy_audit(rec, spec)
-    res_at = {float(t): r for t, r in zip(series["times"] - cfg.tau,
-                                          series["residuals"])}
-    rows = [row + (res_at.get(k * stepper.dt, float("nan")),)
+    res_at = dict(zip(series["nodes"], series["residuals"]))
+    rows = [row + (res_at.get(k, float("nan")),)
             for k, row in enumerate(_series_rows(rec)[k0:], k0)]
     files = [out / "energy.csv"]
     _write_csv(files[0], "t,l2_sq,grad_p,q_norm,z,eta,residual", rows)
@@ -165,12 +169,10 @@ def _run_energy_audit(cfg: RunConfig, out: Path):
 
 def _run_absorb_check(cfg: RunConfig, out: Path):
     rep = analysis.absorbing_check(
-        cfg.tau, cfg.problem_spec(), horizons=cfg.horizons,
-        n_seeds=cfg.n_seeds, n_initials=cfg.n_initials, grid=cfg.grid(),
-        cfg=cfg.stepper(), noise_dt=cfg.path_dt(),
-        block_length=cfg.block_length, base_seed=cfg.seed,
-        ball_radius=cfg.ball_radius, sampler_seed=cfg.sampler_seed,
-        quad_tol=cfg.quad_tol, c=cfg.c, workers=cfg.workers)
+        cfg.tau, cfg.problem_spec(), _paths(cfg),
+        _initials(cfg, cfg.n_initials), horizons=cfg.horizons,
+        cfg=cfg.stepper(), quad_tol=cfg.quad_tol, c=cfg.c,
+        workers=cfg.workers)
     files = [out / "absorbing.csv"]
     _write_csv(files[0], "seed,horizon,endpoint_l2_sq,bound,satisfied",
                rep.rows)
@@ -182,12 +184,9 @@ def _run_absorb_check(cfg: RunConfig, out: Path):
 
 def _run_tail_check(cfg: RunConfig, out: Path):
     rep = analysis.tail_check(
-        cfg.tau, cfg.problem_spec(), horizon=cfg.horizon, k_list=cfg.k_list,
-        n_seeds=cfg.n_seeds, grid=cfg.grid(), cfg=cfg.stepper(),
-        noise_dt=cfg.path_dt(), block_length=cfg.block_length,
-        base_seed=cfg.seed, ball_radius=cfg.ball_radius,
-        sampler_seed=cfg.sampler_seed, n_sigma=cfg.n_sigma,
-        workers=cfg.workers)
+        cfg.tau, cfg.problem_spec(), _paths(cfg), _initials(cfg, 1)[0],
+        horizon=cfg.horizon, k_list=cfg.k_list, cfg=cfg.stepper(),
+        n_sigma=cfg.n_sigma, workers=cfg.workers)
     files = [out / "tail.csv"]
     _write_csv(files[0], "seed,k,sigma,tail_mass",
                [(r[0], r[1], r[2], r[3]) for r in rep.rows])
@@ -200,7 +199,7 @@ def _run_tail_check(cfg: RunConfig, out: Path):
 
 def _run_estimate_attractor(cfg: RunConfig, out: Path):
     ens = analysis.estimate_attractor(
-        cfg.tau, cfg.problem_spec(), _noise_path(cfg, cfg.seed), cfg.horizon,
+        cfg.tau, cfg.problem_spec(), _noise_path(cfg), cfg.horizon,
         n_initials=cfg.n_initials, grid=cfg.grid(), cfg=cfg.stepper(),
         cluster_tol=cfg.cluster_tol or None, sampler_seed=cfg.sampler_seed,
         quad_tol=cfg.quad_tol, c=cfg.c)
@@ -216,12 +215,10 @@ def _run_estimate_attractor(cfg: RunConfig, out: Path):
 
 def _run_usc_sweep(cfg: RunConfig, out: Path):
     rep = analysis.usc_sweep(
-        cfg.tau, cfg.problem_spec(), alphas=cfg.alphas, n_seeds=cfg.n_seeds,
+        cfg.tau, cfg.problem_spec(), _paths(cfg), alphas=cfg.alphas,
         horizon=cfg.horizon, n_initials=cfg.n_initials, grid=cfg.grid(),
-        cfg=cfg.stepper(), noise_dt=cfg.path_dt(),
-        block_length=cfg.block_length, base_seed=cfg.seed,
-        sampler_seed=cfg.sampler_seed, quad_tol=cfg.quad_tol, c=cfg.c,
-        workers=cfg.workers)
+        cfg=cfg.stepper(), sampler_seed=cfg.sampler_seed,
+        quad_tol=cfg.quad_tol, c=cfg.c, workers=cfg.workers)
     files = [out / "usc.csv", out / "usc_medians.csv"]
     _write_csv(files[0], "alpha,seed,distance",
                [(a, s, rep.distances[i, j])
@@ -234,8 +231,7 @@ def _run_usc_sweep(cfg: RunConfig, out: Path):
 
 
 def _run_periodicity_check(cfg: RunConfig, out: Path):
-    seeds = _seeds(cfg)
-    paths = [_noise_path(cfg, seed) for seed in seeds]
+    paths = _paths(cfg)
     estimate = partial(
         analysis.estimate_attractor, spec=cfg.problem_spec(),
         horizon=cfg.horizon, n_initials=cfg.n_initials, grid=cfg.grid(),
@@ -251,12 +247,12 @@ def _run_periodicity_check(cfg: RunConfig, out: Path):
         {"tau": cfg.tau + cfg.period, "path": p, "cluster_tol": tol}
         for p, tol in zip(paths, tols)], cfg.workers)
     rows, failures = [], []
-    for seed, tol, e1, e2 in zip(seeds, tols, first, second):
+    for path, tol, e1, e2 in zip(paths, tols, first, second):
         # A distance to or from an empty ensemble is unknown, not zero.
         dist = max(hausdorff_semidistance(e1, e2),
                    hausdorff_semidistance(e2, e1)) \
             if e1.members and e2.members else math.nan
-        rows.append((seed, cfg.tau, dist, tol, bool(dist <= tol)))
+        rows.append((path.seed, cfg.tau, dist, tol, bool(dist <= tol)))
         failures.extend(e1.failures + e2.failures)
     files = [out / "periodicity.csv"]
     _write_csv(files[0], "seed,tau,distance,cluster_tol,within", rows)

@@ -177,7 +177,6 @@ class NoisePath(_OuDerivable):
         self._init_grid(dt, block_length)
         self.seed = int(seed)
         self.block_length = float(block_length)
-        self._inc: dict = {}
         self._blk: dict = {}
         self._bnd: dict = {0: 0.0}
 
@@ -191,13 +190,10 @@ class NoisePath(_OuDerivable):
         return NoisePath, (self.seed, self.dt, self.block_length)
 
     def _increments(self, j: int) -> np.ndarray:
-        inc = self._inc.get(j)
-        if inc is None:
-            key = np.array([self.seed & _UINT_MASK, j & _UINT_MASK], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
-            inc = rng.standard_normal(self.steps_per_block) * math.sqrt(self.dt)
-            self._inc[j] = inc
-        return inc
+        """Block j's Brownian increments; _block caches what it builds."""
+        key = np.array([self.seed & _UINT_MASK, j & _UINT_MASK], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        return rng.standard_normal(self.steps_per_block) * math.sqrt(self.dt)
 
     def _block(self, j: int) -> np.ndarray:
         """omega at grid indices j*spb .. (j+1)*spb inclusive."""

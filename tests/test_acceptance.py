@@ -167,11 +167,13 @@ def test_criterion_05_interpolation_inequality(grid257):
 def test_criterion_06_absorbing_entry(grid257, cfg_accept, spec_mult):
     spec_a = ProblemSpec(noise_case="additive",
                          alpha=0.5 * alpha_zero(1.0, 0.0))
+    paths = [make_path(s, cfg_accept.dt) for s in range(16)]
+    initials = sample_initial_ball(grid257, 1.0, 1, 1234)
     ok = True
     notes = []
     for label, spec in (("additive", spec_a), ("multiplicative", spec_mult)):
-        rep = absorbing_check(0.0, spec, horizons=(32.0,), n_seeds=16,
-                              n_initials=1, grid=grid257, cfg=cfg_accept)
+        rep = absorbing_check(0.0, spec, paths, initials, horizons=(32.0,),
+                              cfg=cfg_accept)
         good = (all(r[4] for r in rep.rows) and rep.entry_time == 32.0
                 and not rep.failures)
         worst = max(r[2] / r[3] for r in rep.rows)
@@ -183,8 +185,11 @@ def test_criterion_06_absorbing_entry(grid257, cfg_accept, spec_mult):
 
 
 def test_criterion_07_tail_smallness(grid257, cfg_accept, spec_add):
-    rep = tail_check(0.0, spec_add, horizon=32.0, k_list=(2.0, 3.0, 4.0),
-                     n_seeds=16, grid=grid257, cfg=cfg_accept, n_sigma=8)
+    rep = tail_check(0.0, spec_add,
+                     [make_path(s, cfg_accept.dt) for s in range(16)],
+                     sample_initial_ball(grid257, 1.0, 1, 1234)[0],
+                     horizon=32.0, k_list=(2.0, 3.0, 4.0), cfg=cfg_accept,
+                     n_sigma=8)
     rows4 = [r for r in rep.rows if r[1] == 4.0]
     complete = len(rep.sigmas) == 8 and len(rows4) == 16 * 8 \
         and not rep.failures
@@ -263,8 +268,10 @@ def test_criterion_10_alpha_solution_convergence(grid257, cfg_accept,
 
 
 def test_criterion_11_upper_semicontinuity(grid257, cfg_accept, spec_mult):
-    rep = usc_sweep(0.0, spec_mult, alphas=(0.4, 0.2, 0.1, 0.05), n_seeds=8,
-                    horizon=16.0, n_initials=2, grid=grid257, cfg=cfg_accept)
+    rep = usc_sweep(0.0, spec_mult,
+                    [make_path(s, cfg_accept.dt) for s in range(8)],
+                    alphas=(0.4, 0.2, 0.1, 0.05), horizon=16.0, n_initials=2,
+                    grid=grid257, cfg=cfg_accept)
     m = rep.medians
     band = all(m[i + 1] <= 1.2 * m[i] for i in range(len(m) - 1))
     half = m[-1] <= 0.5 * m[0]

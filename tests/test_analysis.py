@@ -30,6 +30,16 @@ def zero_path(back: float = 72.0, forward: float = 8.0,
     return TabulatedPath(np.zeros(n0 + n1 + 1), dt, first_index=-n0)
 
 
+def paths(*seeds) -> list:
+    """Fresh noise paths for the sweeps, in the given seed order."""
+    return [make_path(s, DT) for s in seeds]
+
+
+def ball(radius: float, count: int) -> list:
+    """count initial states on GRID with norms inside the radius."""
+    return sample_initial_ball(GRID, radius, count, 1234)
+
+
 def quiet_additive(g_amp: float = 0.0) -> ProblemSpec:
     return ProblemSpec(noise_case="additive", g_amp=g_amp,
                        nonlinearity=NonlinearitySpec(phi_amp=0.0),
@@ -140,8 +150,8 @@ class TestAbsorbingRadii:
 class TestAbsorbingCheck:
     def test_smoke_rows_and_entry(self):
         spec = ProblemSpec(noise_case="additive")
-        rep = absorbing_check(0.0, spec, horizons=(1.0, 2.0), n_seeds=2,
-                              n_initials=1, grid=GRID, cfg=CFG)
+        rep = absorbing_check(0.0, spec, paths(0, 1), ball(1.0, 1),
+                              horizons=(1.0, 2.0), cfg=CFG)
         assert len(rep.rows) == 4  # seeds x horizons
         assert all(r[3] > 0.0 for r in rep.rows)
         assert rep.entry_time in (1.0, 2.0, None)
@@ -151,12 +161,10 @@ class TestAbsorbingCheck:
 
     def test_larger_ball_enters_no_earlier(self):
         spec = ProblemSpec(noise_case="additive")
-        small = absorbing_check(0.0, spec, horizons=(1.0, 2.0, 4.0),
-                                n_seeds=2, n_initials=1, grid=GRID, cfg=CFG,
-                                ball_radius=1.0)
-        big = absorbing_check(0.0, spec, horizons=(1.0, 2.0, 4.0),
-                              n_seeds=2, n_initials=1, grid=GRID, cfg=CFG,
-                              ball_radius=10.0)
+        small = absorbing_check(0.0, spec, paths(0, 1), ball(1.0, 1),
+                                horizons=(1.0, 2.0, 4.0), cfg=CFG)
+        big = absorbing_check(0.0, spec, paths(0, 1), ball(10.0, 1),
+                              horizons=(1.0, 2.0, 4.0), cfg=CFG)
         inf = float("inf")
         t_small = small.entry_time if small.entry_time is not None else inf
         t_big = big.entry_time if big.entry_time is not None else inf
@@ -234,8 +242,8 @@ class TestEnergyAudit:
 class TestTailCheck:
     def test_smoke_shapes_and_monotonicity(self):
         spec = ProblemSpec(noise_case="additive")
-        rep = tail_check(0.0, spec, horizon=2.0, k_list=(2.0, 3.0),
-                         n_seeds=2, grid=GRID, cfg=CFG, n_sigma=3)
+        rep = tail_check(0.0, spec, paths(0, 1), ball(1.0, 1)[0],
+                         horizon=2.0, k_list=(2.0, 3.0), cfg=CFG, n_sigma=3)
         assert len(rep.rows) == 2 * 2 * 3
         assert rep.monotone_in_k
         assert set(rep.max_per_k) == {2.0, 3.0}
@@ -244,20 +252,21 @@ class TestTailCheck:
 
     def test_validation(self):
         spec = ProblemSpec(noise_case="additive")
+        u0 = ball(1.0, 1)[0]
         with pytest.raises(ValueError, match="horizon"):
-            tail_check(0.0, spec, horizon=0.5, grid=GRID, cfg=CFG)
+            tail_check(0.0, spec, paths(0), u0, horizon=0.5, cfg=CFG)
         with pytest.raises(ValueError, match="ascending"):
-            tail_check(0.0, spec, horizon=2.0, k_list=(3.0, 2.0), grid=GRID,
-                       cfg=CFG)
+            tail_check(0.0, spec, paths(0), u0, horizon=2.0,
+                       k_list=(3.0, 2.0), cfg=CFG)
         with pytest.raises(ValueError, match="half_width"):
-            tail_check(0.0, spec, horizon=2.0, k_list=(9.0,), grid=GRID,
+            tail_check(0.0, spec, paths(0), u0, horizon=2.0, k_list=(9.0,),
                        cfg=CFG)
 
     def test_warns_when_cutoff_leaves_domain(self):
         spec = ProblemSpec(noise_case="additive")
         with pytest.warns(UserWarning, match="plateau"):
-            tail_check(0.0, spec, horizon=1.0, k_list=(6.0,), n_seeds=1,
-                       grid=GRID, cfg=CFG, n_sigma=2)
+            tail_check(0.0, spec, paths(0), ball(1.0, 1)[0], horizon=1.0,
+                       k_list=(6.0,), cfg=CFG, n_sigma=2)
 
 
 class TestEstimateAttractor:
@@ -299,8 +308,8 @@ class TestEstimateAttractor:
 class TestUscSweep:
     def test_smoke_shapes_and_zero_alpha(self):
         spec = ProblemSpec(noise_case="multiplicative", alpha=0.1)
-        rep = usc_sweep(0.0, spec, alphas=(0.1, 0.0), n_seeds=2, horizon=2.0,
-                        n_initials=1, grid=GRID, cfg=CFG)
+        rep = usc_sweep(0.0, spec, paths(0, 1), alphas=(0.1, 0.0),
+                        horizon=2.0, n_initials=1, grid=GRID, cfg=CFG)
         assert rep.distances.shape == (2, 2)
         assert len(rep.medians) == 2
         # alpha = 0 reruns the reference deterministic model: distance 0
@@ -310,28 +319,53 @@ class TestUscSweep:
 
     def test_repeat_run_bitwise(self):
         spec = ProblemSpec(noise_case="multiplicative", alpha=0.1)
-        a = usc_sweep(0.0, spec, alphas=(0.1,), n_seeds=2, horizon=1.0,
+        a = usc_sweep(0.0, spec, paths(0, 1), alphas=(0.1,), horizon=1.0,
                       n_initials=1, grid=GRID, cfg=CFG)
-        b = usc_sweep(0.0, spec, alphas=(0.1,), n_seeds=2, horizon=1.0,
+        b = usc_sweep(0.0, spec, paths(0, 1), alphas=(0.1,), horizon=1.0,
                       n_initials=1, grid=GRID, cfg=CFG)
         assert np.array_equal(a.distances, b.distances)
 
     def test_workers_do_not_change_results(self):
         spec = ProblemSpec(noise_case="multiplicative", alpha=0.1)
-        serial = usc_sweep(0.0, spec, alphas=(0.1,), n_seeds=2, horizon=1.0,
-                           n_initials=1, grid=GRID, cfg=CFG, workers=1)
-        pooled = usc_sweep(0.0, spec, alphas=(0.1,), n_seeds=2, horizon=1.0,
-                           n_initials=1, grid=GRID, cfg=CFG, workers=2)
+        serial = usc_sweep(0.0, spec, paths(0, 1), alphas=(0.1,),
+                           horizon=1.0, n_initials=1, grid=GRID, cfg=CFG,
+                           workers=1)
+        pooled = usc_sweep(0.0, spec, paths(0, 1), alphas=(0.1,),
+                           horizon=1.0, n_initials=1, grid=GRID, cfg=CFG,
+                           workers=2)
         assert np.array_equal(serial.distances, pooled.distances)
 
     def test_validation(self):
         spec = ProblemSpec(noise_case="multiplicative", alpha=0.1)
         with pytest.raises(ValueError, match="decreasing"):
-            usc_sweep(0.0, spec, alphas=(0.1, 0.2), n_seeds=1, horizon=1.0,
+            usc_sweep(0.0, spec, paths(0), alphas=(0.1, 0.2), horizon=1.0,
                       grid=GRID, cfg=CFG)
         with pytest.raises(ValueError, match="nonnegative"):
-            usc_sweep(0.0, spec, alphas=(0.1, -0.05), n_seeds=1, horizon=1.0,
+            usc_sweep(0.0, spec, paths(0), alphas=(0.1, -0.05), horizon=1.0,
                       grid=GRID, cfg=CFG)
+
+
+class TestCallerPaths:
+    def test_sweeps_follow_the_callers_paths(self):
+        # Rows come in the order of the paths given, and each row is driven
+        # by its own path, not by its position in the list.
+        spec = ProblemSpec(noise_case="additive")
+        five_two = paths(5, 2)
+        absorb = absorbing_check(0.0, spec, five_two, ball(1.0, 1),
+                                 horizons=(0.5,), cfg=CFG)
+        assert [r[0] for r in absorb.rows] == [5, 2]
+        assert [p[0] for p in absorb.per_path] == [5, 2]
+        alone = absorbing_check(0.0, spec, paths(2), ball(1.0, 1),
+                                horizons=(0.5,), cfg=CFG)
+        assert absorb.rows[1] == alone.rows[0]
+        tail = tail_check(0.0, spec, five_two, ball(1.0, 1)[0], horizon=1.0,
+                          k_list=(2.0,), cfg=CFG, n_sigma=2)
+        assert [r[0] for r in tail.rows] == [5, 5, 2, 2]
+        usc = usc_sweep(0.0, ProblemSpec(noise_case="multiplicative",
+                                         alpha=0.1),
+                        five_two, alphas=(0.1,), horizon=0.5, n_initials=1,
+                        grid=GRID, cfg=CFG)
+        assert usc.seeds == (5, 2)
 
 
 class TestAlphaSolutionDistances:

@@ -435,6 +435,21 @@ class TestMainRuns:
         assert report["max_abs_residual"] > 0.0
         assert report["audited_nodes"] == 99
 
+    def test_energy_audit_off_zero_tau_fills_every_audited_row(self,
+                                                               tmp_path):
+        # Residuals are matched to rows by node index, so a start time that
+        # is not a multiple of dt in binary leaves no audited row empty.
+        out = tmp_path / "out"
+        p = tmp_path / "run.ini"
+        p.write_text(base_config(out, n=33, dt=0.01, warmup=0.1, horizon=0.2)
+                     + "[experiment]\ntau = 0.3\n")
+        assert main(["energy-audit", "--config", str(p)]) == 0
+        residuals = [line.rsplit(",", 1)[1] for line in
+                     (out / "energy.csv").read_text().splitlines()[1:]]
+        report = json.loads((out / "report.json").read_text())
+        assert len(residuals) == 21 and report["audited_nodes"] == 19
+        assert [i for i, r in enumerate(residuals) if r == "nan"] == [0, 20]
+
     def test_absorb_check_artifacts(self, tmp_path):
         out = tmp_path / "out"
         p = tmp_path / "run.ini"
@@ -507,18 +522,23 @@ class TestMainRuns:
         assert manifest["tasks"][0]["status"] == "failed"
         assert not (out / "series.csv").exists()
 
-    @pytest.mark.parametrize("experiment, seeds", [
-        ("estimate-attractor", {0}), ("usc-sweep", {None, 0, 1}),
-        ("periodicity-check", {0, 1})],
-        ids=["estimate-attractor", "usc-sweep", "periodicity-check"])
-    def test_diverged_pullback_members_fail_the_run(self, experiment, seeds,
-                                                    tmp_path):
-        # Every member diverges; the run must not report an empty set as a
-        # spread, distance or periodicity of zero and exit 0.
+    @pytest.mark.parametrize("experiment, case, seeds", [
+        ("estimate-attractor", "additive", {0}),
+        ("usc-sweep", "additive", {None, 0, 1}),
+        ("periodicity-check", "additive", {0, 1}),
+        ("periodicity-check", "deterministic", {0, 1})],
+        ids=["estimate-attractor", "usc-sweep", "periodicity-check",
+             "periodicity-check-deterministic"])
+    def test_diverged_pullback_members_fail_the_run(self, experiment, case,
+                                                    seeds, tmp_path):
+        # Members diverge (with noise, every one); the run must not report
+        # an empty set as a spread, distance or periodicity of zero and exit
+        # 0.  Each failure names the seed of its run, also where the model
+        # has no noise.
         out = tmp_path / "out"
         p = tmp_path / "run.ini"
-        p.write_text(base_config(out, dt=0.25, horizon=2, n_initials=4,
-                                 alphas="0.4") + STIFF)
+        p.write_text(base_config(out, noise_case=case, dt=0.25, horizon=2,
+                                 n_initials=4, alphas="0.4") + STIFF)
         assert main([experiment, "--config", str(p)]) == 1
         manifest = json.loads((out / "manifest.json").read_text())
         (task,) = manifest["tasks"]
@@ -533,7 +553,7 @@ class TestMainRuns:
             assert dist["0"] == "nan" and dist["1"] != "nan"
             assert report["medians"] == [pytest.approx(float("nan"),
                                                        nan_ok=True)]
-        if experiment == "periodicity-check":
+        if experiment == "periodicity-check" and case == "additive":
             rows = (out / "periodicity.csv").read_text().splitlines()[1:]
             assert [r.split(",")[2::2] for r in rows] == [["nan", "false"]] * 2
             assert report["all_within"] is False

@@ -75,6 +75,13 @@ RUNS.update({f"absorb-check-{case}-lam8-1d": (
     _BASE.format(case=case, dim=1, n=33).replace("[grid]", "lam = 8\n[grid]")
     + _EXPERIMENTS["absorb-check"][1])
     for case in _EXPERIMENTS["absorb-check"][0]})
+# Off tau = 0 the audited node times are not multiples of dt in binary;
+# every audited row must still carry its residual.
+RUNS.update({f"energy-audit-{case}-tau0.3-1d": (
+    "energy-audit",
+    _BASE.format(case=case, dim=1, n=33) + "tau = 0.3\n"
+    + _EXPERIMENTS["energy-audit"][1])
+    for case in _EXPERIMENTS["energy-audit"][0]})
 # A custom reaction term, through the multiplicative rescaling f(t, e^z v).
 _CUSTOM = ("f_kind = custom\n"
            "f_expression = -abspow(s, 2) + 0.5*sin(2*t)*exp(-(x*x + y*y))\n")
