@@ -224,6 +224,9 @@ def absorbing_check(tau: float, spec: ProblemSpec, paths, initials,
     horizon, started from every initial state, against the path's absorbing
     bound.
     """
+    if not paths or not initials:
+        raise ValueError("absorbing_check needs at least one path and one "
+                         "initial state")
     horizons = sorted(float(h) for h in horizons)
     run = partial(pullback_run, tau, horizons, initials, spec=spec, cfg=cfg,
                   with_records=False)
@@ -361,6 +364,8 @@ def tail_check(tau: float, spec: ProblemSpec, paths, u0: Field,
     grid; tails decrease pointwise in k.
     """
     grid = u0.grid
+    if not paths:
+        raise ValueError("tail_check needs at least one path")
     if horizon < 1.0:
         raise ValueError("tail_check samples the last time unit; horizon >= 1")
     k_list = tuple(float(k) for k in k_list)
@@ -477,6 +482,8 @@ def usc_sweep(tau: float, spec: ProblemSpec, paths,
     alphas must be strictly decreasing and nonnegative.  failures holds the
     pullback failures of A_0 and of every A_alpha, each tagged with its alpha.
     """
+    if not paths:
+        raise ValueError("usc_sweep needs at least one path")
     alphas = tuple(float(a) for a in alphas)
     if any(a < 0 for a in alphas):
         raise ValueError("alphas must be nonnegative")
@@ -491,9 +498,7 @@ def usc_sweep(tau: float, spec: ProblemSpec, paths,
                   sampler_seed=sampler_seed, quad_tol=quad_tol, c=c,
                   check_contraction=False)
     a0, *ensembles = _run_pool(run, tasks, workers)
-    # A distance to or from an empty ensemble is unknown, not zero.
     dist = np.array([hausdorff_semidistance(e, a0)
-                     if e.members and a0.members else math.nan
                      for e in ensembles]).reshape(len(alphas), len(paths))
     medians = tuple(float(np.median(dist[i])) for i in range(len(alphas)))
     failures = [dict(f, alpha=ens.tag.alpha)

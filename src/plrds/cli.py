@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -248,10 +247,8 @@ def _run_periodicity_check(cfg: RunConfig, out: Path):
         for p, tol in zip(paths, tols)], cfg.workers)
     rows, failures = [], []
     for path, tol, e1, e2 in zip(paths, tols, first, second):
-        # A distance to or from an empty ensemble is unknown, not zero.
         dist = max(hausdorff_semidistance(e1, e2),
-                   hausdorff_semidistance(e2, e1)) \
-            if e1.members and e2.members else math.nan
+                   hausdorff_semidistance(e2, e1))
         rows.append((path.seed, cfg.tau, dist, tol, bool(dist <= tol)))
         failures.extend(e1.failures + e2.failures)
     files = [out / "periodicity.csv"]

@@ -84,9 +84,6 @@ class Field:
     grid: Grid
     values: np.ndarray
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
 
 def make_field(grid: Grid, values) -> Field:
     """Build a field, zeroing the boundary and checking finiteness."""
@@ -270,12 +267,11 @@ def _members(obj) -> list:
 
 
 def hausdorff_semidistance(a, b) -> float:
-    """max over members of a of the L2 distance to the nearest member of b."""
+    """max over members of a of the L2 distance to the nearest member of b;
+    nan (unknown, not zero) if either set is empty."""
     fa, fb = _members(a), _members(b)
-    if not fa:
-        return 0.0
-    if not fb:
-        raise ValueError("second set is empty")
+    if not fa or not fb:
+        return math.nan
     grid = fa[0].grid
     for f in fa + fb:
         if f.grid != grid:

@@ -14,8 +14,8 @@ merely close.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.signal import lfilter
@@ -62,14 +62,8 @@ def raise_first(violations: list) -> None:
 # exponential leaves a residue of roughly (rate*dt)^2/12 * omega(T) in every
 # anchor, i.e. a Brownian-proportional contamination of z that a time average
 # integrates into super-diffusive growth instead of averaging away.
-_ANCHOR_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _anchor_kernel(rate: float, dt: float, quad_tol: float = QUAD_TOL):
-    key = (float(rate), float(dt), float(quad_tol))
-    hit = _ANCHOR_CACHE.get(key)
-    if hit is not None:
-        return hit
     steps = int(math.ceil(-math.log(quad_tol) / (rate * dt)))
     tau = (np.arange(steps + 1) - steps) * dt
     x = rate * dt
@@ -78,7 +72,6 @@ def _anchor_kernel(rate: float, dt: float, quad_tol: float = QUAD_TOL):
     wts[0] = math.exp(rate * tau[0]) * (math.expm1(x) - x) / r2d
     wts[-1] = (x + math.expm1(-x)) / r2d
     bfac = math.exp(rate * tau[0])       # e^{-rate*S}, the boundary weight
-    _ANCHOR_CACHE[key] = (steps, wts, bfac)
     return steps, wts, bfac
 
 
@@ -108,7 +101,6 @@ class _OuDerivable:
         self.dt = float(dt)
         self.steps_per_block = spb
         self._ou: dict = {}
-        self._lock = threading.RLock()
         return spb
 
     def values(self, ts) -> np.ndarray:
@@ -134,18 +126,17 @@ class _OuDerivable:
         if k1 < k0:
             raise ValueError("empty index range")
         kblock = self.steps_per_block // m
-        with self._lock:
-            cache = self._ou.setdefault((float(rate), m), {})
-            out = np.empty(k1 - k0 + 1)
-            for j in range(k0 // kblock, k1 // kblock + 1):
-                blk = cache.get(j)
-                if blk is None:
-                    blk = self._ou_block(rate, m, j, kblock)
-                    cache[j] = blk
-                lo = max(k0, j * kblock)
-                hi = min(k1, (j + 1) * kblock - 1)
-                if hi >= lo:
-                    out[lo - k0 : hi - k0 + 1] = blk[lo - j * kblock : hi - j * kblock + 1]
+        cache = self._ou.setdefault((float(rate), m), {})
+        out = np.empty(k1 - k0 + 1)
+        for j in range(k0 // kblock, k1 // kblock + 1):
+            blk = cache.get(j)
+            if blk is None:
+                blk = self._ou_block(rate, m, j, kblock)
+                cache[j] = blk
+            lo = max(k0, j * kblock)
+            hi = min(k1, (j + 1) * kblock - 1)
+            if hi >= lo:
+                out[lo - k0 : hi - k0 + 1] = blk[lo - j * kblock : hi - j * kblock + 1]
         return out
 
     def _ou_block(self, rate: float, m: int, j: int, kblock: int) -> np.ndarray:
@@ -186,7 +177,7 @@ class NoisePath(_OuDerivable):
 
     def __reduce__(self):
         # Pickles by its recipe: values are pure functions of it, so a worker's
-        # rebuilt path gives the same bits.  The caches and the lock stay behind.
+        # rebuilt path gives the same bits.  The caches stay behind.
         return NoisePath, (self.seed, self.dt, self.block_length)
 
     def _increments(self, j: int) -> np.ndarray:
@@ -233,12 +224,11 @@ class NoisePath(_OuDerivable):
             raise ValueError("empty index range")
         spb = self.steps_per_block
         out = np.empty(i1 - i0 + 1)
-        with self._lock:
-            for j in range(i0 // spb, i1 // spb + 1):
-                vals = self._block(j)
-                lo = max(i0, j * spb)
-                hi = min(i1, (j + 1) * spb)
-                out[lo - i0 : hi - i0 + 1] = vals[lo - j * spb : hi - j * spb + 1]
+        for j in range(i0 // spb, i1 // spb + 1):
+            vals = self._block(j)
+            lo = max(i0, j * spb)
+            hi = min(i1, (j + 1) * spb)
+            out[lo - i0 : hi - i0 + 1] = vals[lo - j * spb : hi - j * spb + 1]
         return out
 
 
@@ -246,8 +236,10 @@ class TabulatedPath(_OuDerivable):
     """Path given by explicit grid samples (testing and replay).
 
     values[i] is the path at time (first_index + i) * dt.  Queries outside the
-    tabulated window raise.
+    tabulated window raise.  It has no seed; sweep rows record None.
     """
+
+    seed = None
 
     def __init__(self, values, dt: float, first_index: int = 0,
                  block_length: float = 4.0):
@@ -281,10 +273,6 @@ class ShiftedView:
     @property
     def dt(self) -> float:
         return self.base.dt
-
-    @property
-    def steps_per_block(self) -> int:
-        return self.base.steps_per_block
 
     def values(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))

@@ -25,6 +25,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,19 +60,15 @@ def _abspow(s, r):
 
 _EXPR_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs,
                "abspow": _abspow}
-_EXPR_CACHE: dict = {}
 
 
+@lru_cache(maxsize=None)
 def compile_expression(text: str, variables=("t", "x", "y", "s")):
     """Compile a whitelisted arithmetic expression to a vectorized callable.
 
     The callable takes the variables as keyword arguments and broadcasts over
     array inputs.  Anything outside the whitelist raises ValueError.
     """
-    key = (text, tuple(variables))
-    fn = _EXPR_CACHE.get(key)
-    if fn is not None:
-        return fn
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
@@ -110,7 +107,6 @@ def compile_expression(text: str, variables=("t", "x", "y", "s")):
         scope.update(kw)
         return eval(code, {"__builtins__": {}}, scope)
 
-    _EXPR_CACHE[key] = fn
     return fn
 
 
@@ -217,10 +213,6 @@ class ProblemSpec:
     def g_time(self, t):
         return self.g_amp * np.cos(2.0 * np.pi * t / self.period)
 
-    def phi_pointwise(self, t, r2):
-        """phi(t, x) with r2 = |x|^2."""
-        return self.phi_time(t) * np.exp(-r2)
-
     def f_pointwise(self, t, x, y, s, gauss):
         """f(t, x, s) for scalar/array inputs, given gauss = exp(-|x|^2) at the
         same points; y is ignored in one dimension, gauss by a custom f."""
@@ -254,14 +246,8 @@ class ProblemSpec:
         q1 = self.q1
         return (1.0 / q1) * (self.q * self.gamma / 2.0) ** (-q1 / self.q)
 
-    def psi1_pointwise(self, t, r2):
-        return self.c_psi * np.abs(self.phi_pointwise(t, r2)) ** self.q1
-
     def psi2_value(self) -> float:
         return self.gamma + 1.0
-
-    def psi3_pointwise(self, t, r2):
-        return np.abs(self.phi_pointwise(t, r2))
 
     def psi4_value(self) -> float:
         return 0.0
@@ -341,15 +327,16 @@ def validate_structure(spec: ProblemSpec, sample_count: int = 100_000,
     x = rng.uniform(-x_bound, x_bound, sample_count)
     y = rng.uniform(-x_bound, x_bound, sample_count) if dim == 2 else np.zeros(sample_count)
     s = rng.uniform(-s_bound, s_bound, sample_count)
-    r2 = x ** 2 + y ** 2
+    gauss = np.exp(-(x ** 2 + y ** 2))
 
-    fv = spec.f_pointwise(t, x, y, s, np.exp(-r2))
+    fv = spec.f_pointwise(t, x, y, s, gauss)
     fp = spec.f_prime_pointwise(t, x, y, s)
     aq = np.abs(s) ** spec.q
+    psi3 = np.abs(spec.phi_time(t) * gauss)      # |phi(t, x)|
     margins = {
-        "C1": -spec.gamma1 * aq + spec.psi1_pointwise(t, r2) - fv * s,
+        "C1": -spec.gamma1 * aq + spec.c_psi * psi3 ** spec.q1 - fv * s,
         "C2": spec.psi2_value() * np.abs(s) ** (spec.q - 1.0)
-              + spec.psi3_pointwise(t, r2) - np.abs(fv),
+              + psi3 - np.abs(fv),
         "C3": spec.psi4_value() - fp,
         "C4": spec.psi5_value() * (1.0 + np.abs(s) ** (spec.q - 2.0)) - np.abs(fp),
     }

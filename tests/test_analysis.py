@@ -170,6 +170,28 @@ class TestAbsorbingCheck:
         t_big = big.entry_time if big.entry_time is not None else inf
         assert t_small <= t_big
 
+    def test_tabulated_paths_across_workers(self):
+        # A TabulatedPath has no seed (rows carry None) and pickles to the
+        # pool workers as it stands.
+        grid, cfg = Grid(1, 8.0, 33), StepperConfig(dt=0.01)
+        spec = ProblemSpec(noise_case="additive")
+        tabulated = [zero_path(dt=0.01), zero_path(dt=0.01)]
+        initials = sample_initial_ball(grid, 1.0, 1, 1234)
+        serial, pooled = (absorbing_check(0.0, spec, tabulated, initials,
+                                          horizons=(0.5, 1.0), cfg=cfg,
+                                          workers=w) for w in (1, 2))
+        assert [r[0] for r in serial.rows] == [None] * 4
+        assert serial.rows == pooled.rows
+        assert serial.failures == pooled.failures == []
+
+    def test_rejects_empty_inputs(self):
+        spec = ProblemSpec(noise_case="additive")
+        with pytest.raises(ValueError, match="at least one"):
+            absorbing_check(0.0, spec, [], ball(1.0, 1), horizons=(0.1,),
+                            cfg=CFG)
+        with pytest.raises(ValueError, match="at least one"):
+            absorbing_check(0.0, spec, paths(0), [], horizons=(0.1,), cfg=CFG)
+
 
 class TestEnergyAudit:
     def test_zero_trajectory_residual_exactly_zero(self, grid65):
@@ -261,6 +283,8 @@ class TestTailCheck:
         with pytest.raises(ValueError, match="half_width"):
             tail_check(0.0, spec, paths(0), u0, horizon=2.0, k_list=(9.0,),
                        cfg=CFG)
+        with pytest.raises(ValueError, match="at least one path"):
+            tail_check(0.0, spec, [], u0, horizon=1.0, cfg=CFG)
 
     def test_warns_when_cutoff_leaves_domain(self):
         spec = ProblemSpec(noise_case="additive")
@@ -343,6 +367,9 @@ class TestUscSweep:
         with pytest.raises(ValueError, match="nonnegative"):
             usc_sweep(0.0, spec, paths(0), alphas=(0.1, -0.05), horizon=1.0,
                       grid=GRID, cfg=CFG)
+        with pytest.raises(ValueError, match="at least one path"):
+            usc_sweep(0.0, spec, [], alphas=(0.1,), horizon=0.5,
+                      n_initials=1, grid=GRID, cfg=CFG)
 
 
 class TestCallerPaths:

@@ -265,10 +265,11 @@ class TestHausdorff:
         assert math.isclose(d, math.sqrt(l2_sq(far)), rel_tol=1e-12)
 
     def test_empty_sets(self):
+        # A distance to or from an empty set is unknown, not zero.
         g = Grid(1, 8.0, 65)
-        assert hausdorff_semidistance([], [zero_field(g)]) == 0.0
-        with pytest.raises(ValueError):
-            hausdorff_semidistance([zero_field(g)], [])
+        assert math.isnan(hausdorff_semidistance([], [zero_field(g)]))
+        assert math.isnan(hausdorff_semidistance([zero_field(g)], []))
+        assert math.isnan(hausdorff_semidistance([], []))
 
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):

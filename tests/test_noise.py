@@ -97,6 +97,13 @@ class TestBrownianPath:
                                   ou_from_path(b, 1.5, -2.0, 2.0).values)
             assert np.array_equal(a.values(np.arange(-2.0, 2.0, 0.037)),
                                   b.values(np.arange(-2.0, 2.0, 0.037)))
+        rng = np.random.default_rng(3)
+        tab = TabulatedPath(np.cumsum(rng.standard_normal(4001)) * 0.1, 0.01,
+                            first_index=-3000, block_length=0.5)
+        tab.ou_grid_values(1.5, -200, 200)
+        qtab = pickle.loads(pickle.dumps(tab))
+        assert np.array_equal(ou_from_path(qtab, 1.5, -2.0, 2.0).values,
+                              ou_from_path(tab, 1.5, -2.0, 2.0).values)
 
 
 class TestShiftedView:
