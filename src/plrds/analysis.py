@@ -224,10 +224,10 @@ def absorbing_check(tau: float, spec: ProblemSpec, paths, initials,
     horizon, started from every initial state, against the path's absorbing
     bound.
     """
-    if not paths or not initials:
-        raise ValueError("absorbing_check needs at least one path and one "
-                         "initial state")
     horizons = sorted(float(h) for h in horizons)
+    if not paths or not initials or not horizons:
+        raise ValueError("absorbing_check needs at least one path, one "
+                         "initial state and one horizon")
     run = partial(pullback_run, tau, horizons, initials, spec=spec, cfg=cfg,
                   with_records=False)
     results = _run_pool(run, [{"path": p} for p in paths], workers)
@@ -360,8 +360,8 @@ def tail_check(tau: float, spec: ProblemSpec, paths, u0: Field,
 
     Pulls u0 back along each path, in the given order, and samples n_sigma
     evenly spaced observation times in [tau-1, tau] (snapped to the step
-    grid) at the given horizon.  k_list must be ascending and inside the
-    grid; tails decrease pointwise in k.
+    grid) at the given horizon.  k_list must be non-empty, ascending,
+    positive and inside the grid; tails decrease pointwise in k.
     """
     grid = u0.grid
     if not paths:
@@ -369,11 +369,15 @@ def tail_check(tau: float, spec: ProblemSpec, paths, u0: Field,
     if horizon < 1.0:
         raise ValueError("tail_check samples the last time unit; horizon >= 1")
     k_list = tuple(float(k) for k in k_list)
+    if not k_list:
+        raise ValueError("tail_check needs at least one k")
     if list(k_list) != sorted(k_list):
         raise ValueError("k_list must be ascending")
-    if k_list and k_list[-1] >= grid.half_width:
+    if k_list[0] <= 0.0:
+        raise ValueError("k values must be > 0")
+    if k_list[-1] >= grid.half_width:
         raise ValueError("k values must be < grid half_width")
-    if k_list and grid.half_width <= math.sqrt(2.0) * k_list[-1]:
+    if grid.half_width <= math.sqrt(2.0) * k_list[-1]:
         warnings.warn("half_width is not beyond sqrt(2) * max(k); the cutoff "
                       "plateau leaves the domain", stacklevel=2)
     nsteps = snap_steps(horizon, cfg.dt, "horizon")

@@ -75,97 +75,24 @@ def _anchor_kernel(rate: float, dt: float, quad_tol: float = QUAD_TOL):
     return steps, wts, bfac
 
 
-class _OuDerivable:
-    """Mixin: the sample grid checks, linear interpolation between samples,
-    and canonical OU values for anything exposing grid_values.
-
-    OU values are organized in blocks of K = steps_per_block // m entries at
-    step m*dt.  Each block starts from a fresh quadrature anchor at the block
-    boundary and advances by the exact update for piecewise-linear input,
-
-        z_{k+1} = e^{-rate*dt} z_k + (omega_{k+1}-omega_k) * (1-e^{-rate*dt})/(rate*dt),
-
-    so the value at a given index never depends on how large a window was
-    requested.  The anchor quadrature is exact for the same piecewise-linear
-    input, so its mismatch with the value recursed out of the previous block
-    is truncation-sized (the quad_tol tail weight, far below solver error).
-    """
-
-    def _init_grid(self, dt: float, block_length: float) -> int:
-        """Check and set the sample step; return the steps per block."""
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt!r}")
-        spb = snap_steps(block_length, dt, "block_length")
-        if spb < 1:
-            raise ValueError("block_length must be a positive multiple of dt")
-        self.dt = float(dt)
-        self.steps_per_block = spb
-        self._ou: dict = {}
-        return spb
-
-    def values(self, ts) -> np.ndarray:
-        """Path values at arbitrary times (linear between grid nodes)."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        pos = ts / self.dt
-        idx = np.floor(pos).astype(np.int64)
-        frac = pos - idx
-        lo = int(idx.min())
-        base = self.grid_values(lo, int(idx.max()) + 1)
-        return base[idx - lo] * (1.0 - frac) + base[idx - lo + 1] * frac
-
-    def value(self, t: float) -> float:
-        return float(self.values([t])[0])
-
-    def ou_grid_values(self, rate: float, k0: int, k1: int, m: int = 1) -> np.ndarray:
-        """OU values at indices k0..k1 (inclusive) of the coarse grid m*dt."""
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate!r}")
-        m = int(m)
-        if m < 1 or self.steps_per_block % m:
-            raise ValueError("coarse step must divide the block length")
-        if k1 < k0:
-            raise ValueError("empty index range")
-        kblock = self.steps_per_block // m
-        cache = self._ou.setdefault((float(rate), m), {})
-        out = np.empty(k1 - k0 + 1)
-        for j in range(k0 // kblock, k1 // kblock + 1):
-            blk = cache.get(j)
-            if blk is None:
-                blk = self._ou_block(rate, m, j, kblock)
-                cache[j] = blk
-            lo = max(k0, j * kblock)
-            hi = min(k1, (j + 1) * kblock - 1)
-            if hi >= lo:
-                out[lo - k0 : hi - k0 + 1] = blk[lo - j * kblock : hi - j * kblock + 1]
-        return out
-
-    def _ou_block(self, rate: float, m: int, j: int, kblock: int) -> np.ndarray:
-        dt_ou = m * self.dt
-        steps, wts, bfac = _anchor_kernel(rate, dt_ou)
-        anchor = j * kblock            # OU index of the block boundary
-        pi = anchor * m                # path-grid index of the same time
-        win = self.grid_values(pi - steps * m, pi)[::m]
-        z0 = win[-1] - bfac * win[0] - rate * float(np.dot(wts, win))
-        if kblock == 1:
-            return np.array([z0])
-        nodes = self.grid_values(pi, pi + (kblock - 1) * m)[::m]
-        dw = np.diff(nodes)
-        decay = math.exp(-rate * dt_ou)
-        gain = -math.expm1(-rate * dt_ou) / (rate * dt_ou)
-        rest, _ = lfilter([gain], [1.0, -decay], dw, zi=np.array([decay * z0]))
-        return np.concatenate(([z0], rest))
+def _block_steps(dt: float, block_length: float) -> int:
+    """Check a path's sample step and block length; return steps per block."""
+    spb = snap_steps(block_length, dt, "block_length")
+    if spb < 1:
+        raise ValueError("block_length must be a positive multiple of dt")
+    return spb
 
 
-class NoisePath(_OuDerivable):
+class NoisePath:
     """Two-sided Brownian path on a uniform grid with omega(0) = 0.
 
     Values at grid index i (time i*dt, i any integer) are deterministic in
-    (seed, dt, block_length, i).  Between grid nodes the path is interpolated
-    linearly.
+    (seed, dt, block_length, i).
     """
 
     def __init__(self, seed: int, dt: float, block_length: float = 4.0):
-        self._init_grid(dt, block_length)
+        self.steps_per_block = _block_steps(dt, block_length)
+        self.dt = float(dt)
         self.seed = int(seed)
         self.block_length = float(block_length)
         self._blk: dict = {}
@@ -232,7 +159,7 @@ class NoisePath(_OuDerivable):
         return out
 
 
-class TabulatedPath(_OuDerivable):
+class TabulatedPath:
     """Path given by explicit grid samples (testing and replay).
 
     values[i] is the path at time (first_index + i) * dt.  Queries outside the
@@ -243,12 +170,13 @@ class TabulatedPath(_OuDerivable):
 
     def __init__(self, values, dt: float, first_index: int = 0,
                  block_length: float = 4.0):
-        spb = self._init_grid(dt, block_length)
+        self.steps_per_block = _block_steps(dt, block_length)
+        self.dt = float(dt)
         self.arr = np.asarray(values, dtype=float).copy()
         if self.arr.ndim != 1 or len(self.arr) < 2:
             raise ValueError("need a 1-d array of at least two samples")
         self.first_index = int(first_index)
-        self.block_length = spb * self.dt
+        self.block_length = self.steps_per_block * self.dt
 
     def grid_values(self, i0: int, i1: int) -> np.ndarray:
         lo = self.first_index
@@ -260,7 +188,8 @@ class TabulatedPath(_OuDerivable):
 
 @dataclass(frozen=True)
 class ShiftedView:
-    """The path s -> omega(s + offset) - omega(offset), lazily evaluated.
+    """The path s -> omega(s + offset) - omega(offset), held as the root
+    path and the offset; ou_from_path reads the root at the shifted times.
 
     Views always hold the root path plus a single accumulated offset, so
     composing shifts is associative to the last bit: shifting a view produces
@@ -273,13 +202,6 @@ class ShiftedView:
     @property
     def dt(self) -> float:
         return self.base.dt
-
-    def values(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return self.base.values(ts + self.offset) - self.base.value(self.offset)
-
-    def value(self, t: float) -> float:
-        return float(self.values([t])[0])
 
 
 def make_path(seed: int, dt: float, block_length: float = 4.0) -> NoisePath:
@@ -310,6 +232,40 @@ class OUPath:
     values: np.ndarray
 
 
+def _ou_values(base, rate: float, k0: int, k1: int, m: int) -> np.ndarray:
+    """OU values at indices k0..k1 of the coarse grid m*dt of a root path.
+
+    Values come in blocks of K = steps_per_block // m entries.  Each block
+    starts from a fresh quadrature anchor at its boundary and advances by the
+    exact update for piecewise-linear input,
+
+        z_{k+1} = e^{-rate*dt} z_k + (omega_{k+1}-omega_k) * (1-e^{-rate*dt})/(rate*dt),
+
+    so the value at a given index never depends on how large a window was
+    requested.  The anchor quadrature is exact for the same piecewise-linear
+    input, so its mismatch with the value recursed out of the previous block
+    is truncation-sized (the quad_tol tail weight, far below solver error).
+    """
+    kblock = base.steps_per_block // m
+    dt_ou = m * base.dt
+    steps, wts, bfac = _anchor_kernel(rate, dt_ou)
+    decay = math.exp(-rate * dt_ou)
+    gain = -math.expm1(-rate * dt_ou) / (rate * dt_ou)
+    j0, j1 = k0 // kblock, k1 // kblock
+    first = j0 * kblock - steps          # coarse index of the first node read
+    w = base.grid_values(first * m, ((j1 + 1) * kblock - 1) * m)[::m]
+    blocks = []
+    for j in range(j0, j1 + 1):
+        a = j * kblock - first           # the block boundary's place in w
+        win = w[a - steps : a + 1]
+        z0 = win[-1] - bfac * win[0] - rate * float(np.dot(wts, win))
+        dw = np.diff(w[a : a + kblock])
+        rest, _ = lfilter([gain], [1.0, -decay], dw, zi=np.array([decay * z0]))
+        blocks += [[z0], rest]
+    lo = k0 - j0 * kblock
+    return np.concatenate(blocks)[lo : lo + k1 - k0 + 1]
+
+
 def ou_from_path(path, rate: float, t0: float, t1: float, dt: float | None = None) -> OUPath:
     """Stationary OU process driven by the given path, sampled on [t0, t1].
 
@@ -328,12 +284,14 @@ def ou_from_path(path, rate: float, t0: float, t1: float, dt: float | None = Non
     m = snap_steps(dt_ou, base.dt, "dt")
     if m < 1:
         raise ValueError("dt must be a positive multiple of the path step")
+    if base.steps_per_block % m:
+        raise ValueError("coarse step must divide the block length")
     off_k = snap_steps(offset, dt_ou, "shift offset")
     k0 = snap_steps(t0, dt_ou, "t0")
     k1 = snap_steps(t1, dt_ou, "t1")
     if k1 < k0:
         raise ValueError("t1 must be >= t0")
-    vals = base.ou_grid_values(rate, k0 + off_k, k1 + off_k, m)
+    vals = _ou_values(base, rate, k0 + off_k, k1 + off_k, m)
     return OUPath(rate=float(rate), t0=k0 * dt_ou, dt=dt_ou, values=vals)
 
 

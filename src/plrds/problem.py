@@ -370,17 +370,18 @@ def check_growth_condition(spec: ProblemSpec, tau: float, grid=None,
                            integrand=None) -> GrowthReport:
     """Evaluate int_{-inf}^{tau} e^{lam*s} (||g||^2 + ||psi1||_1 + ||psi3||^q1) ds.
 
-    The integral is truncated where the weight e^{lam*s} falls below quad_tol.
-    It is reported non-finite when the weighted integrand at the truncation
-    point is not negligible against its peak, which is how an integrand that
-    grows like the weight decays (or faster) shows up.  `integrand` may
-    override the forcing-norm accessor (it receives an array of times).
+    The integral is truncated where the weight e^{lam*(s-tau)} falls below
+    quad_tol.  It is reported non-finite when the weighted integrand at the
+    truncation point is not negligible against its peak, which is how an
+    integrand that grows like the weight decays (or faster) shows up.
+    `integrand` may override the forcing-norm accessor (it receives an array
+    of times).
     """
     from .fields import Grid
     if integrand is None:
         norms = ForcingNorms(spec, grid if grid is not None else Grid(1, 8.0, 257))
         integrand = norms.total
-    s_min = min(tau, math.log(quad_tol) / spec.lam)
+    s_min = tau + min(0.0, math.log(quad_tol) / spec.lam)
     n = max(2, int(math.ceil((tau - s_min) / dt)))
     s = np.linspace(s_min, tau, n + 1)
     weighted = np.exp(spec.lam * s) * np.asarray(integrand(s), dtype=float)

@@ -138,6 +138,14 @@ class TestAbsorbingRadii:
         assert rep.converged and rep.growth_finite
         assert rep.radius > 4.0  # forcing adds on top of the constant part
 
+    def test_growth_window_follows_tau(self):
+        # The truncation point moves with tau, so the periodic default
+        # forcing stays summable however far back tau lies.
+        rep = absorbing_radius(-20.0, None,
+                               ProblemSpec(noise_case="deterministic"),
+                               grid=GRID)
+        assert rep.growth_finite
+
     def test_bound_dispatch(self):
         path = zero_path()
         for spec in (quiet_additive(),
@@ -191,6 +199,9 @@ class TestAbsorbingCheck:
                             cfg=CFG)
         with pytest.raises(ValueError, match="at least one"):
             absorbing_check(0.0, spec, paths(0), [], horizons=(0.1,), cfg=CFG)
+        with pytest.raises(ValueError, match="at least one"):
+            absorbing_check(0.0, spec, paths(0), ball(1.0, 1), horizons=(),
+                            cfg=CFG)
 
 
 class TestEnergyAudit:
@@ -283,6 +294,12 @@ class TestTailCheck:
         with pytest.raises(ValueError, match="half_width"):
             tail_check(0.0, spec, paths(0), u0, horizon=2.0, k_list=(9.0,),
                        cfg=CFG)
+        with pytest.raises(ValueError, match="at least one k"):
+            tail_check(0.0, spec, paths(0), u0, horizon=2.0, k_list=(),
+                       cfg=CFG)
+        with pytest.raises(ValueError, match="> 0"):
+            tail_check(0.0, spec, paths(0), u0, horizon=2.0,
+                       k_list=(0.0, 2.0), cfg=CFG)
         with pytest.raises(ValueError, match="at least one path"):
             tail_check(0.0, spec, [], u0, horizon=1.0, cfg=CFG)
 

@@ -2,8 +2,9 @@
 
 Over noise seeds, initial states from the ball and on-grid times drawn by
 Hypothesis, each law must hold to the last bit: composition at any leg
-split, runs started a whole forcing period apart, and the reduction of the
-zero-intensity noise models to the noise-free run.
+split, runs started a whole forcing period apart, the reduction of the
+zero-intensity noise models to the noise-free run, and OU values over a
+window equal to those over its two parts.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from plrds.analysis import sample_initial_ball  # noqa: E402
 from plrds.fields import Grid  # noqa: E402
 from plrds.integrator import StepperConfig, cocycle_apply  # noqa: E402
-from plrds.noise import make_path, shift  # noqa: E402
+from plrds.noise import make_path, ou_from_path, shift  # noqa: E402
 from plrds.problem import ProblemSpec  # noqa: E402
 
 GRID = Grid(1, 8.0, 17)
@@ -82,3 +83,20 @@ def test_zero_intensity_reduces_to_the_noise_free_run(seed, sampler_seed,
     for spec in (ProblemSpec(noise_case="additive", alpha=0.0, epsilon=0.0),
                  ProblemSpec(noise_case="multiplicative", alpha=0.0)):
         assert np.array_equal(run(k, tau_k, path, u0, spec).values, free)
+
+
+@LAWS
+@given(seed=seeds, m=st.sampled_from((1, 2, 4)), rate=st.floats(0.5, 4.0),
+       k0=st.integers(-300, 300), left=st.integers(0, 120),
+       right=st.integers(0, 120))
+def test_ou_window_is_the_concatenation_of_its_parts(seed, m, rate, k0, left,
+                                                     right):
+    # Path step 5e-3 in blocks of 0.2: OU blocks of 40 / m nodes, so the
+    # windows and the split cross block boundaries.
+    dt = m * 5e-3
+    path = make_path(seed, 5e-3, block_length=0.2)
+    ks = k0 + left
+    whole = ou_from_path(path, rate, k0 * dt, (ks + 1 + right) * dt, dt)
+    parts = [ou_from_path(path, rate, a * dt, b * dt, dt).values
+             for a, b in ((k0, ks), (ks + 1, ks + 1 + right))]
+    assert np.array_equal(whole.values, np.concatenate(parts))
