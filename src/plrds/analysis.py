@@ -24,7 +24,7 @@ from .fields import (EndpointEnsemble, Field, Grid, grid_arrays,
                      p_dissipation, flux_pairing, tail_mass)
 from .integrator import (StepperConfig, TrajectoryRecord, cocycle_apply,
                          pullback_run, _context, _COUPLINGS)
-from .noise import make_eta, ou_from_path, snap_steps
+from .noise import _ou_and_eta, ou_from_path, snap_steps
 from .problem import ForcingNorms, ProblemSpec, check_growth_condition
 
 DEFAULT_GRID = Grid(1, 8.0, 257)
@@ -117,13 +117,12 @@ def _weight_window(path, spec: ProblemSpec, quad_tol: float):
     while True:
         span = n * dt
         s = -span + np.arange(n + 1) * dt
-        z = ou_from_path(path, rate(spec), -span, 0.0).values
         if spec.noise_case == "additive":
-            eta = make_eta(path, spec.eta, -span, 0.0)
+            z, eta = _ou_and_eta(path, rate(spec), spec.eta, -span, 0.0)
             integ = _cumtrapz(eta, dt)
             expo = 1.25 * lam * s - 2.0 * spec.alpha * (integ - integ[-1])
         else:
-            eta = None
+            z, eta = ou_from_path(path, rate(spec), -span, 0.0).values, None
             integ = _cumtrapz(z, dt)
             expo = (1.25 * lam * s - 2.0 * spec.alpha * (integ - integ[-1])
                     - 2.0 * spec.alpha * z)

@@ -108,17 +108,19 @@ def _face_data(values: np.ndarray, dim: int, dx: float, p: float, delta: float):
     """Per-direction face gradients and coefficients |grad|^(p-2) at faces."""
     e = 0.5 * (p - 2.0)
     if dim == 1:
-        gx = np.diff(values) / dx
+        gx = (values[1:] - values[:-1]) / dx
         coef = (gx * gx + delta * delta) ** e
         return ((gx, coef),)
     v = values
-    pad_y = np.pad(v, ((0, 0), (1, 1)))
+    pad = np.zeros((v.shape[0] + 2, v.shape[1] + 2))   # v in a ring of zeros
+    pad[1:-1, 1:-1] = v
+    pad_y = pad[1:-1, :]
     dyn = (pad_y[:, 2:] - pad_y[:, :-2]) / (2.0 * dx)
     gx = (v[1:, :] - v[:-1, :]) / dx
     ty = 0.5 * (dyn[1:, :] + dyn[:-1, :])
     coef_x = (gx * gx + ty * ty + delta * delta) ** e
 
-    pad_x = np.pad(v, ((1, 1), (0, 0)))
+    pad_x = pad[:, 1:-1]
     dxn = (pad_x[2:, :] - pad_x[:-2, :]) / (2.0 * dx)
     gy = (v[:, 1:] - v[:, :-1]) / dx
     tx = 0.5 * (dxn[:, 1:] + dxn[:, :-1])
@@ -126,26 +128,35 @@ def _face_data(values: np.ndarray, dim: int, dx: float, p: float, delta: float):
     return ((gx, coef_x), (gy, coef_y))
 
 
-def _lap_diss(values: np.ndarray, grid: Grid, p: float, delta: float):
-    """p-Laplace array plus its dissipation pairing, sharing the face data.
+def _lap_faces(values: np.ndarray, grid: Grid, p: float, delta: float):
+    """p-Laplace array plus the face data it was built from.
 
     In two dimensions the array is not zero on the boundary columns."""
     dx = grid.dx
     faces = _face_data(values, grid.dim, dx, p, delta)
-    out = np.zeros_like(values)
+    out = np.zeros(values.shape)
     if grid.dim == 1:
         gx, coef = faces[0]
         flux = coef * gx
-        out[1:-1] = np.diff(flux) / dx
-        diss = float(np.sum(coef * gx * gx) * dx)
+        out[1:-1] = (flux[1:] - flux[:-1]) / dx
     else:
         (gx, cx), (gy, cy) = faces
         fx = cx * gx
         fy = cy * gy
         out[1:-1, :] += (fx[1:, :] - fx[:-1, :]) / dx
         out[:, 1:-1] += (fy[:, 1:] - fy[:, :-1]) / dx
-        diss = float((np.sum(cx * gx * gx) + np.sum(cy * gy * gy)) * dx * dx)
-    return out, diss
+    return out, faces
+
+
+def _pairing(faces, dx: float) -> float:
+    """The stepper's dissipation pairing sum_faces coef |D u|^2 dx^dim of
+    _face_data's output.  It scales by dx, then dx again in two dimensions,
+    where p_dissipation's dx**2 can differ in the last bit."""
+    if len(faces) == 1:
+        gx, coef = faces[0]
+        return float((coef * gx * gx).sum() * dx)
+    (gx, cx), (gy, cy) = faces
+    return float(((cx * gx * gx).sum() + (cy * gy * gy).sum()) * dx * dx)
 
 
 def p_laplace(u: Field, p: float, delta: float = 0.0) -> Field:
@@ -158,7 +169,7 @@ def p_laplace(u: Field, p: float, delta: float = 0.0) -> Field:
         raise ValueError(f"p must be >= 2, got {p!r}")
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    out, _ = _lap_diss(u.values, u.grid, p, delta)
+    out, _ = _lap_faces(u.values, u.grid, p, delta)
     if u.grid.dim == 2:
         out[grid_arrays(u.grid).boundary] = 0.0
     return Field(u.grid, out)
@@ -196,7 +207,7 @@ def flux_pairing(u: Field, other: Field, p: float, delta: float = 0.0) -> float:
 def lebesgue_pow(u: Field, r: float) -> float:
     """Trapezoid quadrature of ||u||_r^r."""
     arrs = grid_arrays(u.grid)
-    return float(np.sum(arrs.weights * np.abs(u.values) ** r))
+    return float((arrs.weights * np.abs(u.values) ** r).sum())
 
 
 def l2_sq(u: Field) -> float:

@@ -33,8 +33,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fields import (EndpointEnsemble, EnsembleTag, Field, Grid, _face_data,
-                     _lap_diss, grid_arrays, make_field)
-from .noise import make_eta, ou_from_path, raise_first, snap_steps, violated
+                     _lap_faces, _pairing, grid_arrays, lebesgue_pow,
+                     make_field)
+from .noise import (_ou_and_eta, ou_from_path, raise_first, snap_steps,
+                    violated)
 from .problem import ProblemSpec
 
 
@@ -182,10 +184,11 @@ _COUPLINGS = {
 
 def _single_step(co: _Coupling, vv: np.ndarray, t_eval: float, dtt: float,
                  z_mid: float, eta_mid: float, ctx: _ModelContext, scheme: str):
-    """One explicit/IMEX update; returns (v_new, diss_p, diss_q)."""
+    """One explicit/IMEX update; returns (v_new, w, faces): the new state, the
+    step's dissipation argument and its face data, which a record sums."""
     spec = ctx.spec
     warg = co.w_of(vv, z_mid, ctx)
-    lap, diss = _lap_diss(warg, ctx.grid, spec.p, spec.delta)
+    lap, faces = _lap_faces(warg, ctx.grid, spec.p, spec.delta)
     rhs, a = co.rhs(vv, warg, lap, t_eval, z_mid, eta_mid, ctx)
     if scheme == "explicit":
         out = vv + dtt * (rhs - a * vv)
@@ -194,34 +197,38 @@ def _single_step(co: _Coupling, vv: np.ndarray, t_eval: float, dtt: float,
     else:
         out = math.exp(-a * dtt) * vv + (-math.expm1(-a * dtt) / a) * rhs
     out[ctx.arrs.boundary] = 0.0
-    return out, diss, float(np.sum(ctx.arrs.weights * np.abs(warg) ** spec.q))
+    return out, warg, faces
 
 
-def _norm_ok(l2_old: float, l2_new: float) -> bool:
-    return math.isfinite(l2_new) and l2_new <= 10.0 * l2_old + 1e-3
+def _norm_ok(sq_old: float, sq_new: float) -> bool:
+    """The guard's rule on the norms, given their squares."""
+    l2_new = math.sqrt(sq_new)
+    return math.isfinite(l2_new) and l2_new <= 10.0 * math.sqrt(sq_old) + 1e-3
 
 
-def _weighted_l2(values: np.ndarray, ctx: _ModelContext) -> float:
-    return math.sqrt(float(np.sum(ctx.arrs.weights * values * values)))
+def _weighted_sq(values: np.ndarray, ctx: _ModelContext) -> float:
+    return float((ctx.arrs.weights * values * values).sum())
 
 
 def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, ctx, cfg):
     """One dt step with the divergence guard; halves into substeps on blowup.
 
-    Returns (v_new, diss_p, diss_q).  A StiffnessError reports as norm_after
-    the norm of the last rejected attempt."""
+    Returns (v_new, ||vv||^2, ||v_new||^2, w, faces), the last two from the
+    last substep.  A StiffnessError reports as norm_after the norm of the
+    last rejected attempt."""
     z_mid = 0.5 * (z0 + z1)
     eta_mid = 0.5 * (eta0 + eta1)
-    cand, diss, dq = _single_step(co, vv, t_eval, dtt, z_mid, eta_mid, ctx, cfg.scheme)
-    l2_old = _weighted_l2(vv, ctx)
-    l2_new = _weighted_l2(cand, ctx)
-    if _norm_ok(l2_old, l2_new):
-        return cand, diss, dq
+    cand, warg, faces = _single_step(co, vv, t_eval, dtt, z_mid, eta_mid, ctx,
+                                     cfg.scheme)
+    sq_old = _weighted_sq(vv, ctx)
+    sq_new = _weighted_sq(cand, ctx)
+    if _norm_ok(sq_old, sq_new):
+        return cand, sq_old, sq_new, warg, faces
     for halvings in range(1, cfg.substep_limit + 1):
         nsub = 2 ** halvings
         hs = dtt / nsub
         cur = vv
-        l2_cur = l2_old
+        sq_cur = sq_old
         for i in range(nsub):
             if i == 0:
                 zs, es = z0, eta0          # left endpoint for the first substep
@@ -229,17 +236,17 @@ def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, ctx, cfg):
                 frac = (i + 0.5) / nsub
                 zs = z0 + frac * (z1 - z0)
                 es = eta0 + frac * (eta1 - eta0)
-            nxt, diss, dq = _single_step(co, cur, t_eval + i * hs, hs, zs, es,
-                                         ctx, cfg.scheme)
-            l2_new = _weighted_l2(nxt, ctx)
-            if not _norm_ok(l2_cur, l2_new):
+            nxt, warg, faces = _single_step(co, cur, t_eval + i * hs, hs, zs,
+                                            es, ctx, cfg.scheme)
+            sq_new = _weighted_sq(nxt, ctx)
+            if not _norm_ok(sq_cur, sq_new):
                 break
-            cur, l2_cur = nxt, l2_new
+            cur, sq_cur = nxt, sq_new
         else:
-            return cur, diss, dq
+            return cur, sq_old, sq_cur, warg, faces
     raise StiffnessError({
         "t": t_eval, "dt": dtt, "halvings": cfg.substep_limit,
-        "norm_before": l2_old, "norm_after": l2_new,
+        "norm_before": math.sqrt(sq_old), "norm_after": math.sqrt(sq_new),
         "suggested_dt": stable_dt_bound(Field(ctx.grid, vv), ctx.spec),
     })
 
@@ -275,11 +282,11 @@ def transform_v_to_u(v: Field, z: float, spec: ProblemSpec) -> Field:
 def _noise_arrays(co: _Coupling, path, spec: ProblemSpec, nsteps: int,
                   dt: float):
     span = nsteps * dt
+    if co.with_eta:
+        return _ou_and_eta(path, co.ou_rate(spec), spec.eta, 0.0, span, dt)
     z = ou_from_path(path, co.ou_rate(spec), 0.0, span, dt).values \
         if co.ou_rate else np.zeros(nsteps + 1)
-    eta = make_eta(path, spec.eta, 0.0, span, dt) if co.with_eta \
-        else np.zeros(nsteps + 1)
-    return z, eta
+    return z, np.zeros(nsteps + 1)
 
 
 def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
@@ -321,28 +328,28 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
     for k in range(nsteps):
         t_eval = ((tau_k + k) % m) * dt
         vv = co.to_v(state, z[k], ctx)
+        vv_new, sq, sq_new, warg, faces = _macro_step(
+            co, vv, t_eval, dt, z[k], z[k + 1], eta[k], eta[k + 1], ctx, cfg)
         if with_record:
-            l2s[k] = float(np.sum(ctx.arrs.weights * vv * vv))
+            l2s[k] = sq
             if k in want:
                 snapshots[k] = Field(grid, vv.copy())
-        vv_new, diss, dq = _macro_step(co, vv, t_eval, dt, z[k], z[k + 1],
-                                       eta[k], eta[k + 1], ctx, cfg)
-        if with_record:
-            dps[k + 1] = diss
-            dqs[k + 1] = dq
+            dps[k + 1] = _pairing(faces, grid.dx)
+            dqs[k + 1] = lebesgue_pow(Field(grid, warg), spec.q)
         state = co.to_u(vv_new, z[k + 1], ctx)
 
     out = Field(grid, state)
     if not with_record:
         return out
-    l2s[nsteps] = float(np.sum(ctx.arrs.weights * vv_new * vv_new))
+    l2s[nsteps] = sq_new if nsteps else _weighted_sq(v0, ctx)
     if nsteps in want:
         snapshots[nsteps] = Field(grid, vv_new.copy())
     # At node times the additive dissipation argument w = v + eps*h*z is u
     # itself, taken as given rather than through the v round trip.
     arg0 = u_tau.values if co.w_is_u else v0
-    dps[0] = _lap_diss(arg0, grid, spec.p, spec.delta)[1]
-    dqs[0] = float(np.sum(ctx.arrs.weights * np.abs(arg0) ** spec.q))
+    dps[0] = _pairing(_face_data(arg0, grid.dim, grid.dx, spec.p, spec.delta),
+                      grid.dx)
+    dqs[0] = lebesgue_pow(Field(grid, arg0), spec.q)
     return out, TrajectoryRecord(
         case=spec.noise_case, tau=tau, dt=dt,
         times=tau + np.arange(nsteps + 1) * dt, l2_sq=l2s, diss_p=dps,

@@ -338,8 +338,23 @@ def make_eta(path, cfg: EtaConfig, t0: float, t1: float,
         base, off = _resolve(path)
         independent = NoisePath(cfg.seed, base.dt, base.block_length)
         src_path = shift(independent, off) if off != 0.0 else independent
-    z = ou_from_path(src_path, cfg.rate, t0, t1, dt).values
+    return _eta_of(cfg, ou_from_path(src_path, cfg.rate, t0, t1, dt).values)
+
+
+def _eta_of(cfg: EtaConfig, z: np.ndarray) -> np.ndarray:
+    """eta from the OU values z it rides: z, plus the mean for shifted-ou."""
     return cfg.mean + z if cfg.kind == "shifted-ou" and cfg.mean != 0.0 else z
+
+
+def _ou_and_eta(path, rate: float, cfg: EtaConfig, t0: float, t1: float,
+                dt: float | None = None):
+    """The OU values z of ou_from_path(path, rate, t0, t1, dt) and
+    make_eta(path, cfg, t0, t1, dt).  When eta rides the same path at z's
+    rate it is built from z rather than from a second pass over the window."""
+    z = ou_from_path(path, rate, t0, t1, dt).values
+    if cfg.kind != "constant" and cfg.seed is None and cfg.rate == rate:
+        return z, _eta_of(cfg, z)
+    return z, make_eta(path, cfg, t0, t1, dt)
 
 
 def ergodic_diagnostics(z: OUPath) -> dict:

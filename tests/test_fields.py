@@ -1,16 +1,21 @@
 """Spatial discretization: p-Laplace fluxes, quadratures, tails, set distance."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from plrds.fields import (EndpointEnsemble, EnsembleTag, Field, Grid,
+                          _face_data, _lap_faces, _pairing,
                           cutoff_rho, field_from_binary, field_from_csv,
                           field_to_binary, field_to_csv, flux_pairing,
                           grid_arrays, hausdorff_semidistance,
                           l2_distance, l2_sq, lebesgue_pow, make_field, norms, p_dissipation,
                           p_laplace, tail_mass, zero_field)
+from plrds.integrator import StepperConfig, cocycle_apply
+from plrds.noise import make_path
+from plrds.problem import ProblemSpec
 
 
 def random_field(grid, seed):
@@ -110,6 +115,116 @@ class TestPLaplace:
         a = p_laplace(u, 3.0, delta=0.0).values
         b = p_laplace(u, 3.0, delta=1e-8).values
         assert np.max(np.abs(a - b)) < 1e-6
+
+
+class TestKernelOracle:
+    """The flux kernel against a reference written with np.pad, np.diff and
+    np.sum: the kernel's slices and buffers must give the same float
+    operations in the same order, signed zeros included."""
+
+    @staticmethod
+    def reference_faces(v, dim, dx, p, delta):
+        e = 0.5 * (p - 2.0)
+        if dim == 1:
+            gx = np.diff(v) / dx
+            return ((gx, (gx * gx + delta * delta) ** e),)
+        pad_y = np.pad(v, ((0, 0), (1, 1)))
+        dyn = (pad_y[:, 2:] - pad_y[:, :-2]) / (2.0 * dx)
+        gx = np.diff(v, axis=0) / dx
+        ty = 0.5 * (dyn[1:, :] + dyn[:-1, :])
+        pad_x = np.pad(v, ((1, 1), (0, 0)))
+        dxn = (pad_x[2:, :] - pad_x[:-2, :]) / (2.0 * dx)
+        gy = np.diff(v, axis=1) / dx
+        tx = 0.5 * (dxn[:, 1:] + dxn[:, :-1])
+        return ((gx, (gx * gx + ty * ty + delta * delta) ** e),
+                (gy, (gy * gy + tx * tx + delta * delta) ** e))
+
+    @classmethod
+    def reference_lap_diss(cls, v, grid, p, delta):
+        dx = grid.dx
+        faces = cls.reference_faces(v, grid.dim, dx, p, delta)
+        out = np.zeros_like(v)
+        if grid.dim == 1:
+            gx, coef = faces[0]
+            out[1:-1] = np.diff(coef * gx) / dx
+            return out, float(np.sum(coef * gx * gx) * dx)
+        (gx, cx), (gy, cy) = faces
+        out[1:-1, :] += np.diff(cx * gx, axis=0) / dx
+        out[:, 1:-1] += np.diff(cy * gy, axis=1) / dx
+        return out, float((np.sum(cx * gx * gx) + np.sum(cy * gy * gy))
+                          * dx * dx)
+
+    @staticmethod
+    def signed_zero_values(grid, seed):
+        # Half the nodes are zeros of either sign, so runs of zeros put
+        # signed zeros into the differences and the fluxes.
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=grid.shape)
+        zero = rng.random(grid.shape) < 0.5
+        v[zero] = np.copysign(0.0, rng.normal(size=grid.shape))[zero]
+        return v
+
+    # dx = 14/63 and 14/17: no power of two, so regrouped products of dx
+    # change bits.
+    @pytest.mark.parametrize("grid", [Grid(1, 7.0, 64), Grid(2, 7.0, 18)],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    def test_bitwise_against_reference(self, grid, p, delta):
+        # Raw values with a nonzero boundary, so the differences against
+        # the kernel's ring of zeros carry data too.
+        v = self.signed_zero_values(grid, 7)
+        assert np.any(np.signbit(v) & (v == 0.0))
+        faces = _face_data(v, grid.dim, grid.dx, p, delta)
+        ref = self.reference_faces(v, grid.dim, grid.dx, p, delta)
+        assert len(faces) == len(ref) == grid.dim
+        for (g, c), (rg, rc) in zip(faces, ref):
+            assert g.tobytes() == rg.tobytes()
+            assert c.tobytes() == rc.tobytes()
+        lap, lap_faces = _lap_faces(v, grid, p, delta)
+        ref_lap, ref_diss = self.reference_lap_diss(v, grid, p, delta)
+        assert lap.tobytes() == ref_lap.tobytes()
+        assert _pairing(lap_faces, grid.dx) == ref_diss
+        u = make_field(grid, v)
+        ref_lap = self.reference_lap_diss(u.values, grid, p, delta)[0]
+        ref_lap[grid_arrays(grid).boundary] = 0.0
+        assert p_laplace(u, p, delta).values.tobytes() == ref_lap.tobytes()
+
+
+class TestRecordedQuadratures:
+    """SHA-256 of the float arrays diss_p and diss_q of one recorded run per
+    noise case and dimension.  The golden CSVs see these arrays only after
+    formatting; these digests pin their bits.  Recorded with NumPy 2.4.6 on
+    x86_64; last-bit behaviour of NumPy's kernels may differ elsewhere."""
+
+    DIGESTS = {
+        ("additive", 1): "696d1bebd84ed898eb7e89c2963b05bdc5a32c7f2c532eb614916f7d81d01df7",
+        ("multiplicative", 1): "00fa872c01f1ea748aaccc508fa25bc7d548d0b0c8fc3f03775350a11da4018d",
+        ("deterministic", 1): "3e975acacd9a0cef7e54fa4533b52e72c69cc15f0c81e27def62ec543087628c",
+        ("additive", 2): "4b1df604f64297756e8a34f6cc1fa886427d37098b0f31d43c5597077096461f",
+        ("multiplicative", 2): "a274ed05e837dafc4f9792fffb381175cd3d517e6a4f64c2e440e6327f4affb0",
+        ("deterministic", 2): "37c57d353e8e2f5bd5077854f3e87b0ea0b12e0880d02e770b2a4be643e1b5d0",
+    }
+
+    @pytest.mark.parametrize("case,dim", sorted(DIGESTS))
+    def test_digest(self, case, dim):
+        if np.__version__ != "2.4.6":
+            pytest.skip(f"digests were made with NumPy 2.4.6, this is "
+                        f"{np.__version__}")
+        spec = {"additive": ProblemSpec(noise_case="additive"),
+                "multiplicative": ProblemSpec(noise_case="multiplicative",
+                                              alpha=0.1),
+                "deterministic": ProblemSpec(noise_case="deterministic",
+                                             alpha=0.0, epsilon=0.0)}[case]
+        grid = Grid(1, 7.0, 64) if dim == 1 else Grid(2, 7.0, 18)
+        cfg = StepperConfig(dt=2e-3)
+        path = None if case == "deterministic" else make_path(4, cfg.dt)
+        u0 = make_field(grid, 0.8 * np.exp(-grid_arrays(grid).radial_sq))
+        _, rec = cocycle_apply(0.1, 0.25, path, u0, spec, cfg,
+                               with_record=True)
+        digest = hashlib.sha256(rec.diss_p.tobytes()
+                                + rec.diss_q.tobytes()).hexdigest()
+        assert digest == self.DIGESTS[(case, dim)]
 
 
 class TestSummationByParts:

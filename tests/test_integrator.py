@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from plrds import integrator
 from plrds.fields import (Field, Grid, grid_arrays, l2_sq, lebesgue_pow,
                           make_field, p_dissipation)
 from plrds.analysis import sample_initial_ball
@@ -247,6 +248,82 @@ class TestRecord:
                 assert rec.diss_p[0] == p_dissipation(u0, spec_add.p,
                                                       spec_add.delta)
                 assert rec.diss_q[0] == lebesgue_pow(u0, spec_add.q)
+
+
+class TestRecordLeavesEndpoint:
+    """A record only reads what the step computed: with and without
+    with_record, cocycle_apply gives the same endpoint bits and the same
+    StiffnessError report."""
+
+    # Explicit steps that need the halving guard on these grids and
+    # amplitudes, yet finish within six halvings.
+    SETUPS = {1: (Grid(1, 8.0, 65), 2.0), 2: (Grid(2, 8.0, 17), 8.0)}
+
+    @staticmethod
+    def spec_of(case, spec_add, spec_mult, spec_det):
+        return {"additive": spec_add, "multiplicative": spec_mult,
+                "deterministic": spec_det}[case]
+
+    @staticmethod
+    def both(t, path, u0, spec, cfg):
+        plain = cocycle_apply(t, 0.0, path, u0, spec, cfg)
+        recorded, rec = cocycle_apply(t, 0.0, path, u0, spec, cfg,
+                                      with_record=True)
+        assert np.all(np.isfinite(rec.diss_p)) and \
+            np.all(np.isfinite(rec.diss_q))
+        return plain.values, recorded.values
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("case", ["additive", "multiplicative",
+                                      "deterministic"])
+    def test_imex_run(self, case, dim, cfg_fast, gaussian_u0, path_bank,
+                      spec_add, spec_mult, spec_det):
+        spec = self.spec_of(case, spec_add, spec_mult, spec_det)
+        grid = self.SETUPS[dim][0]
+        path = None if case == "deterministic" else path_bank(4, cfg_fast.dt)
+        plain, recorded = self.both(0.1, path, gaussian_u0(grid), spec,
+                                    cfg_fast)
+        assert plain.tobytes() == recorded.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("case", ["additive", "multiplicative",
+                                      "deterministic"])
+    def test_guard_retries(self, case, dim, gaussian_u0, path_bank,
+                           spec_add, spec_mult, spec_det, monkeypatch):
+        spec = self.spec_of(case, spec_add, spec_mult, spec_det)
+        grid, amp = self.SETUPS[dim]
+        cfg = StepperConfig(dt=0.04, scheme="explicit", substep_limit=6)
+        path = None if case == "deterministic" else path_bank(3, cfg.dt)
+        calls = []
+        step = integrator._single_step
+
+        def counted_step(*args):
+            calls.append(args)
+            return step(*args)
+        monkeypatch.setattr(integrator, "_single_step", counted_step)
+        nsteps = 10
+        plain, recorded = self.both(nsteps * cfg.dt, path,
+                                    gaussian_u0(grid, amp), spec, cfg)
+        assert len(calls) > 2 * nsteps, "no step went through the guard"
+        assert plain.tobytes() == recorded.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("case", ["additive", "multiplicative",
+                                      "deterministic"])
+    def test_stiffness_report(self, case, dim, gaussian_u0, path_bank,
+                              spec_add, spec_mult, spec_det):
+        spec = self.spec_of(case, spec_add, spec_mult, spec_det)
+        grid, amp = self.SETUPS[dim]
+        cfg = StepperConfig(dt=0.04, scheme="explicit", substep_limit=0)
+        path = None if case == "deterministic" else path_bank(3, cfg.dt)
+        u0 = gaussian_u0(grid, amp)
+        reports = []
+        for with_record in (False, True):
+            with pytest.raises(StiffnessError) as exc_info:
+                cocycle_apply(10 * cfg.dt, 0.0, path, u0, spec, cfg,
+                              with_record=with_record)
+            reports.append(exc_info.value.report)
+        assert reports[0] == reports[1]
 
 
 class TestPullback:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from plrds.noise import (EtaConfig, NoisePath, ShiftedView, TabulatedPath,
-                         ergodic_diagnostics, make_eta, make_path,
-                         ou_from_path, shift, snap_steps)
+                         _ou_and_eta, ergodic_diagnostics, make_eta,
+                         make_path, ou_from_path, shift, snap_steps)
 
 
 def zero_path(dt: float, back: float, forward: float) -> TabulatedPath:
@@ -206,6 +206,21 @@ class TestEta:
         same_omega = make_eta(p, EtaConfig(kind="ou", rate=1.0), 0.0, 1.0)
         assert np.array_equal(e1, e2)
         assert not np.array_equal(e1, same_omega)
+
+    @pytest.mark.parametrize("cfg", [
+        EtaConfig(kind="ou", rate=1.0),
+        EtaConfig(kind="shifted-ou", mean=-0.5, rate=1.0),
+        EtaConfig(kind="ou", rate=2.0),
+        EtaConfig(kind="ou", rate=1.0, seed=77),
+        EtaConfig(kind="constant", mean=0.25)])
+    def test_shared_window_keeps_the_bits(self, cfg):
+        # z and eta over one window equal the two separate builds, whether
+        # eta reuses z (same path, same rate) or builds its own.
+        view = shift(make_path(3, 0.01), -2.0)
+        z, eta = _ou_and_eta(view, 1.0, cfg, 0.0, 2.0, 0.02)
+        assert z.tobytes() == \
+            ou_from_path(view, 1.0, 0.0, 2.0, 0.02).values.tobytes()
+        assert eta.tobytes() == make_eta(view, cfg, 0.0, 2.0, 0.02).tobytes()
 
     def test_mean_value_property(self):
         assert EtaConfig(kind="ou", mean=3.0).mean_value == 0.0
