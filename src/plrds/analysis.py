@@ -23,8 +23,8 @@ from .fields import (EndpointEnsemble, Field, Grid, grid_arrays,
                      hausdorff_semidistance, l2_distance, l2_sq, make_field,
                      p_dissipation, flux_pairing, tail_mass)
 from .integrator import (StepperConfig, TrajectoryRecord, cocycle_apply,
-                         pullback_run, _context, _COUPLINGS)
-from .noise import _ou_and_eta, ou_from_path, snap_steps
+                         pullback_run, _context, _COUPLINGS, _noise_arrays)
+from .noise import _cumtrapz, snap_steps
 from .problem import ForcingNorms, ProblemSpec, check_growth_condition
 
 DEFAULT_GRID = Grid(1, 8.0, 257)
@@ -87,13 +87,6 @@ class RadiusReport:
     growth_finite: bool
 
 
-def _cumtrapz(values: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty(len(values))
-    out[0] = 0.0
-    np.cumsum(0.5 * (values[1:] + values[:-1]) * dx, out=out[1:])
-    return out
-
-
 def _weight_window(path, spec: ProblemSpec, quad_tol: float):
     """Weights and noise samples on [-S, 0] with S chosen so the weight tail
     falls below quad_tol (capped; the cap flags non-convergence).
@@ -103,9 +96,9 @@ def _weight_window(path, spec: ProblemSpec, quad_tol: float):
     z = eta = 0.
     """
     lam = spec.lam
-    rate = _COUPLINGS[spec.noise_case].ou_rate
+    co = _COUPLINGS[spec.noise_case]
     base_span = math.log(1.0 / quad_tol) / (1.25 * lam)
-    if rate is None:
+    if co.ou_rate is None:
         ds = 1e-3
         n = int(math.ceil(base_span / ds))
         s = -(n * ds) + np.arange(n + 1) * ds
@@ -117,15 +110,12 @@ def _weight_window(path, spec: ProblemSpec, quad_tol: float):
     while True:
         span = n * dt
         s = -span + np.arange(n + 1) * dt
-        if spec.noise_case == "additive":
-            z, eta = _ou_and_eta(path, rate(spec), spec.eta, -span, 0.0)
-            integ = _cumtrapz(eta, dt)
-            expo = 1.25 * lam * s - 2.0 * spec.alpha * (integ - integ[-1])
-        else:
-            z, eta = ou_from_path(path, rate(spec), -span, 0.0).values, None
-            integ = _cumtrapz(z, dt)
-            expo = (1.25 * lam * s - 2.0 * spec.alpha * (integ - integ[-1])
-                    - 2.0 * spec.alpha * z)
+        z, eta = _noise_arrays(co, path, spec, -span, 0.0, dt)
+        # eta modulates the additive damping; z, the multiplicative one.
+        integ = _cumtrapz(eta if co.with_eta else z, dt)
+        expo = 1.25 * lam * s - 2.0 * spec.alpha * (integ - integ[-1])
+        if not co.with_eta:
+            expo = expo - 2.0 * spec.alpha * z
         with np.errstate(over="ignore"):
             w = np.exp(expo)
         converged = bool(w[0] < quad_tol)
@@ -375,7 +365,7 @@ def tail_check(tau: float, spec: ProblemSpec, paths, u0: Field,
     if k_list[0] <= 0.0:
         raise ValueError("k values must be > 0")
     if k_list[-1] >= grid.half_width:
-        raise ValueError("k values must be < grid half_width")
+        raise ValueError("k values must be < half_width")
     if grid.half_width <= math.sqrt(2.0) * k_list[-1]:
         warnings.warn("half_width is not beyond sqrt(2) * max(k); the cutoff "
                       "plateau leaves the domain", stacklevel=2)

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis
-from .config import EXPERIMENTS, ConfigError, RunConfig, parse_config
+from .config import (_SCHEMA, EXPERIMENTS, FAN_OUT, ConfigError, RunConfig,
+                     parse_config)
 from .fields import field_to_binary, field_to_csv, hausdorff_semidistance, l2_sq
 from .integrator import StiffnessError, cocycle_apply
 from .noise import make_path, shift
@@ -72,9 +73,8 @@ class _Manifest:
 
 def _seeds(cfg: RunConfig) -> list:
     """The run's noise seeds: n_seeds of them for the fan-out experiments."""
-    fan_out = cfg.experiment in ("absorb-check", "tail-check", "usc-sweep",
-                                 "periodicity-check")
-    return [cfg.seed + i for i in range(cfg.n_seeds if fan_out else 1)]
+    n = cfg.n_seeds if cfg.experiment in FAN_OUT else 1
+    return [cfg.seed + i for i in range(n)]
 
 
 def _paths(cfg: RunConfig) -> list:
@@ -340,14 +340,9 @@ def main(argv=None) -> int:
 
     if args.command == "validate":
         print("config OK")
-        for section, keys in (("problem", ("noise_case", "lam", "p", "q",
-                                           "alpha", "epsilon")),
-                              ("grid", ("dim", "half_width", "n")),
-                              ("stepper", ("dt", "scheme")),
-                              ("noise", ("seed",)),
-                              ("experiment", ("experiment", "workers"))):
-            vals = ", ".join(f"{k}={getattr(cfg, k)}" for k in keys)
-            print(f"  [{section}] {vals}")
+        for section, keys in _SCHEMA.items():
+            print(f"  [{section}] " + ", ".join(
+                f"{k}={getattr(cfg, a)}" for k, (a, _) in keys.items()))
         return 0
     return run_experiment(cfg)
 

@@ -24,6 +24,8 @@ EXPERIMENTS = {"validate": (), "simulate": ("horizon",), "cocycle-test": (),
                "absorb-check": ("horizons",), "tail-check": ("horizon",),
                "estimate-attractor": ("horizon",), "usc-sweep": ("horizon",),
                "periodicity-check": ("horizon",)}
+# The experiments that build one noise path per seed, n_seeds of them.
+FAN_OUT = ("absorb-check", "tail-check", "usc-sweep", "periodicity-check")
 
 
 class ConfigError(ValueError):
@@ -90,23 +92,15 @@ class RunConfig:
     formats: tuple = ("csv", "json")
 
     def problem_spec(self) -> ProblemSpec:
-        nl = NonlinearitySpec(kind=self.f_kind, gamma=self.gamma,
-                              phi_amp=self.phi_amp,
-                              expression=self.f_expression or None)
-        eta = EtaConfig(kind=self.eta_kind, mean=self.eta_mean,
-                        rate=self.eta_rate,
-                        seed=None if self.eta_seed < 0 else self.eta_seed)
-        return ProblemSpec(lam=self.lam, p=self.p, q=self.q, alpha=self.alpha,
-                           epsilon=self.epsilon, noise_case=self.noise_case,
-                           g_amp=self.g_amp, period=self.period,
-                           delta=self.delta, nonlinearity=nl, eta=eta)
+        return _built(ProblemSpec, self,
+                      nonlinearity=_built(NonlinearitySpec, self),
+                      eta=_built(EtaConfig, self))
 
     def grid(self) -> Grid:
-        return Grid(dim=self.dim, half_width=self.half_width, n=self.n)
+        return _built(Grid, self)
 
     def stepper(self) -> StepperConfig:
-        return StepperConfig(dt=self.dt, scheme=self.scheme,
-                             substep_limit=self.substep_limit)
+        return _built(StepperConfig, self)
 
     def path_dt(self) -> float:
         return self.noise_dt if self.noise_dt > 0 else self.dt
@@ -119,7 +113,6 @@ class RunConfig:
         return out
 
 
-# Schema: section -> key -> (attribute, converter).
 def _float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -138,45 +131,36 @@ def _str_list(text: str):
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-_SCHEMA = {
-    "problem": {
-        "lam": ("lam", _float), "p": ("p", _float), "q": ("q", _float),
-        "alpha": ("alpha", _float), "epsilon": ("epsilon", _float),
-        "noise_case": ("noise_case", str), "g_amp": ("g_amp", _float),
-        "period": ("period", _float), "delta": ("delta", _float),
-        "gamma": ("gamma", _float), "phi_amp": ("phi_amp", _float),
-        "f_kind": ("f_kind", str), "f_expression": ("f_expression", str),
-    },
-    "grid": {
-        "dim": ("dim", int), "l": ("half_width", _float), "n": ("n", int),
-        "half_width": ("half_width", _float),
-    },
-    "stepper": {
-        "dt": ("dt", _float), "scheme": ("scheme", str),
-        "substep_limit": ("substep_limit", int),
-    },
-    "noise": {
-        "seed": ("seed", int), "dt": ("noise_dt", _float),
-        "block_length": ("block_length", _float),
-        "eta_kind": ("eta_kind", str), "eta_mean": ("eta_mean", _float),
-        "eta_rate": ("eta_rate", _float), "eta_seed": ("eta_seed", int),
-    },
-    "experiment": {
-        "tau": ("tau", _float),
-        "horizon": ("horizon", _float), "horizons": ("horizons", _float_list),
-        "k_list": ("k_list", _float_list), "alphas": ("alphas", _float_list),
-        "n_seeds": ("n_seeds", int), "n_initials": ("n_initials", int),
-        "c": ("c", _float),
-        "quad_tol": ("quad_tol", _float),
-        "cluster_tol": ("cluster_tol", _float),
-        "ball_radius": ("ball_radius", _float),
-        "sampler_seed": ("sampler_seed", int), "warmup": ("warmup", _float),
-        "workers": ("workers", int), "n_sigma": ("n_sigma", int),
-    },
-    "output": {
-        "directory": ("directory", str), "formats": ("formats", _str_list),
-    },
+def _converter(default):
+    """The parser of a key, chosen by the type of its RunConfig default."""
+    if isinstance(default, tuple):
+        return _float_list if isinstance(default[0], float) else _str_list
+    return {float: _float, int: int, str: str}[type(default)]
+
+
+# Section -> the RunConfig attributes its keys set.  Each key is named after
+# its attribute, except that [noise] dt sets noise_dt.
+_SECTIONS = {
+    "problem": ("lam", "p", "q", "alpha", "epsilon", "noise_case", "g_amp",
+                "period", "delta", "gamma", "phi_amp", "f_kind",
+                "f_expression"),
+    "grid": ("dim", "half_width", "n"),
+    "stepper": ("dt", "scheme", "substep_limit"),
+    "noise": ("seed", "noise_dt", "block_length", "eta_kind", "eta_mean",
+              "eta_rate", "eta_seed"),
+    "experiment": ("tau", "horizon", "horizons", "k_list", "alphas",
+                   "n_seeds", "n_initials", "c", "quad_tol", "cluster_tol",
+                   "ball_radius", "sampler_seed", "warmup", "workers",
+                   "n_sigma"),
+    "output": ("directory", "formats"),
 }
+
+# Schema: section -> key -> (attribute, converter).  [grid] l is short for
+# half_width.
+_SCHEMA = {section: {"dt" if a == "noise_dt" else a:
+                     (a, _converter(getattr(RunConfig, a))) for a in attrs}
+           for section, attrs in _SECTIONS.items()}
+_SCHEMA["grid"]["l"] = _SCHEMA["grid"]["half_width"]
 
 
 def _scan(text: str):
@@ -220,16 +204,25 @@ def _scan(text: str):
 
 # The dataclasses that hold a config's model parameters, each with its map
 # from dataclass field to RunConfig attribute where the two names differ.
-_BUILT = ((ProblemSpec, {}), (Grid, {}), (StepperConfig, {}),
-          (NonlinearitySpec, {"kind": "f_kind", "expression": "f_expression"}),
-          (EtaConfig, {k: "eta_" + k
-                       for k in ("kind", "mean", "rate", "seed")}))
+_BUILT = {ProblemSpec: {}, Grid: {}, StepperConfig: {},
+          NonlinearitySpec: {"kind": "f_kind", "expression": "f_expression"},
+          EtaConfig: {k: "eta_" + k for k in ("kind", "mean", "rate", "seed")}}
 
 
-def _validate(cfg: RunConfig, lines: dict, times: tuple) -> list:
-    """Cross-field validation; lines maps attribute -> source line number,
-    and times names the attributes, beyond period and tau, to check against
-    the step grid.
+def _built(cls, cfg: RunConfig, **nested):
+    """cls, one of _BUILT, from cfg's attributes; an empty expression and a
+    negative eta seed stand for None."""
+    values = dict(vars(cfg), **nested, f_expression=cfg.f_expression or None,
+                  eta_seed=None if cfg.eta_seed < 0 else cfg.eta_seed)
+    alias = _BUILT[cls]
+    return cls(**{f.name: values[alias.get(f.name, f.name)]
+                  for f in dc_fields(cls)})
+
+
+def _validate(cfg: RunConfig, lines: dict, experiment) -> list:
+    """Cross-field validation; lines maps attribute -> source line number.
+    With an experiment named, also the rules its run applies to the inputs
+    it reads.
 
     Rules on values a dataclass holds come from that dataclass, so a config
     error and the constructor's ValueError carry the same message."""
@@ -240,18 +233,23 @@ def _validate(cfg: RunConfig, lines: dict, times: tuple) -> list:
 
     values = vars(cfg)
     errors = []
-    for cls, alias in _BUILT:
+    for cls, alias in _BUILT.items():
         view = dict(values, **{k: values[a] for k, a in alias.items()})
         errors += [at(alias.get(k, k)) + m for k, m in cls.violations(view)]
-    # cocycle_apply snaps these to the step grid; off-grid values fail there.
-    for attr in ("period", "tau") + times:
+    # The run snaps these to the stepper's and noise path's grids, or fails.
+    snaps = [(a, cfg.dt) for a in
+             ("period", "tau") + EXPERIMENTS.get(experiment, ())]
+    if experiment and (cfg.noise_case != "deterministic"
+                       or experiment in FAN_OUT):
+        snaps += [("block_length", cfg.dt), ("dt", cfg.path_dt())]
+    for attr, step in snaps:
         value = getattr(cfg, attr)
         try:
             for v in value if isinstance(value, tuple) else (value,):
-                if cfg.dt > 0:
-                    snap_steps(v, cfg.dt, attr)
+                if step > 0:
+                    snap_steps(v, step, attr)
         except ValueError as exc:
-            errors.append(f"{at(attr, 'dt')}{exc}")
+            errors.append(f"{at(attr, 'dt', 'noise_dt')}{exc}")
     k, a = cfg.k_list, cfg.alphas
     bad = [f for f in cfg.formats if f not in ("csv", "json", "binary")]
     errors += [at(attr) + m for attr, m in violated(
@@ -259,12 +257,16 @@ def _validate(cfg: RunConfig, lines: dict, times: tuple) -> list:
          "noise dt must be ≥ 0 (0 = stepper dt)"),
         ("block_length", cfg.block_length > 0, "block_length must be > 0"),
         ("horizon", cfg.horizon > 0, "horizon must be > 0"),
+        ("horizon", experiment != "tail-check" or cfg.horizon >= 1,
+         "tail_check samples the last time unit; horizon >= 1"),
+        ("horizon", experiment != "energy-audit" or cfg.horizon > cfg.dt,
+         "audit needs snapshots at three or more consecutive nodes"),
         ("horizons", min(cfg.horizons) >= 0, "horizons must be nonnegative"),
         ("horizons", list(cfg.horizons) == sorted(cfg.horizons),
          "horizons must be ascending"),
         ("k_list", list(k) == sorted(k), "k_list must be ascending"),
         ("k_list", min(k) > 0, "k values must be > 0"),
-        ("k_list", max(k) < cfg.half_width, "k values must be < L"),
+        ("k_list", max(k) < cfg.half_width, "k values must be < half_width"),
         ("alphas", min(a) >= 0, "alphas must be nonnegative"),
         ("alphas", all(x > y for x, y in zip(a, a[1:])),
          "alphas must be strictly decreasing"),
@@ -288,7 +290,7 @@ def parse_config(text: str, **overrides) -> RunConfig:
 
     overrides set RunConfig attributes over the text's values, before
     validation; their errors carry no line.  An experiment override also
-    checks the times that experiment steps to (EXPERIMENTS)."""
+    applies the rules of that experiment's run (see _validate)."""
     entries, errors = _scan(text)
     cfg = RunConfig()
     lines = {}
@@ -303,8 +305,7 @@ def parse_config(text: str, **overrides) -> RunConfig:
                           f"[{section}]: {exc}")
     cfg = replace(cfg, **overrides)
     lines = {a: n for a, n in lines.items() if a not in overrides}
-    times = EXPERIMENTS[cfg.experiment] if "experiment" in overrides else ()
-    errors.extend(_validate(cfg, lines, times))
+    errors.extend(_validate(cfg, lines, overrides.get("experiment")))
     if errors:
         raise ConfigError(sorted(errors, key=_line_of))
     return cfg

@@ -148,15 +148,17 @@ def _lap_faces(values: np.ndarray, grid: Grid, p: float, delta: float):
     return out, faces
 
 
-def _pairing(faces, dx: float) -> float:
-    """The stepper's dissipation pairing sum_faces coef |D u|^2 dx^dim of
-    _face_data's output.  It scales by dx, then dx again in two dimensions,
-    where p_dissipation's dx**2 can differ in the last bit."""
-    if len(faces) == 1:
-        gx, coef = faces[0]
-        return float((coef * gx * gx).sum() * dx)
-    (gx, cx), (gy, cy) = faces
-    return float(((cx * gx * gx).sum() + (cy * gy * gy).sum()) * dx * dx)
+def _pairing(faces, dx: float, grads=None) -> float:
+    """The dissipation pairing sum_faces coef (D u)(D w) dx^dim of u's
+    _face_data output, with w's face gradients grads (default: u's own).  In
+    two dimensions it adds the directions' sums, then scales by dx twice."""
+    gx, cx = faces[0]
+    total = (cx * gx * (gx if grads is None else grads[0])).sum()
+    if len(faces) == 2:
+        gy, cy = faces[1]
+        wy = gy if grads is None else grads[1]
+        total = (total + (cy * gy * wy).sum()) * dx
+    return float(total * dx)
 
 
 def p_laplace(u: Field, p: float, delta: float = 0.0) -> Field:
@@ -180,14 +182,13 @@ def p_dissipation(u: Field, p: float, delta: float = 0.0) -> float:
 
     This is exactly the discrete pairing (-p_laplace(u), u) by summation by
     parts, and at delta = 0 in one dimension it equals the face quadrature of
-    ||grad u||_p^p.
+    ||grad u||_p^p.  In two dimensions the two directions' sums are added
+    and then scaled by dx and dx again, the stepper's record association.
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p!r}")
-    dx = u.grid.dx
-    cell = dx ** u.grid.dim
-    faces = _face_data(u.values, u.grid.dim, dx, p, delta)
-    return float(sum(np.sum(coef * g * g) for g, coef in faces) * cell)
+    return _pairing(_face_data(u.values, u.grid.dim, u.grid.dx, p, delta),
+                    u.grid.dx)
 
 
 def flux_pairing(u: Field, other: Field, p: float, delta: float = 0.0) -> float:
@@ -197,11 +198,9 @@ def flux_pairing(u: Field, other: Field, p: float, delta: float = 0.0) -> float:
     """
     if u.grid != other.grid:
         raise ValueError("fields live on different grids")
-    dx = u.grid.dx
-    cell = dx ** u.grid.dim
-    fu = _face_data(u.values, u.grid.dim, dx, p, delta)
-    fo = _face_data(other.values, other.grid.dim, dx, 2.0, 0.0)
-    return float(sum(np.sum(cu * gu * go) for (gu, cu), (go, _) in zip(fu, fo)) * cell)
+    dim, dx = u.grid.dim, u.grid.dx
+    grads = [g for g, _ in _face_data(other.values, dim, dx, 2.0, 0.0)]
+    return _pairing(_face_data(u.values, dim, dx, p, delta), dx, grads)
 
 
 def lebesgue_pow(u: Field, r: float) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .fields import (EndpointEnsemble, EnsembleTag, Field, Grid, _face_data,
                      _lap_faces, _pairing, grid_arrays, lebesgue_pow,
-                     make_field)
+                     make_field, p_dissipation)
 from .noise import (_ou_and_eta, ou_from_path, raise_first, snap_steps,
                     violated)
 from .problem import ProblemSpec
@@ -279,14 +279,13 @@ def transform_v_to_u(v: Field, z: float, spec: ProblemSpec) -> Field:
 # The solution operator and pullback runs.
 # ---------------------------------------------------------------------------
 
-def _noise_arrays(co: _Coupling, path, spec: ProblemSpec, nsteps: int,
-                  dt: float):
-    span = nsteps * dt
+def _noise_arrays(co: _Coupling, path, spec: ProblemSpec, t0: float,
+                  t1: float, dt: float):
     if co.with_eta:
-        return _ou_and_eta(path, co.ou_rate(spec), spec.eta, 0.0, span, dt)
-    z = ou_from_path(path, co.ou_rate(spec), 0.0, span, dt).values \
-        if co.ou_rate else np.zeros(nsteps + 1)
-    return z, np.zeros(nsteps + 1)
+        return _ou_and_eta(path, co.ou_rate(spec), spec.eta, t0, t1, dt)
+    z = ou_from_path(path, co.ou_rate(spec), t0, t1, dt).values \
+        if co.ou_rate else np.zeros(snap_steps(t1 - t0, dt) + 1)
+    return z, np.zeros(len(z))
 
 
 def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
@@ -316,7 +315,7 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
     ctx = _context(spec, grid)
     want = set(int(i) for i in snapshot_indices) if snapshot_indices else set()
 
-    z, eta = _noise_arrays(co, path, spec, nsteps, dt)
+    z, eta = _noise_arrays(co, path, spec, 0.0, nsteps * dt, dt)
     state = u_tau.values.copy()
 
     if with_record:
@@ -346,10 +345,9 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
         snapshots[nsteps] = Field(grid, vv_new.copy())
     # At node times the additive dissipation argument w = v + eps*h*z is u
     # itself, taken as given rather than through the v round trip.
-    arg0 = u_tau.values if co.w_is_u else v0
-    dps[0] = _pairing(_face_data(arg0, grid.dim, grid.dx, spec.p, spec.delta),
-                      grid.dx)
-    dqs[0] = lebesgue_pow(Field(grid, arg0), spec.q)
+    w0 = Field(grid, u_tau.values if co.w_is_u else v0)
+    dps[0] = p_dissipation(w0, spec.p, spec.delta)
+    dqs[0] = lebesgue_pow(w0, spec.q)
     return out, TrajectoryRecord(
         case=spec.noise_case, tau=tau, dt=dt,
         times=tau + np.arange(nsteps + 1) * dt, l2_sq=l2s, diss_p=dps,

@@ -357,6 +357,13 @@ def _ou_and_eta(path, rate: float, cfg: EtaConfig, t0: float, t1: float,
     return z, make_eta(path, cfg, t0, t1, dt)
 
 
+def _cumtrapz(values: np.ndarray, dx: float) -> np.ndarray:
+    out = np.empty(len(values))
+    out[0] = 0.0
+    np.cumsum(0.5 * (values[1:] + values[:-1]) * dx, out=out[1:])
+    return out
+
+
 def ergodic_diagnostics(z: OUPath) -> dict:
     """Sublinearity ratios |z(t)|/t and |(1/t) int_0^t z| at several horizons.
 
@@ -368,8 +375,7 @@ def ergodic_diagnostics(z: OUPath) -> dict:
     span = n * z.dt
     if span < 100.0:
         raise ValueError(f"horizon must be at least 100, got {span!r}")
-    mids = 0.5 * (z.values[1:] + z.values[:-1]) * z.dt
-    cum = np.concatenate(([0.0], np.cumsum(mids)))
+    cum = _cumtrapz(z.values, z.dt)
     horizons, sub, mean = [], [], []
     for frac in (0.25, 0.5, 1.0):
         idx = max(1, int(round(frac * n)))

@@ -7,7 +7,8 @@ import pytest
 
 from plrds import analysis
 from plrds.cli import main
-from plrds.config import (EXPERIMENTS, ConfigError, RunConfig, config_errors,
+from plrds.config import (_SCHEMA, EXPERIMENTS, ConfigError, RunConfig,
+                          _float, _float_list, _str_list, config_errors,
                           parse_config)
 from plrds.fields import Grid
 from plrds.integrator import StepperConfig
@@ -145,6 +146,49 @@ class TestParseConfig:
         assert d["n"] == 65 and isinstance(d["horizons"], list)
 
 
+# Every (section, key) with the RunConfig attribute it sets and its parser,
+# written out by hand.  The schema derives the parsers from the types of the
+# RunConfig defaults, so a default whose type changes shows up here.
+SCHEMA = {
+    "problem": {"lam": ("lam", _float), "p": ("p", _float),
+                "q": ("q", _float), "alpha": ("alpha", _float),
+                "epsilon": ("epsilon", _float),
+                "noise_case": ("noise_case", str),
+                "g_amp": ("g_amp", _float), "period": ("period", _float),
+                "delta": ("delta", _float), "gamma": ("gamma", _float),
+                "phi_amp": ("phi_amp", _float), "f_kind": ("f_kind", str),
+                "f_expression": ("f_expression", str)},
+    "grid": {"dim": ("dim", int), "l": ("half_width", _float),
+             "n": ("n", int), "half_width": ("half_width", _float)},
+    "stepper": {"dt": ("dt", _float), "scheme": ("scheme", str),
+                "substep_limit": ("substep_limit", int)},
+    "noise": {"seed": ("seed", int), "dt": ("noise_dt", _float),
+              "block_length": ("block_length", _float),
+              "eta_kind": ("eta_kind", str), "eta_mean": ("eta_mean", _float),
+              "eta_rate": ("eta_rate", _float),
+              "eta_seed": ("eta_seed", int)},
+    "experiment": {"tau": ("tau", _float), "horizon": ("horizon", _float),
+                   "horizons": ("horizons", _float_list),
+                   "k_list": ("k_list", _float_list),
+                   "alphas": ("alphas", _float_list),
+                   "n_seeds": ("n_seeds", int),
+                   "n_initials": ("n_initials", int), "c": ("c", _float),
+                   "quad_tol": ("quad_tol", _float),
+                   "cluster_tol": ("cluster_tol", _float),
+                   "ball_radius": ("ball_radius", _float),
+                   "sampler_seed": ("sampler_seed", int),
+                   "warmup": ("warmup", _float), "workers": ("workers", int),
+                   "n_sigma": ("n_sigma", int)},
+    "output": {"directory": ("directory", str),
+               "formats": ("formats", _str_list)},
+}
+
+
+class TestSchema:
+    def test_derived_schema_matches_the_written_table(self):
+        assert _SCHEMA == SCHEMA
+
+
 class TestMainValidate:
     def test_validate_ok(self, tmp_path, capsys):
         p = tmp_path / "run.ini"
@@ -153,6 +197,12 @@ class TestMainValidate:
         out = capsys.readouterr().out
         assert "config OK" in out
         assert "[problem]" in out and "noise_case=additive" in out
+        shown = {line.split("]")[0].strip(" ["): line
+                 for line in out.splitlines()[1:]}
+        assert set(shown) == set(SCHEMA)
+        for section, keys in SCHEMA.items():
+            for key in keys:
+                assert f" {key}=" in shown[section], (section, key)
 
     def test_validate_bad_config_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.ini"
@@ -192,6 +242,13 @@ PROBES = {
                            "period = 0.0015\n", 4),
     "tau-off-dt-grid": ("[stepper]\ndt = 0.001\n[experiment]\n"
                         "tau = 0.0005\n", 4),
+    # The noise path's block and step rules.
+    "block-off-dt-grid": ("[stepper]\ndt = 0.01\n[noise]\n"
+                          "block_length = 4.005\n", 4),
+    "dt-off-noise-dt-grid": ("[stepper]\ndt = 0.005\n[noise]\n"
+                             "dt = 0.002\n", 2),
+    "block-off-coarse-dt-grid": ("[stepper]\ndt = 0.2\n[noise]\n"
+                                 "dt = 0.001\nblock_length = 2.5\n", 5),
 }
 
 # One case per rule a parameter dataclass states: a config whose last line
@@ -289,6 +346,15 @@ OVERRIDE_PROBES = {
                             "multiple of dt=0.001"),
     "name-key": (["simulate"], {}, "[experiment]\nname = simulate\n",
                  "line 2: unknown key 'name' in section [experiment]"),
+    "tail-check-horizon": (["tail-check"], {},
+                           "[experiment]\nhorizon = 0.5\n",
+                           "line 2: tail_check samples the last time unit; "
+                           "horizon >= 1"),
+    "energy-audit-one-step": (["energy-audit"], {},
+                              "[stepper]\ndt = 0.01\n[experiment]\n"
+                              "warmup = 0\nhorizon = 0.01\n",
+                              "line 5: audit needs snapshots at three or "
+                              "more consecutive nodes"),
 }
 
 
@@ -316,6 +382,19 @@ class TestOverrides:
         with pytest.raises(ConfigError) as err:
             parse_config(text, experiment="energy-audit")
         assert [e[:7] for e in err.value.errors] == ["line 4:", "line 5:"]
+
+    def test_noise_keys_are_checked_where_a_path_is_built(self):
+        text = ("[problem]\nnoise_case = deterministic\n[stepper]\n"
+                "dt = 0.01\n[noise]\nblock_length = 4.005\n")
+        # A noise-free simulate builds no path; absorb-check builds one per
+        # seed whatever the noise case.
+        assert parse_config(text, experiment="simulate").block_length == 4.005
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, experiment="absorb-check")
+        assert err.value.errors == ["line 6: block_length=4.005 is not an "
+                                    "integer multiple of dt=0.01"]
+        # Without an experiment no run, and so no path, is checked.
+        assert parse_config("[noise]\ndt = 0.25\n").noise_dt == 0.25
 
     def test_overridden_attribute_drops_its_line(self):
         with pytest.raises(ConfigError) as err:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from plrds import integrator
-from plrds.fields import (Field, Grid, grid_arrays, l2_sq, lebesgue_pow,
-                          make_field, p_dissipation)
+from plrds.fields import (Field, Grid, flux_pairing, grid_arrays, l2_sq,
+                          lebesgue_pow, make_field, p_dissipation)
 from plrds.analysis import sample_initial_ball
 from plrds.integrator import (StepperConfig, StiffnessError, cocycle_apply,
                               pullback_run, stable_dt_bound, transform_u_to_v,
@@ -248,6 +248,19 @@ class TestRecord:
                 assert rec.diss_p[0] == p_dissipation(u0, spec_add.p,
                                                       spec_add.delta)
                 assert rec.diss_q[0] == lebesgue_pow(u0, spec_add.q)
+        # In 2D the record, p_dissipation and flux_pairing(u, u) add the two
+        # directions' sums and then scale by dx twice, so they agree to the
+        # bit too; scaling by dx**2 once moves the last bit on some fields.
+        grid = Grid(2, 7.0, 18)
+        path = path_bank(1, cfg_fast.dt)
+        for seed in range(50):
+            u0 = make_field(grid, np.random.default_rng(seed).standard_normal(
+                grid.shape))
+            _, rec = cocycle_apply(0.0, 0.0, path, u0, spec_add, cfg_fast,
+                                   with_record=True)
+            dp = p_dissipation(u0, spec_add.p, spec_add.delta)
+            assert rec.diss_p[0] == dp
+            assert flux_pairing(u0, u0, spec_add.p, spec_add.delta) == dp
 
 
 class TestRecordLeavesEndpoint:
