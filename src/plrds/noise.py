@@ -1,14 +1,18 @@
 """Reproducible two-sided Brownian paths and derived Ornstein-Uhlenbeck signals.
 
-The driving path is sampled lazily in fixed-length blocks, one counter-keyed
-substream per signed block index, so a frozen realization can be extended
-arbitrarily far backward or forward without disturbing values that were
-already produced.  Every derived quantity (path values on the step grid, OU
-values at a given rate) is a pure function of (seed, dt, block_length) and the
-query location, independent of the order or extent of earlier queries: two
-runs that look at overlapping windows see bitwise-identical numbers.  That is
-what makes shift-composition and window-restart comparisons exact instead of
-merely close.
+The driving path is sampled lazily in fixed-length blocks.  Block j's
+increments are the first draws of a Philox stream keyed by (seed, j) at
+counter 0 (counter-based, so the stream is a pure function of the key).  Each
+path owns one Philox and one Generator, made on first use and reset to that
+key, counter 0 and an empty buffer before each block; missing blocks are
+built in contiguous runs walking outward from 0, one 2-D fill per run.  So a
+frozen realization can be extended arbitrarily far backward or forward
+without disturbing values that were already produced.  Every derived quantity
+(path values on the step grid, OU values at a given rate) is a pure function
+of (seed, dt, block_length) and the query location, independent of the order
+or extent of earlier queries: two runs that look at overlapping windows see
+bitwise-identical numbers.  That is what makes shift-composition and
+window-restart comparisons exact instead of merely close.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.signal import lfilter
@@ -97,6 +102,7 @@ class NoisePath:
         self.block_length = float(block_length)
         self._blk: dict = {}
         self._bnd: dict = {0: 0.0}
+        self._gen = None
 
     def __repr__(self):
         return (f"NoisePath(seed={self.seed}, dt={self.dt}, "
@@ -104,59 +110,57 @@ class NoisePath:
 
     def __reduce__(self):
         # Pickles by its recipe: values are pure functions of it, so a worker's
-        # rebuilt path gives the same bits.  The caches stay behind.
+        # rebuilt path gives the same bits.  Caches and generator stay behind.
         return NoisePath, (self.seed, self.dt, self.block_length)
 
-    def _increments(self, j: int) -> np.ndarray:
-        """Block j's Brownian increments; _block caches what it builds."""
-        key = np.array([self.seed & _UINT_MASK, j & _UINT_MASK], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        return rng.standard_normal(self.steps_per_block) * math.sqrt(self.dt)
+    def _generator_at(self, j: int) -> np.random.Generator:
+        """The path's one Generator, its Philox reset to block j's stream."""
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(key=0))
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0),
+                      "key": (self.seed & _UINT_MASK, j & _UINT_MASK)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        return self._gen
 
-    def _block(self, j: int) -> np.ndarray:
-        """omega at grid indices j*spb .. (j+1)*spb inclusive."""
-        vals = self._blk.get(j)
-        if vals is not None:
-            return vals
-        spb = self.steps_per_block
-        inc = self._increments(j)
-        vals = np.empty(spb + 1)
-        if j >= 0:
-            vals[0] = self._boundary(j)
-            vals[1:] = vals[0] + np.cumsum(inc)
-            self._bnd.setdefault(j + 1, float(vals[spb]))
-        else:
-            vals[spb] = self._boundary(j + 1)
-            tails = np.cumsum(inc[::-1])[::-1]
-            vals[:spb] = vals[spb] - tails
-            self._bnd.setdefault(j, float(vals[0]))
-        self._blk[j] = vals
-        return vals
-
-    def _boundary(self, j: int) -> float:
-        """omega at grid index j*spb, walking outward from zero if needed."""
-        bnd = self._bnd
-        if j not in bnd:
-            if j > 0:
-                for jj in range(max(i for i in bnd if 0 <= i <= j), j):
-                    self._block(jj)
-            else:
-                for jj in range(min(i for i in bnd if j <= i <= 0) - 1, j - 1, -1):
-                    self._block(jj)
-        return bnd[j]
+    def _fill(self, js: range) -> None:
+        """Build blocks js, a contiguous run walking outward from 0 whose
+        inner boundary is known, as one (len(js), spb + 1) array."""
+        spb, fwd = self.steps_per_block, js.step > 0
+        vals = np.empty((len(js), spb + 1))
+        inc = vals[:, 1:] if fwd else vals[:, :spb]
+        for row, j in zip(inc, js):
+            self._generator_at(j).standard_normal(out=row)
+        # Sums run outward from each block's inner boundary: rightward for
+        # j >= 0, leftward for j < 0, where the increments enter negated
+        # (negation is exact, so b + (-t) is b - t to the last bit).
+        acc = inc if fwd else inc[:, ::-1]
+        acc *= math.sqrt(self.dt) if fwd else -math.sqrt(self.dt)
+        np.cumsum(acc, axis=1, out=acc)
+        outer = range(js.start + fwd, js.stop + fwd, js.step)
+        edges = list(accumulate(acc[:, -1].tolist(),
+                                initial=self._bnd[outer.start - js.step]))
+        self._bnd.update(zip(outer, edges[1:]))
+        col = 0 if fwd else spb
+        vals[:, col] = edges[:-1]
+        acc += vals[:, col, None]
+        self._blk.update(zip(js, vals))
 
     def grid_values(self, i0: int, i1: int) -> np.ndarray:
         """omega at grid indices i0..i1 inclusive (time = index * dt)."""
         if i1 < i0:
             raise ValueError("empty index range")
-        spb = self.steps_per_block
-        out = np.empty(i1 - i0 + 1)
-        for j in range(i0 // spb, i1 // spb + 1):
-            vals = self._block(j)
-            lo = max(i0, j * spb)
-            hi = min(i1, (j + 1) * spb)
-            out[lo - i0 : hi - i0 + 1] = vals[lo - j * spb : hi - j * spb + 1]
-        return out
+        spb, blk = self.steps_per_block, self._blk
+        j0, j1 = i0 // spb, i1 // spb
+        if j1 >= 0 and j1 not in blk:
+            self._fill(range(max(self._bnd), j1 + 1))
+        if j0 < 0 and j0 not in blk:
+            self._fill(range(min(self._bnd) - 1, j0 - 1, -1))
+        # Neighbouring blocks share their boundary value bitwise.
+        parts = [blk[j][:spb] for j in range(j0, j1 + 1)] + [blk[j1][spb:]]
+        return np.concatenate(parts)[i0 - j0 * spb : i1 - j0 * spb + 1]
 
 
 class TabulatedPath:
@@ -245,6 +249,8 @@ def _ou_values(base, rate: float, k0: int, k1: int, m: int) -> np.ndarray:
     requested.  The anchor quadrature is exact for the same piecewise-linear
     input, so its mismatch with the value recursed out of the previous block
     is truncation-sized (the quad_tol tail weight, far below solver error).
+    A window's blocks are the rows of one (blocks, K) array: the anchors fill
+    its first column, and one lfilter along the rows fills the rest.
     """
     kblock = base.steps_per_block // m
     dt_ou = m * base.dt
@@ -254,16 +260,18 @@ def _ou_values(base, rate: float, k0: int, k1: int, m: int) -> np.ndarray:
     j0, j1 = k0 // kblock, k1 // kblock
     first = j0 * kblock - steps          # coarse index of the first node read
     w = base.grid_values(first * m, ((j1 + 1) * kblock - 1) * m)[::m]
-    blocks = []
-    for j in range(j0, j1 + 1):
-        a = j * kblock - first           # the block boundary's place in w
-        win = w[a - steps : a + 1]
-        z0 = win[-1] - bfac * win[0] - rate * float(np.dot(wts, win))
-        dw = np.diff(w[a : a + kblock])
-        rest, _ = lfilter([gain], [1.0, -decay], dw, zi=np.array([decay * z0]))
-        blocks += [[z0], rest]
+    nb = j1 - j0 + 1
+    # Block j's boundary sits at w[steps + (j - j0) * kblock]; one np.dot per
+    # anchor keeps ddot's bits, which one matrix product would not.
+    starts = range(steps, steps + nb * kblock, kblock)
+    dots = np.array([np.dot(wts, w[a - steps : a + 1]) for a in starts])
+    out = np.empty((nb, kblock))
+    out[:, 0] = w[steps::kblock] - bfac * w[:nb * kblock:kblock] - rate * dots
+    blk = w[steps:].reshape(nb, kblock)
+    out[:, 1:], _ = lfilter([gain], [1.0, -decay], blk[:, 1:] - blk[:, :-1],
+                            axis=-1, zi=decay * out[:, :1])
     lo = k0 - j0 * kblock
-    return np.concatenate(blocks)[lo : lo + k1 - k0 + 1]
+    return out.ravel()[lo : lo + k1 - k0 + 1]
 
 
 def ou_from_path(path, rate: float, t0: float, t1: float, dt: float | None = None) -> OUPath:

@@ -5,13 +5,16 @@ import hashlib
 import math
 import pickle
 import platform
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from plrds.noise import (EtaConfig, NoisePath, ShiftedView, TabulatedPath,
-                         _ou_and_eta, ergodic_diagnostics, make_eta,
-                         make_path, ou_from_path, shift, snap_steps)
+                         _anchor_kernel, _ou_and_eta, _ou_values,
+                         ergodic_diagnostics, make_eta, make_path,
+                         ou_from_path, shift, snap_steps)
 
 
 def zero_path(dt: float, back: float, forward: float) -> TabulatedPath:
@@ -102,6 +105,146 @@ class TestBrownianPath:
         qtab = pickle.loads(pickle.dumps(tab))
         assert np.array_equal(ou_from_path(qtab, 1.5, -2.0, 2.0).values,
                               ou_from_path(tab, 1.5, -2.0, 2.0).values)
+
+
+MASK = 2 ** 64 - 1
+
+
+def reference_omega(seed: int, dt: float, spb: int, jlo: int, jhi: int):
+    """omega at grid indices jlo*spb .. (jhi+1)*spb (jlo <= 0 <= jhi), built
+    block by block: a fresh Philox keyed (seed, j) per block, then partial
+    sums outward from the known boundary."""
+    def inc(j):
+        key = np.array([seed & MASK, j & MASK], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        return rng.standard_normal(spb) * math.sqrt(dt)
+
+    out = np.empty((jhi - jlo + 1) * spb + 1)
+    zero = -jlo * spb
+    out[zero] = 0.0
+    for j in range(0, jhi + 1):
+        a = zero + j * spb
+        out[a + 1 : a + spb + 1] = out[a] + np.cumsum(inc(j))
+    for j in range(-1, jlo - 1, -1):
+        a = zero + j * spb
+        out[a : a + spb] = out[a + spb] - np.cumsum(inc(j)[::-1])[::-1]
+    return out
+
+
+class TestIncrementOracle:
+    """grid_values against the block-by-block build, bitwise, whatever order
+    the blocks are asked for in."""
+
+    DT, SPB = 0.125, 8
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 63 + 5, 2 ** 64 - 1])
+    @pytest.mark.parametrize("order", ["forward-first", "backward-first",
+                                       "far-first"])
+    def test_blocks_match_the_per_block_build(self, seed, order):
+        spb = self.SPB
+        ref = reference_omega(seed, self.DT, spb, -6, 6)
+        lo, hi = -6 * spb, 7 * spb
+        p = NoisePath(seed, self.DT, block_length=spb * self.DT)
+        windows = {"forward-first": [(0, hi), (lo, 0)],
+                   "backward-first": [(lo, 0), (0, hi)],
+                   "far-first": [(5 * spb + 3, 6 * spb + 2),
+                                 (lo + 1, -5 * spb), (-3, 3)]}[order]
+        for i0, i1 in windows + [(lo, hi)]:
+            assert p.grid_values(i0, i1).tobytes() == \
+                ref[i0 - lo : i1 - lo + 1].tobytes()
+
+
+class TestGeneratorIsolation:
+    """Each path draws from its own generator: builds of several paths,
+    interleaved or on threads, give the bits of separate builds."""
+
+    SPB = 10
+
+    def separate(self, seed):
+        p = NoisePath(seed, 0.1, block_length=1.0)
+        return p.grid_values(-40 * self.SPB, 40 * self.SPB)
+
+    def test_interleaved_builds(self):
+        a, b = NoisePath(1, 0.1, 1.0), NoisePath(2, 0.1, 1.0)
+        for k in range(1, 41):
+            for p in (a, b):
+                p.grid_values(-k * self.SPB, k * self.SPB)
+        for seed, p in ((1, a), (2, b)):
+            assert p.grid_values(-400, 400).tobytes() == \
+                self.separate(seed).tobytes()
+
+    def test_threaded_builds(self):
+        def build(seed):
+            p = NoisePath(seed, 0.1, 1.0)
+            for k in range(1, 41):
+                p.grid_values(-k * self.SPB, k * self.SPB)
+            return p.grid_values(-400, 400)
+
+        seeds = list(range(8))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            built = list(pool.map(build, seeds))
+        for seed, vals in zip(seeds, built):
+            assert vals.tobytes() == self.separate(seed).tobytes()
+
+
+class TestOuWindowOracle:
+    """_ou_values against the per-block loop it replaced (np.diff and a
+    scalar-zi lfilter per block), bitwise."""
+
+    DT = 5e-3
+
+    @staticmethod
+    def reference_ou_values(base, rate, k0, k1, m):
+        kblock = base.steps_per_block // m
+        dt_ou = m * base.dt
+        steps, wts, bfac = _anchor_kernel(rate, dt_ou)
+        decay = math.exp(-rate * dt_ou)
+        gain = -math.expm1(-rate * dt_ou) / (rate * dt_ou)
+        j0, j1 = k0 // kblock, k1 // kblock
+        first = j0 * kblock - steps
+        w = base.grid_values(first * m, ((j1 + 1) * kblock - 1) * m)[::m]
+        blocks = []
+        for j in range(j0, j1 + 1):
+            a = j * kblock - first
+            win = w[a - steps : a + 1]
+            z0 = win[-1] - bfac * win[0] - rate * float(np.dot(wts, win))
+            dw = np.diff(w[a : a + kblock])
+            rest, _ = lfilter([gain], [1.0, -decay], dw,
+                              zi=np.array([decay * z0]))
+            blocks += [[z0], rest]
+        lo = k0 - j0 * kblock
+        return np.concatenate(blocks)[lo : lo + k1 - k0 + 1]
+
+    def paths(self):
+        walk = np.cumsum(np.random.default_rng(5).standard_normal(12001))
+        return {"noise": NoisePath(31, self.DT, block_length=0.1),
+                "tabulated": TabulatedPath(walk * math.sqrt(self.DT), self.DT,
+                                           first_index=-9000,
+                                           block_length=0.1)}
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["noise", "tabulated"])
+    @pytest.mark.parametrize("window", ["inside-one-block", "mid-block-start",
+                                        "spanning-zero"])
+    def test_window_matches_the_per_block_loop(self, m, kind, window):
+        base = self.paths()[kind]
+        kb = base.steps_per_block // m
+        k0, k1 = {"inside-one-block": (1, kb - 2),
+                  "mid-block-start": (kb // 2, 3 * kb + 1),
+                  "spanning-zero": (-2 * kb - 1, kb + 2)}[window]
+        got = _ou_values(base, 1.5, k0, k1, m)
+        assert got.tobytes() == \
+            self.reference_ou_values(base, 1.5, k0, k1, m).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_shifted_view_matches_the_per_block_loop(self, m):
+        base = self.paths()["noise"]
+        dt_ou = m * self.DT
+        view = shift(base, -37 * self.DT * 4)
+        z = ou_from_path(view, 0.8, -30 * dt_ou, 25 * dt_ou, dt_ou)
+        ref = self.reference_ou_values(base, 0.8, -30 - 37 * 4 // m,
+                                       25 - 37 * 4 // m, m)
+        assert z.values.tobytes() == ref.tobytes()
 
 
 class TestShiftedView:
