@@ -1,9 +1,9 @@
 """Golden bytes: every report file the CLI writes, pinned by SHA-256.
 
 Each run executes one experiment on a small grid (1D n = 33, plus the 2D
-attractor estimates and a 2D simulate on n = 17) and hashes every output
-file except manifest.json, which carries wall-clock fields.  A change meant
-to leave the numbers alone must leave every digest alone.  The fixture
+attractor estimates, energy audits and a 2D simulate on n = 17) and hashes
+every output file except manifest.json, which carries wall-clock fields.  A
+change meant to leave the numbers alone must leave every digest alone.  The fixture
 records the NumPy version and platform it was made on; elsewhere the
 last-bit behaviour of NumPy's kernels may differ, so the comparison is
 skipped there.
@@ -68,6 +68,10 @@ RUNS.update({f"estimate-attractor-{case}-2d": (
     "estimate-attractor",
     _BASE.format(case=case, dim=2, n=17) + "horizon = 1\nn_initials = 3\n")
     for case in _EXPERIMENTS["estimate-attractor"][0]})
+RUNS.update({f"energy-audit-{case}-2d": (
+    "energy-audit",
+    _BASE.format(case=case, dim=2, n=17) + _EXPERIMENTS["energy-audit"][1])
+    for case in _EXPERIMENTS["energy-audit"][0]})
 # At lam = 8 the absorbing-radius windows are shorter than four time units,
 # so the noise-free window rule differs visibly from the noisy one.
 RUNS.update({f"absorb-check-{case}-lam8-1d": (
