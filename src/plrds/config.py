@@ -26,6 +26,8 @@ EXPERIMENTS = {"validate": (), "simulate": ("horizon",), "cocycle-test": (),
                "periodicity-check": ("horizon",)}
 # The experiments that build one noise path per seed, n_seeds of them.
 FAN_OUT = ("absorb-check", "tail-check", "usc-sweep", "periodicity-check")
+# An energy audit's (horizon/dt + 1) * n^dim snapshot floats: 512 MiB at most.
+MAX_AUDIT_FLOATS = 2 ** 26
 
 
 class ConfigError(ValueError):
@@ -251,6 +253,8 @@ def _validate(cfg: RunConfig, lines: dict, experiment) -> list:
         except ValueError as exc:
             errors.append(f"{at(attr, 'dt', 'noise_dt')}{exc}")
     k, a = cfg.k_list, cfg.alphas
+    audit_floats = (round(cfg.horizon / cfg.dt) + 1) * cfg.n ** cfg.dim \
+        if experiment == "energy-audit" and cfg.dt > 0 else 0
     bad = [f for f in cfg.formats if f not in ("csv", "json", "binary")]
     errors += [at(attr) + m for attr, m in violated(
         ("noise_dt", cfg.noise_dt >= 0,
@@ -261,6 +265,8 @@ def _validate(cfg: RunConfig, lines: dict, experiment) -> list:
          "tail_check samples the last time unit; horizon >= 1"),
         ("horizon", experiment != "energy-audit" or cfg.horizon > cfg.dt,
          "audit needs snapshots at three or more consecutive nodes"),
+        ("horizon", audit_floats <= MAX_AUDIT_FLOATS, f"audit snapshots "
+         f"would hold {audit_floats:,} floats, over {MAX_AUDIT_FLOATS:,}"),
         ("horizons", min(cfg.horizons) >= 0, "horizons must be nonnegative"),
         ("horizons", list(cfg.horizons) == sorted(cfg.horizons),
          "horizons must be ascending"),

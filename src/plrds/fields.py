@@ -105,25 +105,26 @@ def zero_field(grid: Grid) -> Field:
 # ---------------------------------------------------------------------------
 
 def _face_data(values: np.ndarray, dim: int, dx: float, p: float, delta: float):
-    """Per-direction face gradients and coefficients |grad|^(p-2) at faces."""
+    """Per-direction face gradients and coefficients |grad|^(p-2) at faces,
+    over the trailing dim axes of values; leading axes are rows."""
     e = 0.5 * (p - 2.0)
     if dim == 1:
-        gx = (values[1:] - values[:-1]) / dx
+        gx = (values[..., 1:] - values[..., :-1]) / dx
         coef = (gx * gx + delta * delta) ** e
         return ((gx, coef),)
     v = values
-    pad = np.zeros((v.shape[0] + 2, v.shape[1] + 2))   # v in a ring of zeros
-    pad[1:-1, 1:-1] = v
-    pad_y = pad[1:-1, :]
-    dyn = (pad_y[:, 2:] - pad_y[:, :-2]) / (2.0 * dx)
-    gx = (v[1:, :] - v[:-1, :]) / dx
-    ty = 0.5 * (dyn[1:, :] + dyn[:-1, :])
+    pad = np.zeros(v.shape[:-2] + (v.shape[-2] + 2, v.shape[-1] + 2))
+    pad[..., 1:-1, 1:-1] = v                          # v in a ring of zeros
+    pad_y = pad[..., 1:-1, :]
+    dyn = (pad_y[..., 2:] - pad_y[..., :-2]) / (2.0 * dx)
+    gx = (v[..., 1:, :] - v[..., :-1, :]) / dx
+    ty = 0.5 * (dyn[..., 1:, :] + dyn[..., :-1, :])
     coef_x = (gx * gx + ty * ty + delta * delta) ** e
 
-    pad_x = pad[:, 1:-1]
-    dxn = (pad_x[2:, :] - pad_x[:-2, :]) / (2.0 * dx)
-    gy = (v[:, 1:] - v[:, :-1]) / dx
-    tx = 0.5 * (dxn[:, 1:] + dxn[:, :-1])
+    pad_x = pad[..., 1:-1]
+    dxn = (pad_x[..., 2:, :] - pad_x[..., :-2, :]) / (2.0 * dx)
+    gy = (v[..., 1:] - v[..., :-1]) / dx
+    tx = 0.5 * (dxn[..., 1:] + dxn[..., :-1])
     coef_y = (gy * gy + tx * tx + delta * delta) ** e
     return ((gx, coef_x), (gy, coef_y))
 
@@ -148,17 +149,19 @@ def _lap_faces(values: np.ndarray, grid: Grid, p: float, delta: float):
     return out, faces
 
 
-def _pairing(faces, dx: float, grads=None) -> float:
+def _pairing(faces, dx: float, grads=None):
     """The dissipation pairing sum_faces coef (D u)(D w) dx^dim of u's
     _face_data output, with w's face gradients grads (default: u's own).  In
-    two dimensions it adds the directions' sums, then scales by dx twice."""
+    two dimensions it adds the directions' sums, then scales by dx twice.
+    Faces with leading row axes give one value per row."""
     gx, cx = faces[0]
-    total = (cx * gx * (gx if grads is None else grads[0])).sum()
+    axes = tuple(range(-len(faces), 0)) if gx.ndim > len(faces) else None
+    total = (cx * gx * (gx if grads is None else grads[0])).sum(axes)
     if len(faces) == 2:
         gy, cy = faces[1]
         wy = gy if grads is None else grads[1]
-        total = (total + (cy * gy * wy).sum()) * dx
-    return float(total * dx)
+        total = (total + (cy * gy * wy).sum(axes)) * dx
+    return float(total * dx) if axes is None else total * dx
 
 
 def p_laplace(u: Field, p: float, delta: float = 0.0) -> Field:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from plrds.analysis import (absorbing_bound, absorbing_check,
                             energy_audit,
                             estimate_attractor, sample_initial_ball,
                             tail_check, usc_sweep)
-from plrds.fields import Grid, l2_sq
-from plrds.integrator import StepperConfig, cocycle_apply
+from plrds.fields import (Field, Grid, flux_pairing, grid_arrays, l2_sq,
+                          make_field, p_dissipation)
+from plrds.integrator import (StepperConfig, _COUPLINGS, _context,
+                              cocycle_apply)
 from plrds.noise import EtaConfig, TabulatedPath, make_path
-from plrds.problem import NonlinearitySpec, ProblemSpec
+from plrds.problem import ForcingNorms, NonlinearitySpec, ProblemSpec
 
 DT = 2e-3
 GRID = Grid(1, 8.0, 65)
@@ -270,6 +273,131 @@ class TestEnergyAudit:
                                with_record=True)
         mx, _ = energy_audit(rec, spec_det)
         assert mx < 0.02
+
+
+def reference_audit(record, spec):
+    """energy_audit written one node at a time, each grid quadrature by its
+    public function on that node's fields alone."""
+    snaps = record.snapshots
+    ks = sorted(snaps)
+    interior = [k for k in ks if k - 1 in snaps and k + 1 in snaps]
+    grid = snaps[ks[0]].grid
+    ctx = _context(spec, grid)
+    co = _COUPLINGS[record.case]
+    wts = grid_arrays(grid).weights
+    dt, z, eta, energies = record.dt, record.z, record.eta, record.l2_sq
+    hfield = Field(grid, ctx.h)
+    residuals = np.empty(len(interior))
+    times = np.empty(len(interior))
+    forcing = ForcingNorms(spec, grid)
+    for i, k in enumerate(interior):
+        t = float(record.times[k])
+        v = snaps[k]
+        dE = (energies[k + 1] - energies[k - 1]) / (2.0 * dt)
+        zk = float(z[k - 1] + 2.0 * z[k] + z[k + 1]) / 4.0
+        ek = float(eta[k - 1] + 2.0 * eta[k] + eta[k + 1]) / 4.0
+        w = Field(grid, co.w_of(v.values, zk, ctx))
+        if record.case == "multiplicative":
+            lhs = (dE
+                   + 2.0 * math.exp(spec.alpha * (spec.p - 2.0) * zk)
+                   * p_dissipation(v, spec.p, spec.delta)
+                   + (1.75 * spec.lam - 2.0 * spec.alpha * zk) * energies[k]
+                   + 2.0 * spec.gamma1
+                   * math.exp(spec.alpha * (spec.q - 2.0) * zk)
+                   * float(np.sum(wts * np.abs(v.values) ** spec.q)))
+            rhs = (2.0 * math.exp(-2.0 * spec.alpha * zk) * forcing.psi1_l1(t)
+                   + (4.0 / spec.lam) * math.exp(-2.0 * spec.alpha * zk)
+                   * forcing.g_l2_sq(t))
+            residuals[i] = max(0.0, lhs - rhs)
+        else:
+            lhs = (dE + 2.0 * (spec.lam - spec.alpha * ek) * energies[k]
+                   + 2.0 * p_dissipation(w, spec.p, spec.delta))
+            rhs = (2.0 * spec.epsilon * zk
+                   * flux_pairing(w, hfield, spec.p, spec.delta)
+                   + 2.0 * float(np.sum(wts * ctx.f_of(t, w.values)
+                                        * v.values))
+                   + 2.0 * float(np.sum(wts * ctx.g_of(t) * v.values))
+                   + 2.0 * spec.alpha * spec.epsilon * ek * zk
+                   * float(np.sum(wts * ctx.h * v.values)))
+            residuals[i] = lhs - rhs
+        times[i] = t
+    return float(np.max(np.abs(residuals))), {
+        "nodes": interior, "times": times, "residuals": residuals}
+
+
+class TestAuditOracle:
+    """energy_audit works on blocks of stacked snapshots; every series it
+    returns must carry the bits of reference_audit."""
+
+    SPECS = {
+        "additive": ProblemSpec(noise_case="additive"),
+        "multiplicative": ProblemSpec(noise_case="multiplicative",
+                                      alpha=0.25),
+        "deterministic": ProblemSpec(noise_case="deterministic", alpha=0.0,
+                                     epsilon=0.0),
+    }
+    # A power of t: t**r of a float and of an array differ in the last bit.
+    CUSTOM = NonlinearitySpec(
+        kind="custom",
+        expression="-abspow(s, 2) + 0.5*sin(2*t)*exp(-(x*x + y*y))"
+                   " + 0.1*abspow(t + 1, 0.5)")
+
+    @staticmethod
+    def record(spec, grid, tau, nsteps):
+        cfg = StepperConfig(dt=DT)
+        path = None if spec.noise_case == "deterministic" \
+            else make_path(5, DT)
+        u0 = make_field(grid, 0.9 * np.exp(-0.5 * grid_arrays(grid).radial_sq))
+        return cocycle_apply(nsteps * DT, tau, path, u0, spec, cfg,
+                             snapshot_indices=range(nsteps + 1),
+                             with_record=True)[1]
+
+    @staticmethod
+    def subsets(rec, rows):
+        """Snapshot sets: every node, gaps, a late start, and runs of
+        rows - 1, rows and rows + 1 interior nodes."""
+        snaps = rec.snapshots
+        yield snaps
+        yield {k: f for k, f in snaps.items() if k not in (5, 6, rows + 3)}
+        yield {k: f for k, f in snaps.items() if k >= 4}
+        for length in (rows - 1, rows, rows + 1):
+            yield {k: f for k, f in snaps.items()
+                   if 2 <= k <= 3 + length}
+
+    def assert_same(self, rec, spec):
+        got_max, got = energy_audit(rec, spec)
+        ref_max, ref = reference_audit(rec, spec)
+        assert got["nodes"] == ref["nodes"]
+        assert got["times"].tobytes() == ref["times"].tobytes()
+        assert got["residuals"].tobytes() == ref["residuals"].tobytes()
+        assert repr(got_max) == repr(ref_max)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    @pytest.mark.parametrize("grid", [Grid(1, 8.0, 65), Grid(2, 4.0, 17)],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    def test_bitwise_against_reference(self, case, grid, tau):
+        rows = analysis._AUDIT_BLOCK_FLOATS // grid.n ** grid.dim
+        spec = self.SPECS[case]
+        rec = self.record(spec, grid, tau, 2 * rows + 6)
+        series = [rec]
+        if case == "multiplicative":
+            # The margin holds with slack, so every residual would be zero.
+            # A slight upward tilt of the energy series puts each node just
+            # over the bound, where a last-bit change of a term still shows.
+            series.append(replace(rec, l2_sq=rec.l2_sq + 2.0 * rec.times))
+        for r in series:
+            for snaps in self.subsets(r, rows):
+                self.assert_same(replace(r, snapshots=snaps), spec)
+        assert np.all(energy_audit(series[-1], spec)[1]["residuals"] != 0.0)
+
+    @pytest.mark.parametrize("grid", [Grid(1, 8.0, 65), Grid(2, 4.0, 17)],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("case", ["additive", "deterministic"])
+    def test_custom_reaction(self, case, grid):
+        spec = replace(self.SPECS[case], nonlinearity=self.CUSTOM)
+        rows = analysis._AUDIT_BLOCK_FLOATS // grid.n ** grid.dim
+        self.assert_same(self.record(spec, grid, 0.3, rows + 3), spec)
 
 
 class TestTailCheck:

@@ -7,8 +7,8 @@ import pytest
 
 from plrds import analysis
 from plrds.cli import main
-from plrds.config import (_SCHEMA, EXPERIMENTS, ConfigError, RunConfig,
-                          _float, _float_list, _str_list, config_errors,
+from plrds.config import (_SCHEMA, EXPERIMENTS, MAX_AUDIT_FLOATS,
+                          ConfigError, RunConfig, _float, _float_list, _str_list, config_errors,
                           parse_config)
 from plrds.fields import Grid
 from plrds.integrator import StepperConfig
@@ -355,6 +355,12 @@ OVERRIDE_PROBES = {
                               "warmup = 0\nhorizon = 0.01\n",
                               "line 5: audit needs snapshots at three or "
                               "more consecutive nodes"),
+    # 8,001 snapshots of 257^2 nodes: 4.2 GB of float64.
+    "energy-audit-snapshot-bound": (["energy-audit"], {},
+                                    "[grid]\ndim = 2\nn = 257\n"
+                                    "[experiment]\nhorizon = 8\n",
+                                    "line 5: audit snapshots would hold "
+                                    "528,458,049 floats, over 67,108,864"),
 }
 
 
@@ -382,6 +388,17 @@ class TestOverrides:
         with pytest.raises(ConfigError) as err:
             parse_config(text, experiment="energy-audit")
         assert [e[:7] for e in err.value.errors] == ["line 4:", "line 5:"]
+
+    def test_audit_snapshot_bound_is_inclusive(self):
+        # 8,192 snapshots of 8,192 nodes is exactly the bound.
+        text = ("[grid]\nn = {n}\n[stepper]\ndt = 0.5\n[experiment]\n"
+                "horizon = 4095.5\n")
+        assert MAX_AUDIT_FLOATS == 8192 * 8192
+        assert parse_config(text.format(n=8192),
+                            experiment="energy-audit").n == 8192
+        with pytest.raises(ConfigError, match="floats, over 67,108,864"):
+            parse_config(text.format(n=8193), experiment="energy-audit")
+        assert parse_config(text.format(n=8193), experiment="simulate")
 
     def test_noise_keys_are_checked_where_a_path_is_built(self):
         text = ("[problem]\nnoise_case = deterministic\n[stepper]\n"

@@ -190,6 +190,27 @@ class TestKernelOracle:
         ref_lap[grid_arrays(grid).boundary] = 0.0
         assert p_laplace(u, p, delta).values.tobytes() == ref_lap.tobytes()
 
+    @pytest.mark.parametrize("grid", [Grid(1, 7.0, 64), Grid(2, 7.0, 18)],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    def test_stacked_rows_match_single_calls(self, grid, p, delta):
+        dim, dx = grid.dim, grid.dx
+        stack = np.stack([self.signed_zero_values(grid, s) for s in range(5)])
+        other = self.signed_zero_values(grid, 11)
+        grads = [g for g, _ in _face_data(other, dim, dx, 2.0, 0.0)]
+        faces = _face_data(stack, dim, dx, p, delta)
+        pair = _pairing(faces, dx)
+        cross = _pairing(faces, dx, grads)
+        assert pair.shape == cross.shape == (5,)
+        for r, v in enumerate(stack):
+            row = _face_data(v, dim, dx, p, delta)
+            for (g, c), (rg, rc) in zip(faces, row):
+                assert g[r].tobytes() == rg.tobytes()
+                assert c[r].tobytes() == rc.tobytes()
+            assert pair[r].hex() == _pairing(row, dx).hex()
+            assert cross[r].hex() == _pairing(row, dx, grads).hex()
+
 
 class TestRecordedQuadratures:
     """SHA-256 of the float arrays diss_p and diss_q of one recorded run per
