@@ -231,8 +231,11 @@ def absorbing_check(tau: float, spec: ProblemSpec, paths, initials,
             rows.append((path.seed, h, worst, bound, bool(worst <= bound)))
         failures.extend(result.failures)
     sat_by_h = {h: all(r[4] for r in rows if r[1] == h) for h in horizons}
-    entry = next((h for i, h in enumerate(horizons)
-                  if all(sat_by_h[hh] for hh in horizons[i:])), None)
+    entry = None
+    for i, h in enumerate(horizons):
+        if all(sat_by_h[hh] for hh in horizons[i:]):
+            entry = h
+            break
     largest = horizons[-1]
     per_path = [(r[0], r[4], r[3] - r[2]) for r in rows if r[1] == largest]
     radius_sq = max((r[3] for r in rows), default=float("nan"))
@@ -287,10 +290,11 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec):
     en, nodes = en[kk], list(zip(zk.tolist(), times.tolist()))
     if record.case == "multiplicative":
         fn = ForcingNorms(spec, grid)
-        exp_p, exp_q, rhs = np.array([(
-            math.exp(a * (spec.p - 2.0) * s), math.exp(a * (spec.q - 2.0) * s),
-            2.0 * math.exp(-2.0 * a * s) * fn.psi1_l1(t) + (4.0 / spec.lam)
-            * math.exp(-2.0 * a * s) * fn.g_l2_sq(t)) for s, t in nodes]).T
+        exp_p = np.array([math.exp(a * (spec.p - 2.0) * s) for s, _ in nodes])
+        exp_q = np.array([math.exp(a * (spec.q - 2.0) * s) for s, _ in nodes])
+        rhs = np.array([2.0 * math.exp(-2.0 * a * s) * fn.psi1_l1(t)
+                        + (4.0 / spec.lam) * math.exp(-2.0 * a * s)
+                        * fn.g_l2_sq(t) for s, t in nodes])
     else:
         g_t = np.array([spec.g_time(t) for _, t in nodes]).reshape(col)
         h_grads = [g for g, _ in _face_data(ctx.h, dim, dx, 2.0, 0.0)]
@@ -304,7 +308,8 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec):
                    + (1.75 * spec.lam - 2.0 * a * zk[b]) * en[b]
                    + 2.0 * spec.gamma1 * exp_q[b]
                    * (wts * np.abs(v) ** spec.q).sum(axes)) - rhs[b]
-            residuals[b] = np.where(gap > 0.0, gap, 0.0)    # max(0.0, gap)
+            # max(0.0, gap) as before: nan gives 0.0, unlike np.maximum.
+            residuals[b] = np.where(gap > 0.0, gap, 0.0)
             continue
         w = co.w_of(v, zk[b].reshape(col), ctx)
         faces = _face_data(w, dim, dx, spec.p, spec.delta)
