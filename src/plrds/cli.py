@@ -98,10 +98,10 @@ def _single_seed_inputs(cfg: RunConfig):
             _initials(cfg, 1)[0])
 
 
-def _series_rows(rec) -> list:
-    """One (t, l2_sq, grad_p, q_norm, z, eta) row per node of a record."""
-    gp = np.asarray(rec.diss_p) ** (1.0 / rec.p)
-    qn = np.asarray(rec.diss_q) ** (1.0 / rec.q)
+def _series_rows(rec, spec) -> list:
+    """One (t, l2_sq, grad_p, q_norm, z, eta) row per node of spec's record."""
+    gp = np.asarray(rec.diss_p) ** (1.0 / spec.p)
+    qn = np.asarray(rec.diss_q) ** (1.0 / spec.q)
     return list(zip(rec.times, rec.l2_sq, gp, qn, rec.z, rec.eta))
 
 
@@ -126,7 +126,8 @@ def _run_simulate(cfg: RunConfig, out: Path):
     endpoint, rec = cocycle_apply(cfg.horizon, cfg.tau, path, u0, spec,
                                   stepper, with_record=True)
     files = [out / "series.csv"]
-    _write_csv(files[0], "t,l2_sq,grad_p,q_norm,z,eta", _series_rows(rec))
+    _write_csv(files[0], "t,l2_sq,grad_p,q_norm,z,eta",
+               _series_rows(rec, spec))
     _write_field(cfg, out, "endpoint", endpoint, files)
     return files, {"endpoint_l2_sq": l2_sq(endpoint),
                    "final_time": cfg.tau + cfg.horizon}, []
@@ -159,7 +160,7 @@ def _run_energy_audit(cfg: RunConfig, out: Path):
     max_res, series = analysis.energy_audit(rec, spec)
     res_at = dict(zip(series["nodes"], series["residuals"]))
     rows = [row + (res_at.get(k, float("nan")),)
-            for k, row in enumerate(_series_rows(rec)[k0:], k0)]
+            for k, row in enumerate(_series_rows(rec, spec)[k0:], k0)]
     files = [out / "energy.csv"]
     _write_csv(files[0], "t,l2_sq,grad_p,q_norm,z,eta,residual", rows)
     return files, {"max_abs_residual": max_res,

@@ -82,7 +82,6 @@ class TrajectoryRecord:
     model, v itself otherwise).  snapshots maps node index -> v-field.
     """
 
-    case: str
     tau: float
     dt: float
     times: np.ndarray = None
@@ -91,8 +90,6 @@ class TrajectoryRecord:
     diss_q: np.ndarray = None
     z: np.ndarray = None
     eta: np.ndarray = None
-    p: float = 3.0
-    q: float = 4.0
     snapshots: dict = field(default_factory=dict)
 
 
@@ -349,9 +346,8 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
     dps[0] = p_dissipation(w0, spec.p, spec.delta)
     dqs[0] = lebesgue_pow(w0, spec.q)
     return out, TrajectoryRecord(
-        case=spec.noise_case, tau=tau, dt=dt,
-        times=tau + np.arange(nsteps + 1) * dt, l2_sq=l2s, diss_p=dps,
-        diss_q=dqs, z=z, eta=eta, p=spec.p, q=spec.q, snapshots=snapshots)
+        tau=tau, dt=dt, times=tau + np.arange(nsteps + 1) * dt, l2_sq=l2s,
+        diss_p=dps, diss_q=dqs, z=z, eta=eta, snapshots=snapshots)
 
 
 @dataclass
