@@ -24,7 +24,7 @@ from .fields import (EndpointEnsemble, Field, Grid, _face_data, _pairing,
                      make_field, tail_mass)
 from .integrator import (StepperConfig, TrajectoryRecord, cocycle_apply,
                          pullback_run, _context, _COUPLINGS, _noise_arrays)
-from .noise import _cumtrapz, snap_steps
+from .noise import _cumtrapz, raise_first, snap_steps
 from .problem import ForcingNorms, ProblemSpec, check_growth_condition
 
 DEFAULT_GRID = Grid(1, 8.0, 257)
@@ -32,6 +32,17 @@ DEFAULT_C = 4.0
 DEFAULT_QUAD_TOL = 1e-12
 _AUDIT_BLOCK_FLOATS = 8192     # per stacked energy_audit array: 64 KiB
 _SAMPLER_KEY = 0x1B1D
+# Rules on arguments that a config also sets; the parser checks them too.
+_ARG_RULES = {"c": (lambda c: c > 0, "c must be > 0"),
+              "quad_tol": (lambda x: 0 < x < 1, "quad_tol must be in (0, 1)"),
+              "cluster_tol": (lambda x: x >= 0, "cluster_tol must be ≥ 0"),
+              "n_sigma": (lambda n: n >= 2, "n_sigma must be ≥ 2")}
+
+
+def _check_args(**args) -> None:
+    """Raise the message of the first _ARG_RULES rule that args break."""
+    raise_first([(name, _ARG_RULES[name][1]) for name, x in args.items()
+                 if not _ARG_RULES[name][0](x)])
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +155,7 @@ def absorbing_radius(tau: float, path, spec: ProblemSpec,
     The bound is on ||u(tau)||^2.  The noise-free case ignores path.  Warns
     when an additive alpha exceeds the admissibility threshold.
     """
+    _check_args(quad_tol=quad_tol, c=c)
     case = spec.noise_case
     if case == "additive" and spec.alpha > spec.alpha_max:
         warnings.warn(f"alpha={spec.alpha} exceeds the admissible threshold "
@@ -214,6 +226,7 @@ def absorbing_check(tau: float, spec: ProblemSpec, paths, initials,
     horizon, started from every initial state, against the path's absorbing
     bound.
     """
+    _check_args(quad_tol=quad_tol, c=c)
     horizons = sorted(float(h) for h in horizons)
     if not paths or not initials or not horizons:
         raise ValueError("absorbing_check needs at least one path, one "
@@ -259,7 +272,7 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec):
 
     additive        u = w = v + eps h z, m = eta, c_p = c_f = 1
     multiplicative  u = e^{alpha z} v, w = v, m = z,
-                    c_p = e^{alpha (p-2) z}, c_f = e^{-alpha z}, eps = 0
+                    c_p = e^{alpha (p-2) z}, c_f = e^{-alpha z}, no h terms
     noise-free      u = w = v, z = eta = 0, c_p = c_f = 1
 
     with centered differences in time; the residual is O(dt + dx^2) on smooth
@@ -298,11 +311,9 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec):
     ones = np.ones(len(interior))
     mod, eps, c_p, c_f, to_u = ek, spec.epsilon, ones, ones, ones
     if spec.noise_case == "multiplicative":
-        zs = zk.tolist()
         mod, eps = zk, 0.0
-        c_p = np.array([math.exp(a * (spec.p - 2.0) * s) for s in zs])
-        c_f = np.array([math.exp(-a * s) for s in zs])
-        to_u = np.array([math.exp(a * s) for s in zs])
+        c_p, c_f, to_u = (np.array([math.exp(a * e * s) for s in zk.tolist()])
+                          for e in (spec.p - 2.0, -1.0, 1.0))
     residuals = np.empty(len(interior))
     rows = max(1, _AUDIT_BLOCK_FLOATS // math.prod(grid.shape))
     for b in (slice(i, i + rows) for i in range(0, len(interior), rows)):
@@ -356,6 +367,7 @@ def tail_check(tau: float, spec: ProblemSpec, paths, u0: Field,
     positive and inside the grid; tails decrease pointwise in k.
     """
     grid = u0.grid
+    _check_args(n_sigma=n_sigma)
     if not paths:
         raise ValueError("tail_check needs at least one path")
     if horizon < 1.0:
@@ -424,6 +436,8 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
     non-contraction.  The failure entries of the pullback runs ride along
     as the ensemble's failures.
     """
+    if cluster_tol is not None:
+        _check_args(cluster_tol=cluster_tol)
     bound = absorbing_bound(tau, path, spec, quad_tol, grid, c)
     radius = math.sqrt(max(bound, 1e-30))
     if cluster_tol is None:

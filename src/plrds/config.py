@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dc_fields, replace
 
+from .analysis import _ARG_RULES
 from .fields import Grid
 from .integrator import StepperConfig
 from .noise import EtaConfig, snap_steps, violated
@@ -166,7 +167,8 @@ _SCHEMA["grid"]["l"] = _SCHEMA["grid"]["half_width"]
 
 
 def _scan(text: str):
-    """Tokenize into {(section, key): (raw_value, line_no)} plus errors."""
+    """Tokenize into {attribute: (raw_value, line_no, converter, key,
+    section)} plus errors; [grid] l and half_width are one attribute."""
     entries = {}
     errors = []
     section = None
@@ -195,12 +197,13 @@ def _scan(text: str):
             errors.append(f"line {lineno}: unknown key {key!r} in "
                           f"section [{section}]")
             continue
-        if (section, key) in entries:
-            first = entries[(section, key)][1]
+        attr, conv = _SCHEMA[section][key]
+        if attr in entries:
+            first = entries[attr][1]
             errors.append(f"line {lineno}: duplicate key {key!r} in section "
                           f"[{section}] (lines {first} and {lineno})")
             continue
-        entries[(section, key)] = (value, lineno)
+        entries[attr] = (value, lineno, conv, key, section)
     return entries, errors
 
 
@@ -278,14 +281,12 @@ def _validate(cfg: RunConfig, lines: dict, experiment) -> list:
          "alphas must be strictly decreasing"),
         ("n_seeds", cfg.n_seeds >= 1, "n_seeds must be ≥ 1"),
         ("n_initials", cfg.n_initials >= 1, "n_initials must be ≥ 1"),
-        ("c", cfg.c > 0, "c must be > 0"),
-        ("quad_tol", 0 < cfg.quad_tol < 1, "quad_tol must be in (0, 1)"),
-        ("cluster_tol", cfg.cluster_tol >= 0, "cluster_tol must be ≥ 0"),
         ("ball_radius", cfg.ball_radius > 0, "ball_radius must be > 0"),
         ("warmup", cfg.warmup >= 0, "warmup must be ≥ 0"),
         ("workers", cfg.workers >= 1, "workers must be ≥ 1"),
-        ("n_sigma", cfg.n_sigma >= 2, "n_sigma must be ≥ 2"),
-        ("formats", not bad, "unknown output formats: " + ", ".join(bad)))]
+        ("formats", not bad, "unknown output formats: " + ", ".join(bad)),
+        *((attr, holds(getattr(cfg, attr)), message)
+          for attr, (holds, message) in _ARG_RULES.items()))]
     return errors
 
 
@@ -300,9 +301,8 @@ def parse_config(text: str, **overrides) -> RunConfig:
     entries, errors = _scan(text)
     cfg = RunConfig()
     lines = {}
-    for (section, key), (raw, lineno) in sorted(entries.items(),
-                                                key=lambda kv: kv[1][1]):
-        attr, conv = _SCHEMA[section][key]
+    for attr, (raw, lineno, conv, key, section) in sorted(
+            entries.items(), key=lambda kv: kv[1][1]):
         try:
             setattr(cfg, attr, conv(raw))
             lines[attr] = lineno
@@ -319,12 +319,3 @@ def parse_config(text: str, **overrides) -> RunConfig:
 
 def _line_of(msg: str) -> int:
     return int(msg[5:msg.index(":")]) if msg.startswith("line ") else 0
-
-
-def config_errors(text: str) -> list:
-    """All validation errors for a config text; empty when valid."""
-    try:
-        parse_config(text)
-        return []
-    except ConfigError as exc:
-        return exc.errors

@@ -1,6 +1,7 @@
 """Diagnostics: absorbing radii, energy audit, tail masses, attractor sets."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -89,6 +90,14 @@ class TestAbsorbingRadii:
         b = absorbing_radius(0.0, path, spec, quad_tol=1e-12, grid=GRID)
         assert abs(a.radius - b.radius) <= 1e-7 * b.radius
         assert b.truncation >= a.truncation
+
+    def test_rejects_what_the_parser_rejects(self):
+        spec = ProblemSpec(noise_case="additive")
+        with pytest.raises(ValueError, match=re.escape(
+                "quad_tol must be in (0, 1)")):
+            absorbing_radius(0.0, zero_path(), spec, quad_tol=2.0, grid=GRID)
+        with pytest.raises(ValueError, match="c must be > 0"):
+            absorbing_radius(0.0, zero_path(), spec, grid=GRID, c=-4.0)
 
     @pytest.mark.parametrize("case, keys", [
         ("additive", ["constant", "noise", "g", "psi"]),
@@ -392,7 +401,7 @@ class TestAuditOracle:
 
     @pytest.mark.parametrize("grid", [Grid(1, 8.0, 65), Grid(2, 4.0, 17)],
                              ids=["1d", "2d"])
-    @pytest.mark.parametrize("case", ["additive", "deterministic"])
+    @pytest.mark.parametrize("case", sorted(SPECS))
     def test_custom_reaction(self, case, grid):
         spec = replace(self.SPECS[case], nonlinearity=self.CUSTOM)
         rows = analysis._AUDIT_BLOCK_FLOATS // grid.n ** grid.dim
@@ -429,6 +438,9 @@ class TestTailCheck:
                        k_list=(0.0, 2.0), cfg=CFG)
         with pytest.raises(ValueError, match="at least one path"):
             tail_check(0.0, spec, [], u0, horizon=1.0, cfg=CFG)
+        with pytest.raises(ValueError, match="n_sigma must be ≥ 2"):
+            tail_check(0.0, spec, paths(0), u0, horizon=1.0, cfg=CFG,
+                       n_sigma=0)
 
     def test_warns_when_cutoff_leaves_domain(self):
         spec = ProblemSpec(noise_case="additive")
@@ -463,6 +475,9 @@ class TestEstimateAttractor:
                                   grid=GRID, cfg=CFG, cluster_tol=1e-15,
                                   check_contraction=False)
         assert 1 <= len(fine) <= 3
+        with pytest.raises(ValueError, match="cluster_tol must be ≥ 0"):
+            estimate_attractor(0.0, spec, path, horizon=2.0, grid=GRID,
+                               cfg=CFG, cluster_tol=-1.0)
 
     def test_tag_records_absorbing_radius(self):
         spec = ProblemSpec(noise_case="additive")

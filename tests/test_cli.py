@@ -8,12 +8,19 @@ import pytest
 from plrds import analysis
 from plrds.cli import main
 from plrds.config import (_SCHEMA, EXPERIMENTS, MAX_AUDIT_FLOATS,
-                          ConfigError, RunConfig, _float, _float_list, _str_list, config_errors,
-                          parse_config)
+                          ConfigError, RunConfig, _float, _float_list,
+                          _str_list, parse_config)
 from plrds.fields import Grid
 from plrds.integrator import StepperConfig
 from plrds.noise import EtaConfig
 from plrds.problem import NonlinearitySpec, ProblemSpec
+
+
+def errors_of(text: str) -> list:
+    """The errors of a config text the parser must reject."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    return err.value.errors
 
 
 def base_config(out_dir, **overrides) -> str:
@@ -76,45 +83,46 @@ class TestParseConfig:
         assert cfg.q == 6.0
 
     def test_duplicate_key_reports_both_lines(self):
-        text = "[stepper]\ndt = 0.001\ndt = 0.002\n"
-        with pytest.raises(ConfigError) as err:
-            parse_config(text)
-        msg = "\n".join(err.value.errors)
+        msg = "\n".join(errors_of("[stepper]\ndt = 0.001\ndt = 0.002\n"))
         assert "duplicate key 'dt'" in msg
         assert "lines 2 and 3" in msg
+        # [grid] l is half_width under another name.
+        assert errors_of("[grid]\nl = 6\nhalf_width = 7\n") == [
+            "line 3: duplicate key 'half_width' in section [grid] "
+            "(lines 2 and 3)"]
 
     def test_unknown_key_and_section(self):
-        errors = config_errors("[stepper]\ncourant = 0.5\n[fluxes]\nx = 1\n")
+        errors = errors_of("[stepper]\ncourant = 0.5\n[fluxes]\nx = 1\n")
         assert any("line 2: unknown key 'courant'" in e for e in errors)
         assert any("line 3: unknown section [fluxes]" in e for e in errors)
         # keys inside an unknown section are not re-reported
         assert not any("line 4" in e for e in errors)
 
     def test_key_before_section(self):
-        errors = config_errors("dt = 0.001\n")
+        errors = errors_of("dt = 0.001\n")
         assert any("line 1" in e and "before any [section]" in e
                    for e in errors)
 
     def test_invalid_value_carries_line(self):
-        errors = config_errors("[stepper]\ndt = fast\n")
+        errors = errors_of("[stepper]\ndt = fast\n")
         assert any(e.startswith("line 2: invalid value for 'dt'")
                    for e in errors)
 
     def test_cross_field_q_ge_p(self):
-        errors = config_errors("[problem]\np = 4\nq = 3\n")
+        errors = errors_of("[problem]\np = 4\nq = 3\n")
         assert any("line 3" in e and "q must be ≥ p" in e for e in errors)
 
     def test_experiment_name_key_is_unknown(self):
         # The subcommand names the experiment; a config cannot.
-        errors = config_errors("[experiment]\nname = simulate\n")
+        errors = errors_of("[experiment]\nname = simulate\n")
         assert errors == ["line 2: unknown key 'name' in section [experiment]"]
 
     def test_horizons_must_ascend(self):
-        errors = config_errors("[experiment]\nhorizons = 8,4\n")
+        errors = errors_of("[experiment]\nhorizons = 8,4\n")
         assert any("horizons must be ascending" in e for e in errors)
 
     def test_bad_output_format(self):
-        errors = config_errors("[output]\nformats = csv,parquet\n")
+        errors = errors_of("[output]\nformats = csv,parquet\n")
         assert any("unknown output formats: parquet" in e for e in errors)
 
     def test_errors_sorted_by_line(self):
@@ -124,13 +132,13 @@ class TestParseConfig:
                 "dt = nope\n"      # line 4: invalid value
                 "[output]\n"
                 "formats = tsv\n")  # line 6: unknown format
-        errors = config_errors(text)
+        errors = errors_of(text)
         nums = [int(e.split()[1].rstrip(":")) for e in errors
                 if e.startswith("line ")]
         assert nums == sorted(nums) and len(nums) >= 3
 
-    def test_config_errors_empty_for_valid(self):
-        assert config_errors("[problem]\nq = 5\n") == []
+    def test_valid_config_parses(self):
+        assert parse_config("[problem]\nq = 5\n").q == 5.0
 
     def test_builders(self):
         cfg = parse_config("[problem]\nnoise_case = multiplicative\n"
@@ -235,6 +243,7 @@ PROBES = {
     "custom-expression": ("[problem]\nf_kind = custom\nf_expression = s +\n",
                           3),
     "lam-nan": ("[problem]\nlam = nan\n", 2),
+    "l-and-half_width": ("[grid]\nl = 6\nhalf_width = 7\n", 3),
     "gamma-nan": ("[problem]\ngamma = nan\n", 2),
     "tau-inf": ("[experiment]\ntau = inf\n", 2),
     "horizon-inf": ("[experiment]\nhorizon = inf\n", 2),
@@ -305,9 +314,9 @@ class TestParameterRules:
     def test_constructor_and_config_share_message(self, name):
         text, build = ONE_COPY[name]
         last = text.count("\n")
-        errors = [e for e in config_errors(text)
+        errors = [e for e in errors_of(text)
                   if e.startswith(f"line {last}: ")]
-        assert len(errors) == 1, config_errors(text)
+        assert len(errors) == 1, errors_of(text)
         with pytest.raises(ValueError) as exc:
             build()
         assert str(exc.value) == re.sub(r"^line \d+: ", "", errors[0])

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from plrds import cli
+from plrds.config import FAN_OUT
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
 
@@ -144,9 +145,7 @@ def test_report_bytes_match_golden(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(
-    name for name, (experiment, _) in RUNS.items()
-    if experiment in ("absorb-check", "tail-check", "usc-sweep",
-                      "periodicity-check")))
+    name for name, (experiment, _) in RUNS.items() if experiment in FAN_OUT))
 def test_pool_writes_the_golden_bytes(name, tmp_path):
     # The fan-out experiments send noise paths to two worker processes.
     expected = _fixture()[name]
