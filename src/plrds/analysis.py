@@ -19,9 +19,9 @@ from functools import partial
 
 import numpy as np
 
-from .fields import (EndpointEnsemble, Field, Grid, _face_data, _pairing,
-                     grid_arrays, hausdorff_semidistance, l2_distance, l2_sq,
-                     make_field, tail_mass)
+from .fields import (_BLOCK_FLOATS, EndpointEnsemble, Field, Grid,
+                     _face_data, _pairing, grid_arrays, hausdorff_semidistance,
+                     l2_distance, l2_sq, make_field, tail_mass)
 from .integrator import (StepperConfig, TrajectoryRecord, cocycle_apply,
                          pullback_run, _context, _COUPLINGS, _noise_arrays)
 from .noise import _cumtrapz, raise_first, snap_steps
@@ -30,13 +30,13 @@ from .problem import ForcingNorms, ProblemSpec, check_growth_condition
 DEFAULT_GRID = Grid(1, 8.0, 257)
 DEFAULT_C = 4.0
 DEFAULT_QUAD_TOL = 1e-12
-_AUDIT_BLOCK_FLOATS = 8192     # per stacked energy_audit array: 64 KiB
 _SAMPLER_KEY = 0x1B1D
 # Rules on arguments that a config also sets; the parser checks them too.
 _ARG_RULES = {"c": (lambda c: c > 0, "c must be > 0"),
               "quad_tol": (lambda x: 0 < x < 1, "quad_tol must be in (0, 1)"),
               "cluster_tol": (lambda x: x >= 0, "cluster_tol must be ≥ 0"),
-              "n_sigma": (lambda n: n >= 2, "n_sigma must be ≥ 2")}
+              "n_sigma": (lambda n: n >= 2, "n_sigma must be ≥ 2"),
+              "horizon": (lambda h: h > 0, "horizon must be > 0")}
 
 
 def _check_args(**args) -> None:
@@ -296,7 +296,7 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec):
     ctx = _context(spec, grid)
     co = _COUPLINGS[spec.noise_case]
     wts, dim, dx, a = ctx.arrs.weights, grid.dim, grid.dx, spec.alpha
-    col, axes = (-1,) + (1,) * dim, tuple(range(-dim, 0))
+    axes = tuple(range(-dim, 0))
     # Node series with the float operations of one node each; coefficients
     # through exp, pow, sin and cos are per-node scalars.
     kk = np.array(interior)
@@ -305,7 +305,7 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec):
     zk = (z[kk - 1] + 2.0 * z[kk] + z[kk + 1]) / 4.0
     ek = (eta[kk - 1] + 2.0 * eta[kk] + eta[kk + 1]) / 4.0
     en, ts = en[kk], times.tolist()
-    g_t = np.array([spec.g_time(t) for t in ts]).reshape(col)
+    factors = ctx.factors(ts)
     h_grads = [g for g, _ in _face_data(ctx.h, dim, dx, 2.0, 0.0)]
     # The case picks the coefficients; a factor of 1.0 multiplies exactly.
     ones = np.ones(len(interior))
@@ -315,19 +315,20 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec):
         c_p, c_f, to_u = (np.array([math.exp(a * e * s) for s in zk.tolist()])
                           for e in (spec.p - 2.0, -1.0, 1.0))
     residuals = np.empty(len(interior))
-    rows = max(1, _AUDIT_BLOCK_FLOATS // math.prod(grid.shape))
+    rows = max(1, _BLOCK_FLOATS // math.prod(grid.shape))
     for b in (slice(i, i + rows) for i in range(0, len(interior), rows)):
         v = np.stack([snaps[k].values for k in interior[b]])
-        w = co.w_of(v, zk[b].reshape(col), ctx)
-        u = to_u[b].reshape(col) * w
+        w = co.w_of(v, zk[b], ctx)
+        u = ctx.col(to_u[b]) * w
         faces = _face_data(w, dim, dx, spec.p, spec.delta)
-        f = np.stack([ctx.f_of(t, r) for t, r in zip(ts[b], u)])
+        g, phi = ctx.profiles(factors[:, b])
+        f = ctx.f_rows(ts[b], u, phi)
         residuals[b] = (
             dE[b] + 2.0 * (spec.lam - a * mod[b]) * en[b]
             + (2.0 * c_p[b]) * _pairing(faces, dx)) - (
             2.0 * eps * zk[b] * _pairing(faces, dx, h_grads)
             + (2.0 * c_f[b]) * (wts * f * v).sum(axes)
-            + (2.0 * c_f[b]) * (wts * (g_t[b] * ctx.gauss) * v).sum(axes)
+            + (2.0 * c_f[b]) * (wts * g * v).sum(axes)
             + 2.0 * a * eps * ek[b] * zk[b]
             * (wts * ctx.h * v).sum(axes))
     return float(np.max(np.abs(residuals))), {
@@ -436,6 +437,7 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
     non-contraction.  The failure entries of the pullback runs ride along
     as the ensemble's failures.
     """
+    _check_args(horizon=horizon)
     if cluster_tol is not None:
         _check_args(cluster_tol=cluster_tol)
     bound = absorbing_bound(tau, path, spec, quad_tol, grid, c)
@@ -492,6 +494,7 @@ def usc_sweep(tau: float, spec: ProblemSpec, paths,
     alphas must be strictly decreasing and nonnegative.  failures holds the
     pullback failures of A_0 and of every A_alpha, each tagged with its alpha.
     """
+    _check_args(horizon=horizon)
     if not paths:
         raise ValueError("usc_sweep needs at least one path")
     alphas = tuple(float(a) for a in alphas)

@@ -31,12 +31,22 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
+    """Numbers at %.17g, bools as true/false, strs as they are (with the
+    same True/False lowercasing); one format string per row's cell types."""
+    formats = {}
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, (str, bool))
-                              else _fmt(c) for c in row)
-                     .replace("True", "true").replace("False", "false") + "\n")
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                text = [issubclass(k, (str, bool)) for k in kinds]
+                formats[kinds] = ",".join("%s" if t else "%.17g"
+                                          for t in text) + "\n", any(text)
+            fmt, has_text = formats[kinds]
+            if has_text:
+                row = [str(c).replace("True", "true").replace("False", "false")
+                       if isinstance(c, (str, bool)) else c for c in row]
+            fh.write(fmt % tuple(row))
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -263,7 +263,6 @@ def _validate(cfg: RunConfig, lines: dict, experiment) -> list:
         ("noise_dt", cfg.noise_dt >= 0,
          "noise dt must be ≥ 0 (0 = stepper dt)"),
         ("block_length", cfg.block_length > 0, "block_length must be > 0"),
-        ("horizon", cfg.horizon > 0, "horizon must be > 0"),
         ("horizon", experiment != "tail-check" or cfg.horizon >= 1,
          "tail_check samples the last time unit; horizon >= 1"),
         ("horizon", experiment != "energy-audit" or cfg.horizon > cfg.dt,

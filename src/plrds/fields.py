@@ -25,6 +25,8 @@ import numpy as np
 
 from .noise import raise_first, violated
 
+_BLOCK_FLOATS = 8192     # floats per stacked row-block array: 64 KiB
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -64,6 +66,7 @@ def grid_arrays(grid: Grid) -> SimpleNamespace:
         weights = w1
         boundary = np.zeros(grid.n, dtype=bool)
         boundary[0] = boundary[-1] = True
+        edges = (0, -1)
         xx, yy = x, None
     else:
         xx, yy = np.meshgrid(x, x, indexing="ij")
@@ -72,9 +75,11 @@ def grid_arrays(grid: Grid) -> SimpleNamespace:
         boundary = np.zeros((grid.n, grid.n), dtype=bool)
         boundary[0, :] = boundary[-1, :] = True
         boundary[:, 0] = boundary[:, -1] = True
+        edges = (0, -1, (slice(None), 0), (slice(None), -1))
+    # edges index the boundary in slices, which zero it faster than the mask.
     return SimpleNamespace(coords=x, x=xx, y=yy, radial_sq=radial_sq,
                            radial=np.sqrt(radial_sq), weights=weights,
-                           boundary=boundary, dx=grid.dx)
+                           boundary=boundary, edges=edges, dx=grid.dx)
 
 
 @dataclass(frozen=True)
@@ -206,10 +211,15 @@ def flux_pairing(u: Field, other: Field, p: float, delta: float = 0.0) -> float:
     return _pairing(_face_data(u.values, dim, dx, p, delta), dx, grads)
 
 
+def _lebesgue(values: np.ndarray, weights: np.ndarray, r: float):
+    """sum weights |values|^r over the trailing grid axes; leading axes are
+    rows, with one value per row."""
+    return (weights * np.abs(values) ** r).sum(tuple(range(-weights.ndim, 0)))
+
+
 def lebesgue_pow(u: Field, r: float) -> float:
     """Trapezoid quadrature of ||u||_r^r."""
-    arrs = grid_arrays(u.grid)
-    return float((arrs.weights * np.abs(u.values) ** r).sum())
+    return float(_lebesgue(u.values, grid_arrays(u.grid).weights, r))
 
 
 def l2_sq(u: Field) -> float:

@@ -28,13 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fields import (EndpointEnsemble, EnsembleTag, Field, Grid, _face_data,
-                     _lap_faces, _pairing, grid_arrays, lebesgue_pow,
-                     make_field, p_dissipation)
+from .fields import (_BLOCK_FLOATS, EndpointEnsemble, EnsembleTag, Field,
+                     Grid, _face_data, _lap_faces, _lebesgue, _pairing,
+                     grid_arrays, lebesgue_pow, make_field, p_dissipation)
 from .noise import (_ou_and_eta, ou_from_path, raise_first, snap_steps,
                     violated)
 from .problem import ProblemSpec
@@ -107,12 +108,46 @@ class _ModelContext:
         self.gauss = make_field(grid, np.exp(-arrs.radial_sq)).values
         self.x = arrs.x
         self.y = arrs.y if grid.dim == 2 else 0.0
+        self.grid_axes = (1,) * grid.dim
+        self.split_f = spec.nonlinearity.kind != "custom"
 
-    def f_of(self, t: float, w: np.ndarray) -> np.ndarray:
-        return self.spec.f_pointwise(t, self.x, self.y, w, self.gauss)
+    def col(self, x):
+        """A scalar or a sequence with unit grid axes appended, so that it
+        scales a profile with one row per entry."""
+        x = np.asarray(x)
+        return x.reshape(x.shape + self.grid_axes)
+
+    def f_of(self, t: float, w: np.ndarray, phi=None) -> np.ndarray:
+        """f(t, w) at the nodes; phi, if given, is phi(t) gauss, the forcing
+        part of f's default formula, already built."""
+        if phi is None:
+            return self.spec.f_pointwise(t, self.x, self.y, w, self.gauss)
+        return self.spec.reaction(w) + phi
 
     def g_of(self, t: float) -> np.ndarray:
         return self.spec.g_time(t) * self.gauss
+
+    def factors(self, ts):
+        """The scalar time factors of each t in ts, one call per t: g(t)
+        and, for the default f, phi(t), as columns against the grid axes."""
+        spec = self.spec
+        fac = [[spec.g_time(t) for t in ts]]
+        if self.split_f:
+            fac.append([spec.phi_time(t) for t in ts])
+        return self.col(fac)
+
+    def profiles(self, factors):
+        """g(t) gauss and phi(t) gauss (None for a custom f), one row per t,
+        from columns of factors in one NumPy call."""
+        rows = factors * self.gauss
+        return rows[0], (rows[1] if self.split_f else None)
+
+    def f_rows(self, ts, w: np.ndarray, phi) -> np.ndarray:
+        """f at the stacked rows w, row j at time ts[j]; phi holds their
+        phi(t) gauss rows, None for a custom f."""
+        if phi is None:
+            return np.stack([self.f_of(t, r) for t, r in zip(ts, w)])
+        return self.spec.reaction(w) + phi
 
 
 @lru_cache(maxsize=64)
@@ -124,27 +159,38 @@ def _context(spec: ProblemSpec, grid: Grid) -> _ModelContext:
 # Noise coupling: one table entry per case.  Each case keeps its own
 # arithmetic; one formula with identity coefficients would not keep the bits
 # (x + 0.0*y turns -0.0 into +0.0, and 0*inf into nan).
+#
+# A step's arrays that do not depend on the state (the additive shifts and
+# noise term, g(t) gauss, phi(t) gauss) are its terms.  Term functions take
+# a scalar or a column of steps and return one row per step, so a chunk of
+# steps builds each term with one NumPy call; scalar coefficients through
+# exp, sin and cos stay per-step calls, which keeps every bit.
 # ---------------------------------------------------------------------------
 
-def _additive_rhs(v, w, lap, t, z, eta, ctx):
-    spec = ctx.spec
-    rhs = ((lap + ctx.f_of(t, w)) + ctx.g_of(t)) \
-        + (spec.alpha * spec.epsilon * eta * z) * ctx.h
-    return rhs, spec.lam - spec.alpha * eta
+def _additive_rhs(v, w, lap, t, z, eta, terms, ctx):
+    _, g, phi, noise = terms
+    rhs = ((lap + ctx.f_of(t, w, phi)) + g) + noise
+    return rhs, ctx.spec.lam - ctx.spec.alpha * eta
 
 
-def _multiplicative_rhs(v, w, lap, t, z, eta, ctx):
+def _multiplicative_rhs(v, w, lap, t, z, eta, terms, ctx):
+    _, g, phi, _ = terms
     spec = ctx.spec
     scale = math.exp(spec.alpha * z)
     rhs = ((math.exp(spec.alpha * (spec.p - 2.0) * z) * lap
             + (spec.alpha * z) * v)
-           + (1.0 / scale) * ctx.f_of(t, scale * v)) \
-        + (1.0 / scale) * ctx.g_of(t)
+           + (1.0 / scale) * ctx.f_of(t, scale * v, phi)) \
+        + (1.0 / scale) * g
     return rhs, spec.lam
 
 
-def _deterministic_rhs(v, w, lap, t, z, eta, ctx):
-    return (lap + ctx.f_of(t, v)) + ctx.g_of(t), ctx.spec.lam
+def _deterministic_rhs(v, w, lap, t, z, eta, terms, ctx):
+    _, g, phi, _ = terms
+    return (lap + ctx.f_of(t, v, phi)) + g, ctx.spec.lam
+
+
+def _same(z, ctx):
+    return z
 
 
 class _Coupling(NamedTuple):
@@ -152,48 +198,66 @@ class _Coupling(NamedTuple):
 
     ou_rate: Callable | None    # spec -> OU rate of z; None: no noise
     with_eta: bool              # eta modulates the damping rate
-    to_v: Callable              # (u, z, ctx) -> v at noise value z
-    to_u: Callable              # (v, z, ctx) -> u at noise value z
+    node: Callable              # (z, ctx) -> the term to_v/to_u apply at z
+    to_v: Callable              # (u, node term, ctx) -> v
+    to_u: Callable              # (v, node term, ctx) -> u
     w_is_u: bool                # the dissipation argument is u, else v
-    rhs: Callable               # (v, w, lap, t, z, eta, ctx) -> (RHS, rate a)
+    noise: Callable | None      # (z, eta, ctx) -> the additive noise term
+    rhs: Callable               # (v, w, lap, t, z, eta, terms, ctx) -> (RHS, a)
 
     def w_of(self, v, z, ctx):
-        """The dissipation argument of v at noise value z."""
-        return self.to_u(v, z, ctx) if self.w_is_u else v
+        """The dissipation argument of v at noise value(s) z."""
+        return self.to_u(v, self.node(z, ctx), ctx) if self.w_is_u else v
 
 
 _COUPLINGS = {
     "additive": _Coupling(
         lambda spec: spec.lam, True,
-        lambda u, z, ctx: u - (ctx.spec.epsilon * z) * ctx.h,
-        lambda v, z, ctx: v + (ctx.spec.epsilon * z) * ctx.h,
-        True, _additive_rhs),
+        lambda z, ctx: (ctx.spec.epsilon * ctx.col(z)) * ctx.h,
+        lambda u, s, ctx: u - s, lambda v, s, ctx: v + s, True,
+        lambda z, eta, ctx: (ctx.spec.alpha * ctx.spec.epsilon
+                             * ctx.col(eta) * ctx.col(z)) * ctx.h,
+        _additive_rhs),
     "multiplicative": _Coupling(
-        lambda spec: 1.0, False,
+        lambda spec: 1.0, False, _same,
         lambda u, z, ctx: math.exp(-ctx.spec.alpha * z) * u,
         lambda v, z, ctx: math.exp(ctx.spec.alpha * z) * v,
-        False, _multiplicative_rhs),
+        False, None, _multiplicative_rhs),
     "deterministic": _Coupling(
-        None, False, lambda u, z, ctx: u, lambda v, z, ctx: v,
-        False, _deterministic_rhs),
+        None, False, _same, lambda u, z, ctx: u, lambda v, z, ctx: v,
+        False, None, _deterministic_rhs),
 }
 
 
+def _terms(co: _Coupling, ctx: _ModelContext, factors, z, eta):
+    """Per step, from its time factors (ctx.factors) and midpoint noise z,
+    eta: the node term of its dissipation argument, g(t) gauss, phi(t)
+    gauss (None for a custom f) and the noise term (None outside the
+    additive model)."""
+    g, phi = ctx.profiles(factors)
+    none = repeat(None)
+    return zip(co.node(z, ctx), g, none if phi is None else phi,
+               co.noise(z, eta, ctx) if co.noise else none)
+
+
 def _single_step(co: _Coupling, vv: np.ndarray, t_eval: float, dtt: float,
-                 z_mid: float, eta_mid: float, ctx: _ModelContext, scheme: str):
-    """One explicit/IMEX update; returns (v_new, w, faces): the new state, the
-    step's dissipation argument and its face data, which a record sums."""
+                 z_mid: float, eta_mid: float, terms, ctx: _ModelContext,
+                 scheme: str):
+    """One explicit/IMEX update with the step's terms; returns (v_new, w,
+    faces): the new state, the step's dissipation argument and its face
+    data, which a record sums."""
     spec = ctx.spec
-    warg = co.w_of(vv, z_mid, ctx)
+    warg = co.to_u(vv, terms[0], ctx) if co.w_is_u else vv
     lap, faces = _lap_faces(warg, ctx.grid, spec.p, spec.delta)
-    rhs, a = co.rhs(vv, warg, lap, t_eval, z_mid, eta_mid, ctx)
+    rhs, a = co.rhs(vv, warg, lap, t_eval, z_mid, eta_mid, terms, ctx)
     if scheme == "explicit":
         out = vv + dtt * (rhs - a * vv)
     elif a == 0.0:
         out = vv + dtt * rhs
     else:
         out = math.exp(-a * dtt) * vv + (-math.expm1(-a * dtt) / a) * rhs
-    out[ctx.arrs.boundary] = 0.0
+    for edge in ctx.arrs.edges:
+        out[edge] = 0.0
     return out, warg, faces
 
 
@@ -207,16 +271,17 @@ def _weighted_sq(values: np.ndarray, ctx: _ModelContext) -> float:
     return float((ctx.arrs.weights * values * values).sum())
 
 
-def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, ctx, cfg):
+def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, terms, ctx, cfg):
     """One dt step with the divergence guard; halves into substeps on blowup.
 
-    Returns (v_new, ||vv||^2, ||v_new||^2, w, faces), the last two from the
-    last substep.  A StiffnessError reports as norm_after the norm of the
-    last rejected attempt."""
+    terms are the step's terms at its midpoint noise; substeps build their
+    own.  Returns (v_new, ||vv||^2, ||v_new||^2, w, faces), the last two
+    from the last substep.  A StiffnessError reports as norm_after the norm
+    of the last rejected attempt."""
     z_mid = 0.5 * (z0 + z1)
     eta_mid = 0.5 * (eta0 + eta1)
-    cand, warg, faces = _single_step(co, vv, t_eval, dtt, z_mid, eta_mid, ctx,
-                                     cfg.scheme)
+    cand, warg, faces = _single_step(co, vv, t_eval, dtt, z_mid, eta_mid,
+                                     terms, ctx, cfg.scheme)
     sq_old = _weighted_sq(vv, ctx)
     sq_new = _weighted_sq(cand, ctx)
     if _norm_ok(sq_old, sq_new):
@@ -233,8 +298,11 @@ def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, ctx, cfg):
                 frac = (i + 0.5) / nsub
                 zs = z0 + frac * (z1 - z0)
                 es = eta0 + frac * (eta1 - eta0)
-            nxt, warg, faces = _single_step(co, cur, t_eval + i * hs, hs, zs,
-                                            es, ctx, cfg.scheme)
+            ts = t_eval + i * hs
+            nxt, warg, faces = _single_step(
+                co, cur, ts, hs, zs, es,
+                next(_terms(co, ctx, ctx.factors([ts]), [zs], [es])), ctx,
+                cfg.scheme)
             sq_new = _weighted_sq(nxt, ctx)
             if not _norm_ok(sq_cur, sq_new):
                 break
@@ -262,14 +330,14 @@ def stable_dt_bound(u: Field, spec: ProblemSpec, safety: float = 0.2) -> float:
 
 def transform_u_to_v(u: Field, z: float, spec: ProblemSpec) -> Field:
     """The integrated variable v of u at noise value z, as a new field."""
-    to_v = _COUPLINGS[spec.noise_case].to_v
-    return Field(u.grid, np.array(to_v(u.values, z, _context(spec, u.grid))))
+    co, ctx = _COUPLINGS[spec.noise_case], _context(spec, u.grid)
+    return Field(u.grid, np.array(co.to_v(u.values, co.node(z, ctx), ctx)))
 
 
 def transform_v_to_u(v: Field, z: float, spec: ProblemSpec) -> Field:
     """The equation variable u of v at noise value z, as a new field."""
-    to_u = _COUPLINGS[spec.noise_case].to_u
-    return Field(v.grid, np.array(to_u(v.values, z, _context(spec, v.grid))))
+    co, ctx = _COUPLINGS[spec.noise_case], _context(spec, v.grid)
+    return Field(v.grid, np.array(co.to_u(v.values, co.node(z, ctx), ctx)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +388,38 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
     snapshots = {}
 
     # v at the first node, and at the last node reached so far.
-    v0 = vv_new = co.to_v(state, z[0], ctx)
-    for k in range(nsteps):
-        t_eval = ((tau_k + k) % m) * dt
-        vv = co.to_v(state, z[k], ctx)
-        vv_new, sq, sq_new, warg, faces = _macro_step(
-            co, vv, t_eval, dt, z[k], z[k + 1], eta[k], eta[k + 1], ctx, cfg)
+    v0 = vv_new = co.to_v(state, co.node(z[0], ctx), ctx)
+    ts = [((tau_k + k) % m) * dt for k in range(nsteps)]
+    factors = ctx.factors(ts)
+    z_mid, eta_mid = 0.5 * (z[:-1] + z[1:]), 0.5 * (eta[:-1] + eta[1:])
+    zs, es = z.tolist(), eta.tolist()
+    # Chunks of steps share one NumPy call per term and, in a record, one
+    # quadrature reduction per series over the chunk's stacked rows.
+    chunk = max(1, _BLOCK_FLOATS // math.prod(grid.shape))
+    for k0 in range(0, nsteps, chunk):
+        k1 = min(k0 + chunk, nsteps)
+        nodes = co.node(z[k0:k1 + 1], ctx)
+        terms = _terms(co, ctx, factors[:, k0:k1], z_mid[k0:k1],
+                       eta_mid[k0:k1])
+        wargs, faces = [], []
+        for j, step_terms in enumerate(terms):
+            k = k0 + j
+            vv = co.to_v(state, nodes[j], ctx)
+            vv_new, sq, sq_new, warg, fc = _macro_step(
+                co, vv, ts[k], dt, zs[k], zs[k + 1], es[k], es[k + 1],
+                step_terms, ctx, cfg)
+            if with_record:
+                l2s[k] = sq
+                if k in want:
+                    snapshots[k] = Field(grid, vv.copy())
+                wargs.append(warg)
+                faces.append(fc)
+            state = co.to_u(vv_new, nodes[j + 1], ctx)
         if with_record:
-            l2s[k] = sq
-            if k in want:
-                snapshots[k] = Field(grid, vv.copy())
-            dps[k + 1] = _pairing(faces, grid.dx)
-            dqs[k + 1] = lebesgue_pow(Field(grid, warg), spec.q)
-        state = co.to_u(vv_new, z[k + 1], ctx)
+            rows = slice(k0 + 1, k1 + 1)
+            dps[rows] = _pairing([tuple(map(np.array, zip(*d)))
+                                  for d in zip(*faces)], grid.dx)
+            dqs[rows] = _lebesgue(np.array(wargs), ctx.arrs.weights, spec.q)
 
     out = Field(grid, state)
     if not with_record:

@@ -222,7 +222,11 @@ class ProblemSpec:
             out = fn(t=t, x=x, y=y, s=s)
             return np.broadcast_to(np.asarray(out, dtype=float), np.shape(s)).copy() \
                 if np.shape(out) != np.shape(s) else out
-        return -nl.gamma * np.abs(s) ** (self.q - 2.0) * s + self.phi_time(t) * gauss
+        return self.reaction(s) + self.phi_time(t) * gauss
+
+    def reaction(self, s):
+        """The power part -gamma |s|^(q-2) s of the default f."""
+        return -self.nonlinearity.gamma * np.abs(s) ** (self.q - 2.0) * s
 
     def f_prime_pointwise(self, t, x, y, s):
         """d f/d s; analytic for the default family, central difference otherwise."""

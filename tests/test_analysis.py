@@ -393,7 +393,7 @@ class TestAuditOracle:
                              ids=["1d", "2d"])
     @pytest.mark.parametrize("case", sorted(SPECS))
     def test_bitwise_against_reference(self, case, grid, tau):
-        rows = analysis._AUDIT_BLOCK_FLOATS // grid.n ** grid.dim
+        rows = analysis._BLOCK_FLOATS // grid.n ** grid.dim
         spec = self.SPECS[case]
         rec = self.record(spec, grid, tau, 2 * rows + 6)
         for snaps in self.subsets(rec, rows):
@@ -404,7 +404,7 @@ class TestAuditOracle:
     @pytest.mark.parametrize("case", sorted(SPECS))
     def test_custom_reaction(self, case, grid):
         spec = replace(self.SPECS[case], nonlinearity=self.CUSTOM)
-        rows = analysis._AUDIT_BLOCK_FLOATS // grid.n ** grid.dim
+        rows = analysis._BLOCK_FLOATS // grid.n ** grid.dim
         self.assert_same(self.record(spec, grid, 0.3, rows + 3), spec)
 
 
@@ -478,6 +478,9 @@ class TestEstimateAttractor:
         with pytest.raises(ValueError, match="cluster_tol must be ≥ 0"):
             estimate_attractor(0.0, spec, path, horizon=2.0, grid=GRID,
                                cfg=CFG, cluster_tol=-1.0)
+        with pytest.raises(ValueError, match="horizon must be > 0"):
+            estimate_attractor(0.0, spec, path, horizon=0.0, grid=GRID,
+                               cfg=CFG)
 
     def test_tag_records_absorbing_radius(self):
         spec = ProblemSpec(noise_case="additive")
@@ -528,6 +531,9 @@ class TestUscSweep:
                       grid=GRID, cfg=CFG)
         with pytest.raises(ValueError, match="at least one path"):
             usc_sweep(0.0, spec, [], alphas=(0.1,), horizon=0.5,
+                      n_initials=1, grid=GRID, cfg=CFG)
+        with pytest.raises(ValueError, match="horizon must be > 0"):
+            usc_sweep(0.0, spec, paths(0), alphas=(0.1,), horizon=0.0,
                       n_initials=1, grid=GRID, cfg=CFG)
 
 

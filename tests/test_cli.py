@@ -292,6 +292,9 @@ ONE_COPY = {
     "eta_kind": ("[noise]\neta_kind = levy\n",
                  lambda: EtaConfig(kind="levy")),
     "eta_rate": ("[noise]\neta_rate = 0\n", lambda: EtaConfig(rate=0.0)),
+    "horizon": ("[experiment]\nhorizon = 0\n",
+                lambda: analysis.estimate_attractor(0.0, ProblemSpec(), None,
+                                                    horizon=0.0)),
 }
 
 
@@ -724,3 +727,46 @@ class TestDeterminism:
         monkeypatch.setenv("PLRDS_WORKERS", "2")
         assert main(["validate", "--config", str(p), "--workers", "3"]) == 0
         assert "workers=3" in capsys.readouterr().out
+
+
+class TestOneRowPerCall:
+    """Each cocycle_apply call evolves one state on one path, so a traced
+    run's step count, round(t / dt) summed over the calls, equals its rows
+    times their steps: the work shape of the absorb-check, estimate-attractor
+    and energy-audit benchmark workloads, here on small grids."""
+
+    WORKLOADS = {
+        # 2 seeds x 2 initial states x horizons 0.5, 1, 2
+        "absorb-check": ("[problem]\nnoise_case = additive\n[grid]\nn = 33\n"
+                         "[experiment]\nhorizons = 0.5, 1, 2\nn_seeds = 2\n"
+                         "n_initials = 2\n", 2 * 2 * (50 + 100 + 200)),
+        # 2 initial states at the horizon and at its half (contraction check)
+        "estimate-attractor": ("[problem]\nnoise_case = multiplicative\n"
+                               "[grid]\ndim = 2\nn = 17\n[experiment]\n"
+                               "horizon = 1\nn_initials = 2\n",
+                               2 * (50 + 100)),
+        # one run over the warmup and the audited horizon
+        "energy-audit": ("[problem]\nnoise_case = additive\n[grid]\nn = 33\n"
+                         "[experiment]\nwarmup = 0.5\nhorizon = 2.5\n", 300),
+    }
+
+    @pytest.mark.parametrize("command", sorted(WORKLOADS))
+    def test_steps_are_rows_times_steps(self, command, tmp_path,
+                                        monkeypatch):
+        from plrds import cli, integrator
+        apply, calls = integrator.cocycle_apply, []
+
+        def counted(t, tau, path, u_tau, spec, cfg, *args, **kwargs):
+            calls.append((u_tau.values.shape, round(t / cfg.dt)))
+            return apply(t, tau, path, u_tau, spec, cfg, *args, **kwargs)
+        for module in (integrator, analysis, cli):
+            if getattr(module, "cocycle_apply", None) is apply:
+                monkeypatch.setattr(module, "cocycle_apply", counted)
+        body, steps = self.WORKLOADS[command]
+        p = tmp_path / "run.ini"
+        p.write_text(body + f"workers = 1\n[stepper]\ndt = 0.01\n[output]\n"
+                            f"directory = {tmp_path / 'out'}\n")
+        assert main([command, "--config", str(p)]) == 0
+        grid = parse_config(p.read_text()).grid()
+        assert {shape for shape, _ in calls} == {grid.shape}
+        assert sum(n for _, n in calls) == steps

@@ -1,19 +1,21 @@
 """Time stepping: cocycle algebra, reductions, refinement order, guards."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from plrds import integrator
-from plrds.fields import (Field, Grid, flux_pairing, grid_arrays, l2_sq,
-                          lebesgue_pow, make_field, p_dissipation)
+from plrds import fields, integrator
+from plrds.fields import (Field, Grid, _lap_faces, _pairing, flux_pairing,
+                          grid_arrays, l2_sq, lebesgue_pow, make_field,
+                          p_dissipation)
 from plrds.analysis import sample_initial_ball
 from plrds.integrator import (StepperConfig, StiffnessError, cocycle_apply,
                               pullback_run, stable_dt_bound, transform_u_to_v,
                               transform_v_to_u)
-from plrds.noise import TabulatedPath, shift
-from plrds.problem import ProblemSpec
+from plrds.noise import TabulatedPath, shift, snap_steps
+from plrds.problem import NonlinearitySpec, ProblemSpec
 
 
 class TestIdentity:
@@ -383,3 +385,205 @@ class TestPullback:
         assert note["seed"] is None and note["tau"] == 0.0  # no noise path
         assert "suggested_dt" in note["report"]
         assert len(res.ensembles[0.1]) == 1
+
+
+def reference_apply(t, tau, path, u_tau, spec, cfg, with_record=False):
+    """cocycle_apply one step at a time: every array of a step built in the
+    step, and the record's quadratures summed per step.  Snapshots at every
+    node."""
+    dt, grid = cfg.dt, u_tau.grid
+    nsteps, tau_k = snap_steps(t, dt), snap_steps(tau, dt)
+    m = snap_steps(spec.period, dt)
+    ctx = integrator._context(spec, grid)
+    co = integrator._COUPLINGS[spec.noise_case]
+    z, eta = integrator._noise_arrays(co, path, spec, 0.0, nsteps * dt, dt)
+    case, al, eps = spec.noise_case, spec.alpha, spec.epsilon
+
+    def f(t, w):
+        return spec.f_pointwise(t, ctx.x, ctx.y, w, ctx.gauss)
+
+    def g(t):
+        return spec.g_time(t) * ctx.gauss
+
+    def to_v(u, z):
+        return {"additive": lambda: u - (eps * z) * ctx.h,
+                "multiplicative": lambda: math.exp(-al * z) * u,
+                "deterministic": lambda: u}[case]()
+
+    def to_u(v, z):
+        return {"additive": lambda: v + (eps * z) * ctx.h,
+                "multiplicative": lambda: math.exp(al * z) * v,
+                "deterministic": lambda: v}[case]()
+
+    def step(vv, t, dtt, z, e):
+        w = to_u(vv, z) if case == "additive" else vv
+        lap, faces = _lap_faces(w, grid, spec.p, spec.delta)
+        a = spec.lam
+        if case == "additive":
+            rhs = ((lap + f(t, w)) + g(t)) + (al * eps * e * z) * ctx.h
+            a = spec.lam - al * e
+        elif case == "multiplicative":
+            scale = math.exp(al * z)
+            rhs = ((math.exp(al * (spec.p - 2.0) * z) * lap + (al * z) * vv)
+                   + (1.0 / scale) * f(t, scale * vv)) + (1.0 / scale) * g(t)
+        else:
+            rhs = (lap + f(t, vv)) + g(t)
+        if cfg.scheme == "explicit":
+            out = vv + dtt * (rhs - a * vv)
+        elif a == 0.0:
+            out = vv + dtt * rhs
+        else:
+            out = math.exp(-a * dtt) * vv + (-math.expm1(-a * dtt) / a) * rhs
+        out[ctx.arrs.boundary] = 0.0
+        return out, w, faces
+
+    def sq(v):
+        return float((ctx.arrs.weights * v * v).sum())
+
+    def macro(vv, t, z0, z1, e0, e1):
+        cand, w, faces = step(vv, t, dt, 0.5 * (z0 + z1), 0.5 * (e0 + e1))
+        sq_old, sq_new = sq(vv), sq(cand)
+        if integrator._norm_ok(sq_old, sq_new):
+            return cand, sq_old, sq_new, w, faces
+        for halvings in range(1, cfg.substep_limit + 1):
+            nsub = 2 ** halvings
+            hs = dt / nsub
+            cur, sq_cur = vv, sq_old
+            for i in range(nsub):
+                zs, es = z0, e0
+                if i:
+                    frac = (i + 0.5) / nsub
+                    zs, es = z0 + frac * (z1 - z0), e0 + frac * (e1 - e0)
+                nxt, w, faces = step(cur, t + i * hs, hs, zs, es)
+                sq_new = sq(nxt)
+                if not integrator._norm_ok(sq_cur, sq_new):
+                    break
+                cur, sq_cur = nxt, sq_new
+            else:
+                return cur, sq_old, sq_cur, w, faces
+        raise StiffnessError({
+            "t": t, "dt": dt, "halvings": cfg.substep_limit,
+            "norm_before": math.sqrt(sq_old),
+            "norm_after": math.sqrt(sq_new),
+            "suggested_dt": stable_dt_bound(Field(grid, vv), spec)})
+
+    series = np.empty((3, nsteps + 1))
+    state = u_tau.values.copy()
+    v0 = vv_new = to_v(state, z[0])
+    snaps = {}
+    for k in range(nsteps):
+        vv = to_v(state, z[k])
+        vv_new, s_old, s_new, w, faces = macro(
+            vv, ((tau_k + k) % m) * dt, z[k], z[k + 1], eta[k], eta[k + 1])
+        snaps[k] = vv.copy()
+        series[:, k + 1] = (0.0, _pairing(faces, grid.dx),
+                            lebesgue_pow(Field(grid, w), spec.q))
+        series[0, k] = s_old
+        state = to_u(vv_new, z[k + 1])
+    if not with_record:
+        return state
+    snaps[nsteps] = vv_new.copy()
+    w0 = Field(grid, u_tau.values if case == "additive" else v0)
+    series[0, nsteps] = s_new if nsteps else sq(v0)
+    series[1:, 0] = p_dissipation(w0, spec.p, spec.delta), \
+        lebesgue_pow(w0, spec.q)
+    return state, series, z, eta, snaps
+
+
+class TestChunkedLoop:
+    """cocycle_apply steps in chunks of _BLOCK_FLOATS // nodes steps and
+    builds each chunk's state-independent arrays and record quadratures at
+    once; endpoints and records carry the bits of the per-step loop."""
+
+    SPECS = {
+        "additive": ProblemSpec(noise_case="additive"),
+        "multiplicative": ProblemSpec(noise_case="multiplicative",
+                                      alpha=0.25),
+        "deterministic": ProblemSpec(noise_case="deterministic", alpha=0.0,
+                                     epsilon=0.0),
+    }
+    CUSTOM = NonlinearitySpec(
+        kind="custom",
+        expression="-abspow(s, 2) + 0.5*sin(2*t)*exp(-(x*x + y*y))"
+                   " + 0.1*abspow(t + 1, 0.5)")
+    GRIDS = {1: Grid(1, 8.0, 65), 2: Grid(2, 4.0, 17)}
+
+    @staticmethod
+    def chunk(grid):
+        return max(1, fields._BLOCK_FLOATS // math.prod(grid.shape))
+
+    @staticmethod
+    def assert_same(nsteps, tau, path, u0, spec, cfg):
+        t = nsteps * cfg.dt
+        end = cocycle_apply(t, tau, path, u0, spec, cfg)
+        rec_end, rec = cocycle_apply(t, tau, path, u0, spec, cfg,
+                                     snapshot_indices=range(nsteps + 1),
+                                     with_record=True)
+        ref_end, series, z, eta, snaps = reference_apply(
+            t, tau, path, u0, spec, cfg, with_record=True)
+        assert end.values.tobytes() == ref_end.tobytes()
+        assert rec_end.values.tobytes() == ref_end.tobytes()
+        for name, ref in zip(("l2_sq", "diss_p", "diss_q"), series):
+            assert getattr(rec, name).tobytes() == ref.tobytes(), name
+        assert rec.z.tobytes() == z.tobytes()
+        assert rec.eta.tobytes() == eta.tobytes()
+        assert sorted(rec.snapshots) == sorted(snaps)
+        for k, v in snaps.items():
+            assert rec.snapshots[k].values.tobytes() == v.tobytes(), k
+
+    @pytest.mark.parametrize("custom", [False, True], ids=["default-f",
+                                                           "custom-f"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    def test_bitwise_against_per_step_loop(self, case, dim, custom,
+                                           gaussian_u0, path_bank):
+        spec = self.SPECS[case]
+        if custom:
+            spec = replace(spec, nonlinearity=self.CUSTOM)
+        grid, cfg = self.GRIDS[dim], StepperConfig(dt=2e-3)
+        path = None if case == "deterministic" else path_bank(5, cfg.dt)
+        k = self.chunk(grid)
+        assert k > 1
+        u0 = gaussian_u0(grid, 0.9)
+        lengths = (k - 1, k, k + 1, 2 * k + 1) if not custom else (k + 1,)
+        # tau < 0, and tau a whole period after 0.3
+        for tau in (0.3, -0.7, 0.3 + spec.period):
+            for nsteps in lengths:
+                self.assert_same(nsteps, tau, path, u0, spec, cfg)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    def test_guard_retry_inside_a_chunk(self, case, dim, gaussian_u0,
+                                        path_bank, monkeypatch):
+        # Explicit steps that need the halving guard, yet finish within six
+        # halvings (the setups of TestRecordLeavesEndpoint).
+        grid, amp = TestRecordLeavesEndpoint.SETUPS[dim]
+        cfg = StepperConfig(dt=0.04, scheme="explicit", substep_limit=6)
+        spec = self.SPECS[case]
+        path = None if case == "deterministic" else path_bank(3, cfg.dt)
+        retried = []
+        step = integrator._single_step
+
+        def watched(co, vv, t_eval, dtt, *rest):
+            if dtt < cfg.dt:
+                retried.append(round(t_eval / cfg.dt))
+            return step(co, vv, t_eval, dtt, *rest)
+        monkeypatch.setattr(integrator, "_single_step", watched)
+        self.assert_same(10, 0.0, path, gaussian_u0(grid, amp), spec, cfg)
+        assert any(0 < k < self.chunk(grid) for k in retried), retried
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    def test_stiffness_error(self, case, dim, gaussian_u0, path_bank):
+        grid, amp = TestRecordLeavesEndpoint.SETUPS[dim]
+        cfg = StepperConfig(dt=0.04, scheme="explicit", substep_limit=1)
+        spec = self.SPECS[case]
+        path = None if case == "deterministic" else path_bank(3, cfg.dt)
+        u0 = gaussian_u0(grid, amp)
+        reports = []
+        for run in (cocycle_apply, reference_apply):
+            with pytest.raises(StiffnessError) as exc_info:
+                run(10 * cfg.dt, 0.0, path, u0, spec, cfg, with_record=True)
+            reports.append(exc_info.value.report)
+        assert reports[0] == reports[1]
+        assert reports[0]["t"] > 0.0
