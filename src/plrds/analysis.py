@@ -296,7 +296,7 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec):
     ctx = _context(spec, grid)
     co = _COUPLINGS[spec.noise_case]
     wts, dim, dx, a = ctx.arrs.weights, grid.dim, grid.dx, spec.alpha
-    axes = tuple(range(-dim, 0))
+    col, axes = (-1,) + (1,) * dim, tuple(range(-dim, 0))
     # Node series with the float operations of one node each; coefficients
     # through exp, pow, sin and cos are per-node scalars.
     kk = np.array(interior)
@@ -319,10 +319,11 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec):
     for b in (slice(i, i + rows) for i in range(0, len(interior), rows)):
         v = np.stack([snaps[k].values for k in interior[b]])
         w = co.w_of(v, zk[b], ctx)
-        u = ctx.col(to_u[b]) * w
+        u = to_u[b].reshape(col) * w
         faces = _face_data(w, dim, dx, spec.p, spec.delta)
-        g, phi = ctx.profiles(factors[:, b])
-        f = ctx.f_rows(ts[b], u, phi)
+        g, *phi = factors[:, b] * ctx.gauss
+        f = ctx.f_of(None, u, *phi) if phi else \
+            np.stack([ctx.f_of(t, r) for t, r in zip(ts[b], u)])
         residuals[b] = (
             dE[b] + 2.0 * (spec.lam - a * mod[b]) * en[b]
             + (2.0 * c_p[b]) * _pairing(faces, dx)) - (

@@ -31,22 +31,17 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    """Numbers at %.17g, bools as true/false, strs as they are (with the
-    same True/False lowercasing); one format string per row's cell types."""
+    """Numbers at %.17g, bools as true/false, strs as they are; one format
+    string per row's cell types."""
     formats = {}
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
             kinds = tuple(map(type, row))
-            if kinds not in formats:
-                text = [issubclass(k, (str, bool)) for k in kinds]
-                formats[kinds] = ",".join("%s" if t else "%.17g"
-                                          for t in text) + "\n", any(text)
-            fmt, has_text = formats[kinds]
-            if has_text:
-                row = [str(c).replace("True", "true").replace("False", "false")
-                       if isinstance(c, (str, bool)) else c for c in row]
-            fh.write(fmt % tuple(row))
+            fmt = formats.get(kinds) or formats.setdefault(kinds, ",".join(
+                "%s" if issubclass(k, (str, bool)) else "%.17g" for k in kinds))
+            fh.write((fmt % tuple(row)).replace("True", "true")
+                     .replace("False", "false") + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -76,7 +76,7 @@ def grid_arrays(grid: Grid) -> SimpleNamespace:
         boundary[0, :] = boundary[-1, :] = True
         boundary[:, 0] = boundary[:, -1] = True
         edges = (0, -1, (slice(None), 0), (slice(None), -1))
-    # edges index the boundary in slices, which zero it faster than the mask.
+    # edges index the boundary by slices, which zero it faster than the mask.
     return SimpleNamespace(coords=x, x=xx, y=yy, radial_sq=radial_sq,
                            radial=np.sqrt(radial_sq), weights=weights,
                            boundary=boundary, edges=edges, dx=grid.dx)

@@ -108,18 +108,15 @@ class _ModelContext:
         self.gauss = make_field(grid, np.exp(-arrs.radial_sq)).values
         self.x = arrs.x
         self.y = arrs.y if grid.dim == 2 else 0.0
-        self.grid_axes = (1,) * grid.dim
         self.split_f = spec.nonlinearity.kind != "custom"
 
     def col(self, x):
-        """A scalar or a sequence with unit grid axes appended, so that it
-        scales a profile with one row per entry."""
+        """x, a scalar or a sequence, with unit grid axes: one row each."""
         x = np.asarray(x)
-        return x.reshape(x.shape + self.grid_axes)
+        return x.reshape(x.shape + (1,) * self.grid.dim)
 
     def f_of(self, t: float, w: np.ndarray, phi=None) -> np.ndarray:
-        """f(t, w) at the nodes; phi, if given, is phi(t) gauss, the forcing
-        part of f's default formula, already built."""
+        """f(t, w); phi, if given, is phi(t) gauss of the default f."""
         if phi is None:
             return self.spec.f_pointwise(t, self.x, self.y, w, self.gauss)
         return self.spec.reaction(w) + phi
@@ -128,26 +125,9 @@ class _ModelContext:
         return self.spec.g_time(t) * self.gauss
 
     def factors(self, ts):
-        """The scalar time factors of each t in ts, one call per t: g(t)
-        and, for the default f, phi(t), as columns against the grid axes."""
-        spec = self.spec
-        fac = [[spec.g_time(t) for t in ts]]
-        if self.split_f:
-            fac.append([spec.phi_time(t) for t in ts])
-        return self.col(fac)
-
-    def profiles(self, factors):
-        """g(t) gauss and phi(t) gauss (None for a custom f), one row per t,
-        from columns of factors in one NumPy call."""
-        rows = factors * self.gauss
-        return rows[0], (rows[1] if self.split_f else None)
-
-    def f_rows(self, ts, w: np.ndarray, phi) -> np.ndarray:
-        """f at the stacked rows w, row j at time ts[j]; phi holds their
-        phi(t) gauss rows, None for a custom f."""
-        if phi is None:
-            return np.stack([self.f_of(t, r) for t, r in zip(ts, w)])
-        return self.spec.reaction(w) + phi
+        """Columns of g(t) and, for the default f, phi(t), one call per t."""
+        fns = (self.spec.g_time, self.spec.phi_time)[:1 + self.split_f]
+        return self.col([[fn(t) for t in ts] for fn in fns])
 
 
 @lru_cache(maxsize=64)
@@ -158,23 +138,17 @@ def _context(spec: ProblemSpec, grid: Grid) -> _ModelContext:
 # ---------------------------------------------------------------------------
 # Noise coupling: one table entry per case.  Each case keeps its own
 # arithmetic; one formula with identity coefficients would not keep the bits
-# (x + 0.0*y turns -0.0 into +0.0, and 0*inf into nan).
-#
-# A step's arrays that do not depend on the state (the additive shifts and
-# noise term, g(t) gauss, phi(t) gauss) are its terms.  Term functions take
-# a scalar or a column of steps and return one row per step, so a chunk of
-# steps builds each term with one NumPy call; scalar coefficients through
-# exp, sin and cos stay per-step calls, which keeps every bit.
+# (x + 0.0*y turns -0.0 into +0.0, and 0*inf into nan).  A step's arrays
+# that do not depend on the state are its terms, built for a chunk of steps
+# with one NumPy call each from per-step scalars.
 # ---------------------------------------------------------------------------
 
-def _additive_rhs(v, w, lap, t, z, eta, terms, ctx):
-    _, g, phi, noise = terms
+def _additive_rhs(v, w, lap, t, z, eta, g, phi, noise, ctx):
     rhs = ((lap + ctx.f_of(t, w, phi)) + g) + noise
     return rhs, ctx.spec.lam - ctx.spec.alpha * eta
 
 
-def _multiplicative_rhs(v, w, lap, t, z, eta, terms, ctx):
-    _, g, phi, _ = terms
+def _multiplicative_rhs(v, w, lap, t, z, eta, g, phi, noise, ctx):
     spec = ctx.spec
     scale = math.exp(spec.alpha * z)
     rhs = ((math.exp(spec.alpha * (spec.p - 2.0) * z) * lap
@@ -184,13 +158,8 @@ def _multiplicative_rhs(v, w, lap, t, z, eta, terms, ctx):
     return rhs, spec.lam
 
 
-def _deterministic_rhs(v, w, lap, t, z, eta, terms, ctx):
-    _, g, phi, _ = terms
+def _deterministic_rhs(v, w, lap, t, z, eta, g, phi, noise, ctx):
     return (lap + ctx.f_of(t, v, phi)) + g, ctx.spec.lam
-
-
-def _same(z, ctx):
-    return z
 
 
 class _Coupling(NamedTuple):
@@ -202,8 +171,7 @@ class _Coupling(NamedTuple):
     to_v: Callable              # (u, node term, ctx) -> v
     to_u: Callable              # (v, node term, ctx) -> u
     w_is_u: bool                # the dissipation argument is u, else v
-    noise: Callable | None      # (z, eta, ctx) -> the additive noise term
-    rhs: Callable               # (v, w, lap, t, z, eta, terms, ctx) -> (RHS, a)
+    rhs: Callable               # (v, w, lap, t, z, eta, g, phi, noise, ctx)
 
     def w_of(self, v, z, ctx):
         """The dissipation argument of v at noise value(s) z."""
@@ -214,42 +182,40 @@ _COUPLINGS = {
     "additive": _Coupling(
         lambda spec: spec.lam, True,
         lambda z, ctx: (ctx.spec.epsilon * ctx.col(z)) * ctx.h,
-        lambda u, s, ctx: u - s, lambda v, s, ctx: v + s, True,
-        lambda z, eta, ctx: (ctx.spec.alpha * ctx.spec.epsilon
-                             * ctx.col(eta) * ctx.col(z)) * ctx.h,
-        _additive_rhs),
+        lambda u, s, ctx: u - s, lambda v, s, ctx: v + s,
+        True, _additive_rhs),
     "multiplicative": _Coupling(
-        lambda spec: 1.0, False, _same,
+        lambda spec: 1.0, False, lambda z, ctx: z,
         lambda u, z, ctx: math.exp(-ctx.spec.alpha * z) * u,
         lambda v, z, ctx: math.exp(ctx.spec.alpha * z) * v,
-        False, None, _multiplicative_rhs),
+        False, _multiplicative_rhs),
     "deterministic": _Coupling(
-        None, False, _same, lambda u, z, ctx: u, lambda v, z, ctx: v,
-        False, None, _deterministic_rhs),
+        None, False, lambda z, ctx: z, lambda u, z, ctx: u,
+        lambda v, z, ctx: v,
+        False, _deterministic_rhs),
 }
 
 
 def _terms(co: _Coupling, ctx: _ModelContext, factors, z, eta):
-    """Per step, from its time factors (ctx.factors) and midpoint noise z,
-    eta: the node term of its dissipation argument, g(t) gauss, phi(t)
-    gauss (None for a custom f) and the noise term (None outside the
-    additive model)."""
-    g, phi = ctx.profiles(factors)
-    none = repeat(None)
-    return zip(co.node(z, ctx), g, none if phi is None else phi,
-               co.noise(z, eta, ctx) if co.noise else none)
+    """Per step, from its time factors and midpoint noise z, eta: the node
+    term of its dissipation argument, g(t) gauss, phi(t) gauss and the
+    additive noise term (None where absent)."""
+    spec, none = ctx.spec, repeat(None)
+    g, *phi = factors * ctx.gauss
+    noise = (spec.alpha * spec.epsilon * ctx.col(eta) * ctx.col(z)) * ctx.h \
+        if co.with_eta else none
+    return zip(co.node(z, ctx), g, phi[0] if phi else none, noise)
 
 
 def _single_step(co: _Coupling, vv: np.ndarray, t_eval: float, dtt: float,
                  z_mid: float, eta_mid: float, terms, ctx: _ModelContext,
                  scheme: str):
-    """One explicit/IMEX update with the step's terms; returns (v_new, w,
-    faces): the new state, the step's dissipation argument and its face
-    data, which a record sums."""
+    """One explicit/IMEX update; returns (v_new, w, faces): the new state, the
+    step's dissipation argument and its face data, which a record sums."""
     spec = ctx.spec
     warg = co.to_u(vv, terms[0], ctx) if co.w_is_u else vv
     lap, faces = _lap_faces(warg, ctx.grid, spec.p, spec.delta)
-    rhs, a = co.rhs(vv, warg, lap, t_eval, z_mid, eta_mid, terms, ctx)
+    rhs, a = co.rhs(vv, warg, lap, t_eval, z_mid, eta_mid, *terms[1:], ctx)
     if scheme == "explicit":
         out = vv + dtt * (rhs - a * vv)
     elif a == 0.0:
@@ -274,10 +240,9 @@ def _weighted_sq(values: np.ndarray, ctx: _ModelContext) -> float:
 def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, terms, ctx, cfg):
     """One dt step with the divergence guard; halves into substeps on blowup.
 
-    terms are the step's terms at its midpoint noise; substeps build their
-    own.  Returns (v_new, ||vv||^2, ||v_new||^2, w, faces), the last two
-    from the last substep.  A StiffnessError reports as norm_after the norm
-    of the last rejected attempt."""
+    Substeps build their own terms.  Returns (v_new, ||vv||^2, ||v_new||^2,
+    w, faces), the last two from the last substep.  A StiffnessError reports
+    as norm_after the norm of the last rejected attempt."""
     z_mid = 0.5 * (z0 + z1)
     eta_mid = 0.5 * (eta0 + eta1)
     cand, warg, faces = _single_step(co, vv, t_eval, dtt, z_mid, eta_mid,
@@ -299,10 +264,9 @@ def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, terms, ctx, cfg):
                 zs = z0 + frac * (z1 - z0)
                 es = eta0 + frac * (eta1 - eta0)
             ts = t_eval + i * hs
-            nxt, warg, faces = _single_step(
-                co, cur, ts, hs, zs, es,
-                next(_terms(co, ctx, ctx.factors([ts]), [zs], [es])), ctx,
-                cfg.scheme)
+            terms = next(_terms(co, ctx, ctx.factors([ts]), [zs], [es]))
+            nxt, warg, faces = _single_step(co, cur, ts, hs, zs, es, terms,
+                                            ctx, cfg.scheme)
             sq_new = _weighted_sq(nxt, ctx)
             if not _norm_ok(sq_cur, sq_new):
                 break
@@ -390,24 +354,21 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
     # v at the first node, and at the last node reached so far.
     v0 = vv_new = co.to_v(state, co.node(z[0], ctx), ctx)
     ts = [((tau_k + k) % m) * dt for k in range(nsteps)]
-    factors = ctx.factors(ts)
+    factors, zs, es = ctx.factors(ts), z.tolist(), eta.tolist()
     z_mid, eta_mid = 0.5 * (z[:-1] + z[1:]), 0.5 * (eta[:-1] + eta[1:])
-    zs, es = z.tolist(), eta.tolist()
-    # Chunks of steps share one NumPy call per term and, in a record, one
-    # quadrature reduction per series over the chunk's stacked rows.
+    # Chunks of steps build their terms, and a record its quadratures, with
+    # one NumPy call each.
     chunk = max(1, _BLOCK_FLOATS // math.prod(grid.shape))
     for k0 in range(0, nsteps, chunk):
-        k1 = min(k0 + chunk, nsteps)
-        nodes = co.node(z[k0:k1 + 1], ctx)
-        terms = _terms(co, ctx, factors[:, k0:k1], z_mid[k0:k1],
-                       eta_mid[k0:k1])
-        wargs, faces = [], []
-        for j, step_terms in enumerate(terms):
+        c = slice(k0, min(k0 + chunk, nsteps))
+        nodes, wargs, faces = co.node(z[k0:c.stop + 1], ctx), [], []
+        for j, terms in enumerate(_terms(co, ctx, factors[:, c], z_mid[c],
+                                         eta_mid[c])):
             k = k0 + j
             vv = co.to_v(state, nodes[j], ctx)
             vv_new, sq, sq_new, warg, fc = _macro_step(
-                co, vv, ts[k], dt, zs[k], zs[k + 1], es[k], es[k + 1],
-                step_terms, ctx, cfg)
+                co, vv, ts[k], dt, zs[k], zs[k + 1], es[k], es[k + 1], terms,
+                ctx, cfg)
             if with_record:
                 l2s[k] = sq
                 if k in want:
@@ -416,10 +377,10 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
                 faces.append(fc)
             state = co.to_u(vv_new, nodes[j + 1], ctx)
         if with_record:
-            rows = slice(k0 + 1, k1 + 1)
-            dps[rows] = _pairing([tuple(map(np.array, zip(*d)))
-                                  for d in zip(*faces)], grid.dx)
-            dqs[rows] = _lebesgue(np.array(wargs), ctx.arrs.weights, spec.q)
+            dps[k0 + 1:c.stop + 1] = _pairing(
+                [tuple(map(np.array, zip(*d))) for d in zip(*faces)], grid.dx)
+            dqs[k0 + 1:c.stop + 1] = _lebesgue(np.array(wargs),
+                                               ctx.arrs.weights, spec.q)
 
     out = Field(grid, state)
     if not with_record:
