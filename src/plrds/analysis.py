@@ -24,25 +24,13 @@ from .fields import (_BLOCK_FLOATS, EndpointEnsemble, Field, Grid,
                      l2_distance, l2_sq, make_field, tail_mass)
 from .integrator import (StepperConfig, TrajectoryRecord, cocycle_apply,
                          pullback_run, _context, _COUPLINGS, _noise_arrays)
-from .noise import _cumtrapz, raise_first, snap_steps
+from .noise import _cumtrapz, check_args, snap_steps
 from .problem import ForcingNorms, ProblemSpec, check_growth_condition
 
 DEFAULT_GRID = Grid(1, 8.0, 257)
 DEFAULT_C = 4.0
 DEFAULT_QUAD_TOL = 1e-12
 _SAMPLER_KEY = 0x1B1D
-# Rules on arguments that a config also sets; the parser checks them too.
-_ARG_RULES = {"c": (lambda c: c > 0, "c must be > 0"),
-              "quad_tol": (lambda x: 0 < x < 1, "quad_tol must be in (0, 1)"),
-              "cluster_tol": (lambda x: x >= 0, "cluster_tol must be ≥ 0"),
-              "n_sigma": (lambda n: n >= 2, "n_sigma must be ≥ 2"),
-              "horizon": (lambda h: h > 0, "horizon must be > 0")}
-
-
-def _check_args(**args) -> None:
-    """Raise the message of the first _ARG_RULES rule that args break."""
-    raise_first([(name, _ARG_RULES[name][1]) for name, x in args.items()
-                 if not _ARG_RULES[name][0](x)])
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +143,7 @@ def absorbing_radius(tau: float, path, spec: ProblemSpec,
     The bound is on ||u(tau)||^2.  The noise-free case ignores path.  Warns
     when an additive alpha exceeds the admissibility threshold.
     """
-    _check_args(quad_tol=quad_tol, c=c)
+    check_args(quad_tol=quad_tol, c=c)
     case = spec.noise_case
     if case == "additive" and spec.alpha > spec.alpha_max:
         warnings.warn(f"alpha={spec.alpha} exceeds the admissible threshold "
@@ -224,10 +212,10 @@ def absorbing_check(tau: float, spec: ProblemSpec, paths, initials,
 
     For each path, in the given order, compares ||u(tau)||^2 at every
     horizon, started from every initial state, against the path's absorbing
-    bound.
+    bound.  The horizons are nonnegative and ascending.
     """
-    _check_args(quad_tol=quad_tol, c=c)
-    horizons = sorted(float(h) for h in horizons)
+    horizons = [float(h) for h in horizons]
+    check_args(quad_tol=quad_tol, c=c, horizons=horizons)
     if not paths or not initials or not horizons:
         raise ValueError("absorbing_check needs at least one path, one "
                          "initial state and one horizon")
@@ -369,18 +357,12 @@ def tail_check(tau: float, spec: ProblemSpec, paths, u0: Field,
     positive and inside the grid; tails decrease pointwise in k.
     """
     grid = u0.grid
-    _check_args(n_sigma=n_sigma)
+    k_list = tuple(float(k) for k in k_list)
+    check_args(n_sigma=n_sigma, k_list=k_list)
     if not paths:
         raise ValueError("tail_check needs at least one path")
     if horizon < 1.0:
         raise ValueError("tail_check samples the last time unit; horizon >= 1")
-    k_list = tuple(float(k) for k in k_list)
-    if not k_list:
-        raise ValueError("tail_check needs at least one k")
-    if list(k_list) != sorted(k_list):
-        raise ValueError("k_list must be ascending")
-    if k_list[0] <= 0.0:
-        raise ValueError("k values must be > 0")
     if k_list[-1] >= grid.half_width:
         raise ValueError("k values must be < half_width")
     if grid.half_width <= math.sqrt(2.0) * k_list[-1]:
@@ -438,9 +420,9 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
     non-contraction.  The failure entries of the pullback runs ride along
     as the ensemble's failures.
     """
-    _check_args(horizon=horizon)
+    check_args(horizon=horizon)
     if cluster_tol is not None:
-        _check_args(cluster_tol=cluster_tol)
+        check_args(cluster_tol=cluster_tol)
     bound = absorbing_bound(tau, path, spec, quad_tol, grid, c)
     radius = math.sqrt(max(bound, 1e-30))
     if cluster_tol is None:
@@ -492,17 +474,14 @@ def usc_sweep(tau: float, spec: ProblemSpec, paths,
     Estimates A_alpha per (alpha, path) and A_0 once (deterministic run), and
     reports dist(A_alpha, A_0) with per-alpha medians; a distance involving
     an empty ensemble is nan.  Columns and seeds follow the order of paths.
-    alphas must be strictly decreasing and nonnegative.  failures holds the
-    pullback failures of A_0 and of every A_alpha, each tagged with its alpha.
+    alphas must be non-empty, strictly decreasing and nonnegative.  failures
+    holds the pullback failures of A_0 and of every A_alpha, each tagged
+    with its alpha.
     """
-    _check_args(horizon=horizon)
+    alphas = tuple(float(a) for a in alphas)
+    check_args(horizon=horizon, alphas=alphas)
     if not paths:
         raise ValueError("usc_sweep needs at least one path")
-    alphas = tuple(float(a) for a in alphas)
-    if any(a < 0 for a in alphas):
-        raise ValueError("alphas must be nonnegative")
-    if any(alphas[i + 1] >= alphas[i] for i in range(len(alphas) - 1)):
-        raise ValueError("alphas must be strictly decreasing")
     tasks = [{"spec": spec.with_alpha(0.0, "deterministic"), "path": None}]
     tasks += [{"spec": spec.with_alpha(
                    a, "multiplicative" if a > 0 else "deterministic"),

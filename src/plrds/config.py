@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dc_fields, replace
 
-from .analysis import _ARG_RULES
 from .fields import Grid
 from .integrator import StepperConfig
-from .noise import EtaConfig, snap_steps, violated
+from .noise import ARG_RULES, EtaConfig, arg_rules, snap_steps, violated
 from .problem import NonlinearitySpec, ProblemSpec
 
 # Each experiment, with the [experiment] times it steps to; each must sit on
@@ -229,8 +228,9 @@ def _validate(cfg: RunConfig, lines: dict, experiment) -> list:
     With an experiment named, also the rules its run applies to the inputs
     it reads.
 
-    Rules on values a dataclass holds come from that dataclass, so a config
-    error and the constructor's ValueError carry the same message."""
+    Rules on values a dataclass holds come from that dataclass, and rules on
+    one argument of a library call from noise.ARG_RULES, so a config error
+    and the library's ValueError carry the same message."""
 
     def at(*attrs):
         ln = next((lines[a] for a in attrs if a in lines), None)
@@ -255,7 +255,7 @@ def _validate(cfg: RunConfig, lines: dict, experiment) -> list:
                     snap_steps(v, step, attr)
         except ValueError as exc:
             errors.append(f"{at(attr, 'dt', 'noise_dt')}{exc}")
-    k, a = cfg.k_list, cfg.alphas
+    spec_keys = {f.name for f in dc_fields(ProblemSpec)}
     audit_floats = (round(cfg.horizon / cfg.dt) + 1) * cfg.n ** cfg.dim \
         if experiment == "energy-audit" and cfg.dt > 0 else 0
     bad = [f for f in cfg.formats if f not in ("csv", "json", "binary")]
@@ -269,23 +269,16 @@ def _validate(cfg: RunConfig, lines: dict, experiment) -> list:
          "audit needs snapshots at three or more consecutive nodes"),
         ("horizon", audit_floats <= MAX_AUDIT_FLOATS, f"audit snapshots "
          f"would hold {audit_floats:,} floats, over {MAX_AUDIT_FLOATS:,}"),
-        ("horizons", min(cfg.horizons) >= 0, "horizons must be nonnegative"),
-        ("horizons", list(cfg.horizons) == sorted(cfg.horizons),
-         "horizons must be ascending"),
-        ("k_list", list(k) == sorted(k), "k_list must be ascending"),
-        ("k_list", min(k) > 0, "k values must be > 0"),
-        ("k_list", max(k) < cfg.half_width, "k values must be < half_width"),
-        ("alphas", min(a) >= 0, "alphas must be nonnegative"),
-        ("alphas", all(x > y for x, y in zip(a, a[1:])),
-         "alphas must be strictly decreasing"),
         ("n_seeds", cfg.n_seeds >= 1, "n_seeds must be ≥ 1"),
         ("n_initials", cfg.n_initials >= 1, "n_initials must be ≥ 1"),
         ("ball_radius", cfg.ball_radius > 0, "ball_radius must be > 0"),
         ("warmup", cfg.warmup >= 0, "warmup must be ≥ 0"),
         ("workers", cfg.workers >= 1, "workers must be ≥ 1"),
         ("formats", not bad, "unknown output formats: " + ", ".join(bad)),
-        *((attr, holds(getattr(cfg, attr)), message)
-          for attr, (holds, message) in _ARG_RULES.items()))]
+        # ProblemSpec.violations applied the rules on its own fields above.
+        *arg_rules(**{a: values[a] for a in ARG_RULES if a not in spec_keys}),
+        ("k_list", max(cfg.k_list, default=0.0) < cfg.half_width,
+         "k values must be < half_width"))]
     return errors
 
 

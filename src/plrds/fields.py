@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .noise import raise_first, violated
+from .noise import arg_rules, check_args, raise_first, violated
 
 _BLOCK_FLOATS = 8192     # floats per stacked row-block array: 64 KiB
 
@@ -56,7 +56,7 @@ class Grid:
 
 @lru_cache(maxsize=32)
 def grid_arrays(grid: Grid) -> SimpleNamespace:
-    """Cached coordinate, weight, and mask arrays for a grid."""
+    """Cached coordinate and weight arrays and boundary slices for a grid."""
     x = np.linspace(-grid.half_width, grid.half_width, grid.n)
     w1 = np.full(grid.n, grid.dx)
     w1[0] *= 0.5
@@ -64,22 +64,17 @@ def grid_arrays(grid: Grid) -> SimpleNamespace:
     if grid.dim == 1:
         radial_sq = x ** 2
         weights = w1
-        boundary = np.zeros(grid.n, dtype=bool)
-        boundary[0] = boundary[-1] = True
         edges = (0, -1)
         xx, yy = x, None
     else:
         xx, yy = np.meshgrid(x, x, indexing="ij")
         radial_sq = xx ** 2 + yy ** 2
         weights = np.outer(w1, w1)
-        boundary = np.zeros((grid.n, grid.n), dtype=bool)
-        boundary[0, :] = boundary[-1, :] = True
-        boundary[:, 0] = boundary[:, -1] = True
         edges = (0, -1, (slice(None), 0), (slice(None), -1))
-    # edges index the boundary by slices, which zero it faster than the mask.
+    # edges index the boundary nodes by slices, one per grid side.
     return SimpleNamespace(coords=x, x=xx, y=yy, radial_sq=radial_sq,
                            radial=np.sqrt(radial_sq), weights=weights,
-                           boundary=boundary, edges=edges, dx=grid.dx)
+                           edges=edges, dx=grid.dx)
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,8 @@ def make_field(grid: Grid, values) -> Field:
         raise ValueError(f"values shape {arr.shape} does not match grid {grid.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("field values must be finite")
-    arr[grid_arrays(grid).boundary] = 0.0
+    for edge in grid_arrays(grid).edges:
+        arr[edge] = 0.0
     return Field(grid, arr)
 
 
@@ -173,15 +169,12 @@ def p_laplace(u: Field, p: float, delta: float = 0.0) -> Field:
     """div(|grad u|^(p-2) grad u) in flux form; boundary rows stay zero.
 
     delta > 0 regularizes the face coefficient to ((|grad|^2 + delta^2))^((p-2)/2)
-    for stiff gradients.  p must be >= 2.
+    for stiff gradients.  Requires p >= 2.
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p!r}")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    check_args(p=p, delta=delta)
     out, _ = _lap_faces(u.values, u.grid, p, delta)
-    if u.grid.dim == 2:
-        out[grid_arrays(u.grid).boundary] = 0.0
+    for edge in grid_arrays(u.grid).edges:
+        out[edge] = 0.0
     return Field(u.grid, out)
 
 
@@ -193,8 +186,7 @@ def p_dissipation(u: Field, p: float, delta: float = 0.0) -> float:
     ||grad u||_p^p.  In two dimensions the two directions' sums are added
     and then scaled by dx and dx again, the stepper's record association.
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p!r}")
+    check_args(p=p)
     return _pairing(_face_data(u.values, u.grid.dim, u.grid.dx, p, delta),
                     u.grid.dx)
 
@@ -234,8 +226,7 @@ def l2_distance(a: Field, b: Field) -> float:
 
 def norms(u: Field, p: float, q: float) -> dict:
     """{l2, lp, lq, w1p} with trapezoid node weights and face gradients."""
-    if p < 2 or q < p:
-        raise ValueError("need 2 <= p <= q")
+    raise_first(violated(*arg_rules(p=p), ("q", q >= p, "need 2 <= p <= q")))
     lp_pow = lebesgue_pow(u, p)
     return {
         "l2": math.sqrt(l2_sq(u)),

@@ -36,8 +36,8 @@ import numpy as np
 from .fields import (_BLOCK_FLOATS, EndpointEnsemble, EnsembleTag, Field,
                      Grid, _face_data, _lap_faces, _lebesgue, _pairing,
                      grid_arrays, lebesgue_pow, make_field, p_dissipation)
-from .noise import (_ou_and_eta, ou_from_path, raise_first, snap_steps,
-                    violated)
+from .noise import (_ou_and_eta, check_args, ou_from_path, raise_first,
+                    shift, snap_steps, violated)
 from .problem import ProblemSpec
 
 
@@ -120,9 +120,6 @@ class _ModelContext:
         if phi is None:
             return self.spec.f_pointwise(t, self.x, self.y, w, self.gauss)
         return self.spec.reaction(w) + phi
-
-    def g_of(self, t: float) -> np.ndarray:
-        return self.spec.g_time(t) * self.gauss
 
     def factors(self, ts):
         """Columns of g(t) and, for the default f, phi(t), one call per t."""
@@ -418,12 +415,8 @@ def pullback_run(tau: float, horizons, initial_set, path, spec: ProblemSpec,
     recorded as annotations naming the path's seed, tau, the horizon and the
     initial state, and skipped in the ensembles.
     """
-    from .noise import shift
     horizons = list(horizons)
-    if any(h < 0 for h in horizons):
-        raise ValueError("horizons must be nonnegative")
-    if sorted(horizons) != horizons:
-        raise ValueError("horizons must be ascending")
+    check_args(horizons=horizons)
     ensembles = {}
     records = {}
     failures = []

@@ -42,8 +42,9 @@ def snap_steps(value: float, dt: float, name: str = "time") -> int:
 
 
 # Parameter rules.  Each parameter dataclass states its rules once, as
-# (field, holds, message) triples in a static violations(values) method, so
-# its constructor and the config parser report the same failures.
+# (field, holds, message) triples in a static violations(values) method;
+# ARG_RULES maps each shared argument to its (holds, message) rules in report
+# order.  So constructors, library calls and the config parser fail alike.
 def violated(*rules) -> list:
     """The (field, message) pairs of the (field, holds, message) rules that
     do not hold."""
@@ -54,6 +55,41 @@ def raise_first(violations: list) -> None:
     """Raise the first (field, message) pair of a violations list."""
     if violations:
         raise ValueError(violations[0][1])
+
+
+ARG_RULES = {
+    "lam": ((lambda x: x > 0, "lam must be > 0"),),
+    "p": ((lambda p: p >= 2, "p must be ≥ 2"),),
+    "delta": ((lambda d: d >= 0, "delta must be ≥ 0"),),
+    "c": ((lambda c: c > 0, "c must be > 0"),),
+    "quad_tol": ((lambda x: 0 < x < 1, "quad_tol must be in (0, 1)"),),
+    "cluster_tol": ((lambda x: x >= 0, "cluster_tol must be ≥ 0"),),
+    "n_sigma": ((lambda n: n >= 2, "n_sigma must be ≥ 2"),),
+    "horizon": ((lambda h: h > 0, "horizon must be > 0"),),
+    "horizons": ((lambda hs: all(h >= 0 for h in hs),
+                  "horizons must be nonnegative"),
+                 (lambda hs: list(hs) == sorted(hs),
+                  "horizons must be ascending")),
+    "k_list": ((len, "k_list must hold at least one k"),
+               (lambda ks: list(ks) == sorted(ks), "k_list must be ascending"),
+               (lambda ks: all(k > 0 for k in ks), "k values must be > 0")),
+    "alphas": ((len, "alphas must hold at least one alpha"),
+               (lambda a: min(a, default=0) >= 0,
+                "alphas must be nonnegative"),
+               (lambda a: all(x > y for x, y in zip(a, a[1:])),
+                "alphas must be strictly decreasing")),
+}
+
+
+def arg_rules(**args) -> list:
+    """The (name, holds, message) rules of ARG_RULES on the named args."""
+    return [(name, holds(x), message) for name, x in args.items()
+            for holds, message in ARG_RULES[name]]
+
+
+def check_args(**args) -> None:
+    """Raise the message of the first ARG_RULES rule that args break."""
+    raise_first(violated(*arg_rules(**args)))
 
 
 # Anchor kernel: dot-product weights evaluating

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .noise import EtaConfig, raise_first, violated
+from .noise import EtaConfig, arg_rules, check_args, raise_first, violated
 
 NOISE_CASES = ("additive", "multiplicative", "deterministic")
 
@@ -43,8 +43,7 @@ def conjugate_exponent(r: float) -> float:
 
 def alpha_zero(lam: float, eta_mean: float) -> float:
     """Largest admissible noise intensity lam / (8*(1 + |E eta|))."""
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam!r}")
+    check_args(lam=lam)
     return lam / (8.0 * (1.0 + abs(eta_mean)))
 
 
@@ -172,15 +171,14 @@ class ProblemSpec:
     def violations(v) -> list:
         """(field, message) for each parameter hypothesis v breaks."""
         return violated(
-            ("lam", v["lam"] > 0, "lam must be > 0"),
-            ("p", v["p"] >= 2, "p must be ≥ 2"),
+            *arg_rules(lam=v["lam"], p=v["p"]),
             ("q", v["q"] >= v["p"], "q must be ≥ p"),
             ("alpha", v["alpha"] >= 0, "alpha must be ≥ 0"),
             ("epsilon", v["epsilon"] >= 0, "epsilon must be ≥ 0"),
             ("noise_case", v["noise_case"] in NOISE_CASES,
              "noise_case must be additive, multiplicative, or deterministic"),
             ("period", v["period"] > 0, "period must be > 0"),
-            ("delta", v["delta"] >= 0, "delta must be ≥ 0"))
+            *arg_rules(delta=v["delta"]))
 
     @property
     def gamma(self) -> float:

@@ -14,6 +14,13 @@ ACCEPTANCE_RESULTS = []
 ACCEPTANCE_TOTAL = 12
 
 
+def boundary_mask(grid: Grid) -> np.ndarray:
+    """The grid's boundary nodes as a boolean mask, built by hand."""
+    mask = np.ones(grid.shape, dtype=bool)
+    mask[(slice(1, -1),) * grid.dim] = False
+    return mask
+
+
 def record_criterion(number: int, description: str, passed: bool,
                      detail: str = "") -> None:
     ACCEPTANCE_RESULTS.append((number, description, bool(passed), detail))

@@ -44,6 +44,10 @@ def ball(radius: float, count: int) -> list:
     return sample_initial_ball(GRID, radius, count, 1234)
 
 
+def no_runs(*args, **kwargs):
+    raise AssertionError("a pullback ran before the arguments were checked")
+
+
 def quiet_additive(g_amp: float = 0.0) -> ProblemSpec:
     return ProblemSpec(noise_case="additive", g_amp=g_amp,
                        nonlinearity=NonlinearitySpec(phi_amp=0.0),
@@ -215,6 +219,13 @@ class TestAbsorbingCheck:
             absorbing_check(0.0, spec, paths(0), ball(1.0, 1), horizons=(),
                             cfg=CFG)
 
+    def test_rejects_descending_horizons_before_running(self, monkeypatch):
+        # The parser and pullback_run reject them; the check must not sort.
+        monkeypatch.setattr(analysis, "_run_pool", no_runs)
+        with pytest.raises(ValueError, match="horizons must be ascending"):
+            absorbing_check(0.0, ProblemSpec(), paths(0), ball(1.0, 1),
+                            horizons=(1.0, 0.5), cfg=CFG)
+
 
 class TestEnergyAudit:
     def test_zero_trajectory_residual_exactly_zero(self, grid65):
@@ -310,7 +321,7 @@ def reference_audit(record, spec):
     times = np.empty(len(interior))
     for i, k in enumerate(interior):
         t = float(record.times[k])
-        v = snaps[k]
+        v, g = snaps[k], spec.g_time(t) * ctx.gauss
         dE = (energies[k + 1] - energies[k - 1]) / (2.0 * dt)
         zk = float(z[k - 1] + 2.0 * z[k] + z[k + 1]) / 4.0
         ek = float(eta[k - 1] + 2.0 * eta[k] + eta[k + 1]) / 4.0
@@ -323,7 +334,7 @@ def reference_audit(record, spec):
             rhs = (2.0 * math.exp(-spec.alpha * zk)
                    * float(np.sum(wts * ctx.f_of(t, u) * v.values))
                    + 2.0 * math.exp(-spec.alpha * zk)
-                   * float(np.sum(wts * ctx.g_of(t) * v.values)))
+                   * float(np.sum(wts * g * v.values)))
             residuals[i] = lhs - rhs
         else:
             lhs = (dE + 2.0 * (spec.lam - spec.alpha * ek) * energies[k]
@@ -332,7 +343,7 @@ def reference_audit(record, spec):
                    * flux_pairing(w, hfield, spec.p, spec.delta)
                    + 2.0 * float(np.sum(wts * ctx.f_of(t, w.values)
                                         * v.values))
-                   + 2.0 * float(np.sum(wts * ctx.g_of(t) * v.values))
+                   + 2.0 * float(np.sum(wts * g * v.values))
                    + 2.0 * spec.alpha * spec.epsilon * ek * zk
                    * float(np.sum(wts * ctx.h * v.values)))
             residuals[i] = lhs - rhs
@@ -534,6 +545,13 @@ class TestUscSweep:
                       n_initials=1, grid=GRID, cfg=CFG)
         with pytest.raises(ValueError, match="horizon must be > 0"):
             usc_sweep(0.0, spec, paths(0), alphas=(0.1,), horizon=0.0,
+                      n_initials=1, grid=GRID, cfg=CFG)
+
+    def test_rejects_empty_alphas_before_running(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_run_pool", no_runs)
+        spec = ProblemSpec(noise_case="multiplicative", alpha=0.1)
+        with pytest.raises(ValueError, match="at least one alpha"):
+            usc_sweep(0.0, spec, paths(0), alphas=(), horizon=1.0,
                       n_initials=1, grid=GRID, cfg=CFG)
 
 

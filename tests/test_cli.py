@@ -10,10 +10,13 @@ from plrds.cli import main
 from plrds.config import (_SCHEMA, EXPERIMENTS, MAX_AUDIT_FLOATS,
                           ConfigError, RunConfig, _float, _float_list,
                           _str_list, parse_config)
-from plrds.fields import Grid
-from plrds.integrator import StepperConfig
+from plrds.fields import Grid, p_laplace, zero_field
+from plrds.integrator import StepperConfig, pullback_run
 from plrds.noise import EtaConfig
-from plrds.problem import NonlinearitySpec, ProblemSpec
+from plrds.problem import NonlinearitySpec, ProblemSpec, alpha_zero
+
+CFG = StepperConfig()
+U0 = zero_field(Grid(1, 8.0, 17))
 
 
 def errors_of(text: str) -> list:
@@ -260,8 +263,9 @@ PROBES = {
                                  "dt = 0.001\nblock_length = 2.5\n", 5),
 }
 
-# One case per rule a parameter dataclass states: a config whose last line
-# breaks the rule, and a constructor call that breaks it the same way.
+# One case per rule a parameter dataclass states or a library call shares
+# with the parser: a config whose last line breaks the rule, and a
+# constructor or library call that breaks it the same way.
 ONE_COPY = {
     "lam": ("[problem]\nlam = 0\n", lambda: ProblemSpec(lam=0.0)),
     "p": ("[problem]\np = 1.5\n", lambda: ProblemSpec(p=1.5)),
@@ -295,6 +299,28 @@ ONE_COPY = {
     "horizon": ("[experiment]\nhorizon = 0\n",
                 lambda: analysis.estimate_attractor(0.0, ProblemSpec(), None,
                                                     horizon=0.0)),
+    "horizons-nonnegative": ("[experiment]\nhorizons = -1, 2\n",
+                             lambda: pullback_run(0.0, (-1.0, 2.0), [], None,
+                                                  ProblemSpec(), CFG)),
+    "horizons-ascending": ("[experiment]\nhorizons = 2, 1\n",
+                           lambda: pullback_run(0.0, (2.0, 1.0), [], None,
+                                                ProblemSpec(), CFG)),
+    "k_list-ascending": ("[experiment]\nk_list = 3, 2\n",
+                         lambda: analysis.tail_check(0.0, ProblemSpec(), [],
+                                                     U0, k_list=(3.0, 2.0))),
+    "k_list-positive": ("[experiment]\nk_list = 0, 2\n",
+                        lambda: analysis.tail_check(0.0, ProblemSpec(), [],
+                                                    U0, k_list=(0.0, 2.0))),
+    "alphas-nonnegative": ("[experiment]\nalphas = 0.1, -0.05\n",
+                           lambda: analysis.usc_sweep(0.0, ProblemSpec(), [],
+                                                      alphas=(0.1, -0.05))),
+    "alphas-decreasing": ("[experiment]\nalphas = 0.1, 0.2\n",
+                          lambda: analysis.usc_sweep(0.0, ProblemSpec(), [],
+                                                     alphas=(0.1, 0.2))),
+    "p-p_laplace": ("[problem]\np = 1.5\n", lambda: p_laplace(U0, 1.5)),
+    "delta-p_laplace": ("[problem]\ndelta = -1\n",
+                        lambda: p_laplace(U0, 3.0, -1.0)),
+    "lam-alpha_zero": ("[problem]\nlam = 0\n", lambda: alpha_zero(0.0, 0.0)),
 }
 
 

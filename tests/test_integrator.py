@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import boundary_mask
 
 from plrds import fields, integrator
 from plrds.fields import (Field, Grid, _lap_faces, _pairing, flux_pairing,
@@ -394,7 +395,7 @@ def reference_apply(t, tau, path, u_tau, spec, cfg, with_record=False):
     dt, grid = cfg.dt, u_tau.grid
     nsteps, tau_k = snap_steps(t, dt), snap_steps(tau, dt)
     m = snap_steps(spec.period, dt)
-    ctx = integrator._context(spec, grid)
+    ctx, boundary = integrator._context(spec, grid), boundary_mask(grid)
     co = integrator._COUPLINGS[spec.noise_case]
     z, eta = integrator._noise_arrays(co, path, spec, 0.0, nsteps * dt, dt)
     case, al, eps = spec.noise_case, spec.alpha, spec.epsilon
@@ -434,7 +435,7 @@ def reference_apply(t, tau, path, u_tau, spec, cfg, with_record=False):
             out = vv + dtt * rhs
         else:
             out = math.exp(-a * dtt) * vv + (-math.expm1(-a * dtt) / a) * rhs
-        out[ctx.arrs.boundary] = 0.0
+        out[boundary] = 0.0
         return out, w, faces
 
     def sq(v):
