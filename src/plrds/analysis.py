@@ -19,9 +19,9 @@ from functools import partial
 
 import numpy as np
 
-from .fields import (_BLOCK_FLOATS, EndpointEnsemble, Field, Grid,
-                     _face_data, _pairing, grid_arrays, hausdorff_semidistance,
-                     l2_distance, l2_sq, make_field, tail_mass)
+from .fields import (EndpointEnsemble, Field, Grid, _face_data, _pairing,
+                     grid_arrays, hausdorff_semidistance, l2_distance, l2_sq,
+                     make_field, tail_mass)
 from .integrator import (StepperConfig, TrajectoryRecord, cocycle_apply,
                          pullback_run, _context, _COUPLINGS, _noise_arrays)
 from .noise import _cumtrapz, check_args, snap_steps
@@ -40,8 +40,7 @@ _SAMPLER_KEY = 0x1B1D
 def sample_initial_ball(grid: Grid, radius: float, count: int,
                         seed: int = 1234) -> list:
     """Deterministic sum-of-bumps fields with L2 norm inside the radius."""
-    if radius <= 0 or count < 1:
-        raise ValueError("need positive radius and count")
+    check_args(ball_radius=radius, n_initials=count)
     rng = np.random.Generator(np.random.Philox(key=np.array(
         [seed & 0xFFFFFFFFFFFFFFFF, _SAMPLER_KEY], dtype=np.uint64)))
     arrs = grid_arrays(grid)
@@ -284,7 +283,7 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec):
     ctx = _context(spec, grid)
     co = _COUPLINGS[spec.noise_case]
     wts, dim, dx, a = ctx.arrs.weights, grid.dim, grid.dx, spec.alpha
-    col, axes = (-1,) + (1,) * dim, tuple(range(-dim, 0))
+    axes = tuple(range(-dim, 0))
     # Node series with the float operations of one node each; coefficients
     # through exp, pow, sin and cos are per-node scalars.
     kk = np.array(interior)
@@ -303,11 +302,11 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec):
         c_p, c_f, to_u = (np.array([math.exp(a * e * s) for s in zk.tolist()])
                           for e in (spec.p - 2.0, -1.0, 1.0))
     residuals = np.empty(len(interior))
-    rows = max(1, _BLOCK_FLOATS // math.prod(grid.shape))
+    rows = ctx.arrs.block_rows
     for b in (slice(i, i + rows) for i in range(0, len(interior), rows)):
         v = np.stack([snaps[k].values for k in interior[b]])
         w = co.w_of(v, zk[b], ctx)
-        u = to_u[b].reshape(col) * w
+        u = ctx.col(to_u[b]) * w
         faces = _face_data(w, dim, dx, spec.p, spec.delta)
         g, *phi = factors[:, b] * ctx.gauss
         f = ctx.f_of(None, u, *phi) if phi else \
@@ -371,7 +370,6 @@ def tail_check(tau: float, spec: ProblemSpec, paths, u0: Field,
     nsteps = snap_steps(horizon, cfg.dt, "horizon")
     sigma_frac = np.linspace(0.0, 1.0, n_sigma)
     sigma_idx = sorted({nsteps - int(round(f / cfg.dt)) for f in (1.0 - sigma_frac)})
-    sigma_idx = [i for i in sigma_idx if 0 <= i <= nsteps]
     run = partial(pullback_run, tau, [float(horizon)], [u0], spec=spec,
                   cfg=cfg, snapshot_indices=sigma_idx, with_records=True)
     results = _run_pool(run, [{"path": p} for p in paths], workers)
@@ -420,7 +418,7 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
     non-contraction.  The failure entries of the pullback runs ride along
     as the ensemble's failures.
     """
-    check_args(horizon=horizon)
+    check_args(horizon=horizon, n_initials=n_initials)
     if cluster_tol is not None:
         check_args(cluster_tol=cluster_tol)
     bound = absorbing_bound(tau, path, spec, quad_tol, grid, c)
@@ -445,10 +443,9 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
     for m in ens.members:
         if all(l2_distance(m, k) >= cluster_tol for k in kept):
             kept.append(m)
-    return EndpointEnsemble(members=tuple(kept),
-                            tag=replace(ens.tag, horizon=horizon,
-                                        radius=radius),
-                            failures=tuple(result.failures))
+    return EndpointEnsemble(members=tuple(kept), tag=replace(
+        ens.tag, horizon=horizon, radius=radius, cluster_tol=cluster_tol),
+        failures=tuple(result.failures))
 
 
 @dataclass(frozen=True)
@@ -479,7 +476,7 @@ def usc_sweep(tau: float, spec: ProblemSpec, paths,
     with its alpha.
     """
     alphas = tuple(float(a) for a in alphas)
-    check_args(horizon=horizon, alphas=alphas)
+    check_args(horizon=horizon, n_initials=n_initials, alphas=alphas)
     if not paths:
         raise ValueError("usc_sweep needs at least one path")
     tasks = [{"spec": spec.with_alpha(0.0, "deterministic"), "path": None}]

@@ -21,27 +21,14 @@ import numpy as np
 from . import __version__, analysis
 from .config import (_SCHEMA, EXPERIMENTS, FAN_OUT, ConfigError, RunConfig,
                      parse_config)
-from .fields import field_to_binary, field_to_csv, hausdorff_semidistance, l2_sq
+from .fields import (_write_csv, field_to_binary, field_to_csv,
+                     hausdorff_semidistance, l2_sq)
 from .integrator import StiffnessError, cocycle_apply
 from .noise import make_path, shift
 
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    """Numbers at %.17g, bools as true/false, strs as they are; one format
-    string per row's cell types."""
-    formats = {}
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            kinds = tuple(map(type, row))
-            fmt = formats.get(kinds) or formats.setdefault(kinds, ",".join(
-                "%s" if issubclass(k, (str, bool)) else "%.17g" for k in kinds))
-            fh.write((fmt % tuple(row)).replace("True", "true")
-                     .replace("False", "false") + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -101,6 +88,16 @@ def _initials(cfg: RunConfig, n: int) -> list:
 def _single_seed_inputs(cfg: RunConfig):
     return (cfg.problem_spec(), cfg.stepper(), _noise_path(cfg),
             _initials(cfg, 1)[0])
+
+
+def _estimator(cfg: RunConfig) -> partial:
+    """estimate_attractor bound to the config's arguments; it still takes tau
+    and path.  A cluster_tol of 0 asks for the default tolerance."""
+    return partial(analysis.estimate_attractor, spec=cfg.problem_spec(),
+                   horizon=cfg.horizon, n_initials=cfg.n_initials, c=cfg.c,
+                   grid=cfg.grid(), cfg=cfg.stepper(), quad_tol=cfg.quad_tol,
+                   cluster_tol=cfg.cluster_tol or None,
+                   sampler_seed=cfg.sampler_seed)
 
 
 def _series_rows(rec, spec) -> list:
@@ -203,11 +200,7 @@ def _run_tail_check(cfg: RunConfig, out: Path):
 
 
 def _run_estimate_attractor(cfg: RunConfig, out: Path):
-    ens = analysis.estimate_attractor(
-        cfg.tau, cfg.problem_spec(), _noise_path(cfg), cfg.horizon,
-        n_initials=cfg.n_initials, grid=cfg.grid(), cfg=cfg.stepper(),
-        cluster_tol=cfg.cluster_tol or None, sampler_seed=cfg.sampler_seed,
-        quad_tol=cfg.quad_tol, c=cfg.c)
+    ens = _estimator(cfg)(cfg.tau, path=_noise_path(cfg))
     files = []
     for i, member in enumerate(ens.members):
         _write_field(cfg, out, f"member_{i:03d}", member, files)
@@ -237,17 +230,12 @@ def _run_usc_sweep(cfg: RunConfig, out: Path):
 
 def _run_periodicity_check(cfg: RunConfig, out: Path):
     paths = _paths(cfg)
-    estimate = partial(
-        analysis.estimate_attractor, spec=cfg.problem_spec(),
-        horizon=cfg.horizon, n_initials=cfg.n_initials, grid=cfg.grid(),
-        cfg=cfg.stepper(), sampler_seed=cfg.sampler_seed,
-        quad_tol=cfg.quad_tol, c=cfg.c, check_contraction=False)
+    estimate = partial(_estimator(cfg), check_contraction=False)
     first = analysis._run_pool(estimate, [
-        {"tau": cfg.tau, "path": p, "cluster_tol": cfg.cluster_tol or None}
-        for p in paths], cfg.workers)
+        {"tau": cfg.tau, "path": p} for p in paths], cfg.workers)
     # The first pass computed the absorbing radius at tau; the second, a
     # period later, reuses its tolerance.
-    tols = [cfg.cluster_tol or 1e-4 * e1.tag.radius for e1 in first]
+    tols = [e1.tag.cluster_tol for e1 in first]
     second = analysis._run_pool(estimate, [
         {"tau": cfg.tau + cfg.period, "path": p, "cluster_tol": tol}
         for p, tol in zip(paths, tols)], cfg.workers)

@@ -83,7 +83,7 @@ class RunConfig:
     n_initials: int = 2
     c: float = 4.0
     quad_tol: float = 1e-12
-    cluster_tol: float = 0.0       # 0 -> 1e-4 * absorbing radius
+    cluster_tol: float = 0.0       # 0 -> estimate_attractor's default
     ball_radius: float = 1.0
     sampler_seed: int = 1234
     warmup: float = 0.5
@@ -270,8 +270,6 @@ def _validate(cfg: RunConfig, lines: dict, experiment) -> list:
         ("horizon", audit_floats <= MAX_AUDIT_FLOATS, f"audit snapshots "
          f"would hold {audit_floats:,} floats, over {MAX_AUDIT_FLOATS:,}"),
         ("n_seeds", cfg.n_seeds >= 1, "n_seeds must be ≥ 1"),
-        ("n_initials", cfg.n_initials >= 1, "n_initials must be ≥ 1"),
-        ("ball_radius", cfg.ball_radius > 0, "ball_radius must be > 0"),
         ("warmup", cfg.warmup >= 0, "warmup must be ≥ 0"),
         ("workers", cfg.workers >= 1, "workers must be ≥ 1"),
         ("formats", not bad, "unknown output formats: " + ", ".join(bad)),

@@ -56,7 +56,8 @@ class Grid:
 
 @lru_cache(maxsize=32)
 def grid_arrays(grid: Grid) -> SimpleNamespace:
-    """Cached coordinate and weight arrays and boundary slices for a grid."""
+    """Cached coordinate and weight arrays, boundary slices, and block_rows:
+    how many fields one stacked row-block array holds."""
     x = np.linspace(-grid.half_width, grid.half_width, grid.n)
     w1 = np.full(grid.n, grid.dx)
     w1[0] *= 0.5
@@ -74,7 +75,8 @@ def grid_arrays(grid: Grid) -> SimpleNamespace:
     # edges index the boundary nodes by slices, one per grid side.
     return SimpleNamespace(coords=x, x=xx, y=yy, radial_sq=radial_sq,
                            radial=np.sqrt(radial_sq), weights=weights,
-                           edges=edges, dx=grid.dx)
+                           edges=edges, dx=grid.dx, block_rows=max(
+                               1, _BLOCK_FLOATS // math.prod(grid.shape)))
 
 
 @dataclass(frozen=True)
@@ -214,9 +216,13 @@ def lebesgue_pow(u: Field, r: float) -> float:
     return float(_lebesgue(u.values, grid_arrays(u.grid).weights, r))
 
 
+def _sq_norm(values: np.ndarray, weights: np.ndarray) -> float:
+    """sum weights values^2, multiplied in that order."""
+    return float((weights * values * values).sum())
+
+
 def l2_sq(u: Field) -> float:
-    arrs = grid_arrays(u.grid)
-    return float(np.sum(arrs.weights * u.values * u.values))
+    return _sq_norm(u.values, grid_arrays(u.grid).weights)
 
 
 def l2_distance(a: Field, b: Field) -> float:
@@ -309,6 +315,7 @@ class EnsembleTag:
     alpha: float | None = None
     horizon: float | None = None
     radius: float | None = None    # absorbing radius the ensemble came from
+    cluster_tol: float | None = None    # distance below which members merged
 
 
 @dataclass(frozen=True)
@@ -333,22 +340,33 @@ class EndpointEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one CSV row per node, and a raw binary dump.
+# Serialization: CSV rows, one per node for a field, and a raw binary dump.
 # ---------------------------------------------------------------------------
 
+def _write_csv(path, header: str, rows, newline: str = "") -> None:
+    """Numbers at %.17g, bools as true/false, strs as they are; one format
+    string per row's cell types.  Each line ends in newline ("" keeps "\n")."""
+    formats = {}
+    with open(path, "w", newline=newline) as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            kinds = tuple(map(type, row))
+            fmt = formats.get(kinds) or formats.setdefault(kinds, ",".join(
+                "%s" if issubclass(k, (str, bool)) else "%.17g" for k in kinds))
+            fh.write((fmt % tuple(row)).replace("True", "true")
+                     .replace("False", "false") + "\n")
+
+
 def field_to_csv(u: Field, path) -> None:
-    arrs = grid_arrays(u.grid)
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        if u.grid.dim == 1:
-            wr.writerow(["x", "value"])
-            for xi, vi in zip(arrs.coords, u.values):
-                wr.writerow([f"{xi:.17g}", f"{vi:.17g}"])
-        else:
-            wr.writerow(["x", "y", "value"])
-            for i, xi in enumerate(arrs.coords):
-                for j, yj in enumerate(arrs.coords):
-                    wr.writerow([f"{xi:.17g}", f"{yj:.17g}", f"{u.values[i, j]:.17g}"])
+    """One x[,y],value row per node, lines ending in CRLF."""
+    x, values = grid_arrays(u.grid).coords.tolist(), u.values.tolist()
+    if u.grid.dim == 1:
+        header, rows = "x,value", zip(x, values)
+    else:
+        header = "x,y,value"
+        rows = ((xi, yj, v) for xi, row in zip(x, values)
+                for yj, v in zip(x, row))
+    _write_csv(path, header, rows, newline="\r\n")
 
 
 def field_from_csv(path) -> Field:

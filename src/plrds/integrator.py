@@ -33,11 +33,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fields import (_BLOCK_FLOATS, EndpointEnsemble, EnsembleTag, Field,
-                     Grid, _face_data, _lap_faces, _lebesgue, _pairing,
-                     grid_arrays, lebesgue_pow, make_field, p_dissipation)
-from .noise import (_ou_and_eta, check_args, ou_from_path, raise_first,
-                    shift, snap_steps, violated)
+from .fields import (EndpointEnsemble, EnsembleTag, Field, Grid, _face_data,
+                     _lap_faces, _lebesgue, _pairing, _sq_norm, grid_arrays,
+                     lebesgue_pow, make_field, p_dissipation)
+from .noise import (_ou_and_eta, _resolve, check_args, ou_from_path,
+                    raise_first, shift, snap_steps, violated)
 from .problem import ProblemSpec
 
 
@@ -230,10 +230,6 @@ def _norm_ok(sq_old: float, sq_new: float) -> bool:
     return math.isfinite(l2_new) and l2_new <= 10.0 * math.sqrt(sq_old) + 1e-3
 
 
-def _weighted_sq(values: np.ndarray, ctx: _ModelContext) -> float:
-    return float((ctx.arrs.weights * values * values).sum())
-
-
 def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, terms, ctx, cfg):
     """One dt step with the divergence guard; halves into substeps on blowup.
 
@@ -244,8 +240,8 @@ def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, terms, ctx, cfg):
     eta_mid = 0.5 * (eta0 + eta1)
     cand, warg, faces = _single_step(co, vv, t_eval, dtt, z_mid, eta_mid,
                                      terms, ctx, cfg.scheme)
-    sq_old = _weighted_sq(vv, ctx)
-    sq_new = _weighted_sq(cand, ctx)
+    sq_old = _sq_norm(vv, ctx.arrs.weights)
+    sq_new = _sq_norm(cand, ctx.arrs.weights)
     if _norm_ok(sq_old, sq_new):
         return cand, sq_old, sq_new, warg, faces
     for halvings in range(1, cfg.substep_limit + 1):
@@ -264,7 +260,7 @@ def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, terms, ctx, cfg):
             terms = next(_terms(co, ctx, ctx.factors([ts]), [zs], [es]))
             nxt, warg, faces = _single_step(co, cur, ts, hs, zs, es, terms,
                                             ctx, cfg.scheme)
-            sq_new = _weighted_sq(nxt, ctx)
+            sq_new = _sq_norm(nxt, ctx.arrs.weights)
             if not _norm_ok(sq_cur, sq_new):
                 break
             cur, sq_cur = nxt, sq_new
@@ -355,7 +351,7 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
     z_mid, eta_mid = 0.5 * (z[:-1] + z[1:]), 0.5 * (eta[:-1] + eta[1:])
     # Chunks of steps build their terms, and a record its quadratures, with
     # one NumPy call each.
-    chunk = max(1, _BLOCK_FLOATS // math.prod(grid.shape))
+    chunk = ctx.arrs.block_rows
     for k0 in range(0, nsteps, chunk):
         c = slice(k0, min(k0 + chunk, nsteps))
         nodes, wargs, faces = co.node(z[k0:c.stop + 1], ctx), [], []
@@ -382,7 +378,7 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
     out = Field(grid, state)
     if not with_record:
         return out
-    l2s[nsteps] = sq_new if nsteps else _weighted_sq(v0, ctx)
+    l2s[nsteps] = sq_new if nsteps else _sq_norm(v0, ctx.arrs.weights)
     if nsteps in want:
         snapshots[nsteps] = Field(grid, vv_new.copy())
     # At node times the additive dissipation argument w = v + eps*h*z is u
@@ -420,7 +416,7 @@ def pullback_run(tau: float, horizons, initial_set, path, spec: ProblemSpec,
     ensembles = {}
     records = {}
     failures = []
-    seed = getattr(path.base if hasattr(path, "base") else path, "seed", None)
+    seed = getattr(_resolve(path)[0], "seed", None)
     for h in horizons:
         view = shift(path, -h) if path is not None else None
         members = []

@@ -64,6 +64,8 @@ ARG_RULES = {
     "c": ((lambda c: c > 0, "c must be > 0"),),
     "quad_tol": ((lambda x: 0 < x < 1, "quad_tol must be in (0, 1)"),),
     "cluster_tol": ((lambda x: x >= 0, "cluster_tol must be ≥ 0"),),
+    "ball_radius": ((lambda r: r > 0, "ball_radius must be > 0"),),
+    "n_initials": ((lambda n: n >= 1, "n_initials must be ≥ 1"),),
     "n_sigma": ((lambda n: n >= 2, "n_sigma must be ≥ 2"),),
     "horizon": ((lambda h: h > 0, "horizon must be > 0"),),
     "horizons": ((lambda hs: all(h >= 0 for h in hs),

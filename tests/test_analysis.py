@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from plrds import analysis
+from plrds import analysis, fields
 from plrds.analysis import (absorbing_bound, absorbing_check,
                             absorbing_radius, alpha_solution_distances,
                             energy_audit,
@@ -45,7 +45,7 @@ def ball(radius: float, count: int) -> list:
 
 
 def no_runs(*args, **kwargs):
-    raise AssertionError("a pullback ran before the arguments were checked")
+    raise AssertionError("work ran before the arguments were checked")
 
 
 def quiet_additive(g_amp: float = 0.0) -> ProblemSpec:
@@ -404,7 +404,7 @@ class TestAuditOracle:
                              ids=["1d", "2d"])
     @pytest.mark.parametrize("case", sorted(SPECS))
     def test_bitwise_against_reference(self, case, grid, tau):
-        rows = analysis._BLOCK_FLOATS // grid.n ** grid.dim
+        rows = fields._BLOCK_FLOATS // grid.n ** grid.dim
         spec = self.SPECS[case]
         rec = self.record(spec, grid, tau, 2 * rows + 6)
         for snaps in self.subsets(rec, rows):
@@ -415,7 +415,7 @@ class TestAuditOracle:
     @pytest.mark.parametrize("case", sorted(SPECS))
     def test_custom_reaction(self, case, grid):
         spec = replace(self.SPECS[case], nonlinearity=self.CUSTOM)
-        rows = analysis._BLOCK_FLOATS // grid.n ** grid.dim
+        rows = fields._BLOCK_FLOATS // grid.n ** grid.dim
         self.assert_same(self.record(spec, grid, 0.3, rows + 3), spec)
 
 
@@ -482,16 +482,28 @@ class TestEstimateAttractor:
         assert ens.tag.seed == 5
         assert ens.tag.alpha == spec.alpha
         assert ens.tag.horizon == 2.0
+        assert ens.tag.cluster_tol == 1e9
         fine = estimate_attractor(0.0, spec, path, horizon=2.0, n_initials=3,
                                   grid=GRID, cfg=CFG, cluster_tol=1e-15,
                                   check_contraction=False)
         assert 1 <= len(fine) <= 3
+        default = estimate_attractor(0.0, spec, path, horizon=0.2,
+                                     n_initials=1, grid=GRID, cfg=CFG,
+                                     check_contraction=False)
+        assert default.tag.cluster_tol == 1e-4 * default.tag.radius
         with pytest.raises(ValueError, match="cluster_tol must be ≥ 0"):
             estimate_attractor(0.0, spec, path, horizon=2.0, grid=GRID,
                                cfg=CFG, cluster_tol=-1.0)
         with pytest.raises(ValueError, match="horizon must be > 0"):
             estimate_attractor(0.0, spec, path, horizon=0.0, grid=GRID,
                                cfg=CFG)
+
+    def test_rejects_no_initials_before_the_quadrature(self, monkeypatch):
+        monkeypatch.setattr(analysis, "absorbing_bound", no_runs)
+        with pytest.raises(ValueError, match="n_initials must be ≥ 1"):
+            estimate_attractor(0.0, ProblemSpec(noise_case="additive"),
+                               make_path(5, DT), horizon=1.0, n_initials=0,
+                               grid=GRID, cfg=CFG)
 
     def test_tag_records_absorbing_radius(self):
         spec = ProblemSpec(noise_case="additive")
@@ -553,6 +565,13 @@ class TestUscSweep:
         with pytest.raises(ValueError, match="at least one alpha"):
             usc_sweep(0.0, spec, paths(0), alphas=(), horizon=1.0,
                       n_initials=1, grid=GRID, cfg=CFG)
+
+    def test_rejects_no_initials_before_running(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_run_pool", no_runs)
+        spec = ProblemSpec(noise_case="multiplicative", alpha=0.1)
+        with pytest.raises(ValueError, match="n_initials must be ≥ 1"):
+            usc_sweep(0.0, spec, paths(0), alphas=(0.1,), horizon=1.0,
+                      n_initials=0, grid=GRID, cfg=CFG)
 
 
 class TestCallerPaths:

@@ -321,6 +321,10 @@ ONE_COPY = {
     "delta-p_laplace": ("[problem]\ndelta = -1\n",
                         lambda: p_laplace(U0, 3.0, -1.0)),
     "lam-alpha_zero": ("[problem]\nlam = 0\n", lambda: alpha_zero(0.0, 0.0)),
+    "ball_radius": ("[experiment]\nball_radius = 0\n",
+                    lambda: analysis.sample_initial_ball(U0.grid, 0.0, 1)),
+    "n_initials": ("[experiment]\nn_initials = 0\n",
+                   lambda: analysis.sample_initial_ball(U0.grid, 1.0, 0)),
 }
 
 
@@ -589,7 +593,9 @@ class TestMainRuns:
         p = tmp_path / "run.ini"
         p.write_text(base_config(out))
         assert main(["absorb-check", "--config", str(p)]) == 0
-        lines = (out / "absorbing.csv").read_text().splitlines()
+        raw = (out / "absorbing.csv").read_bytes()
+        assert b"\r" not in raw  # report CSVs end lines in LF, fields in CRLF
+        lines = raw.decode().splitlines()
         assert lines[0] == "seed,horizon,endpoint_l2_sq,bound,satisfied"
         assert len(lines) == 5  # 2 seeds x 2 horizons
         assert all(line.endswith(("true", "false")) for line in lines[1:])

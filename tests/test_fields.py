@@ -1,5 +1,6 @@
 """Spatial discretization: p-Laplace fluxes, quadratures, tails, set distance."""
 
+import csv
 import hashlib
 import math
 
@@ -465,6 +466,31 @@ class TestSerialization:
         back = field_from_csv(path)
         assert back.grid == u.grid
         assert np.array_equal(back.values, u.values)
+
+    @pytest.mark.parametrize("grid", [Grid(1, 8.0, 7), Grid(2, 2.0, 5)])
+    def test_csv_bytes_match_csv_writer(self, grid, tmp_path):
+        # The oracle is the csv module's writer: .17g cells, CRLF line ends.
+        vals = np.zeros(grid.shape)
+        vals.flat[1:6] = (-0.0, 5e-324, 1e300, np.nan, -np.inf)
+        u = Field(grid, vals)
+        field_to_csv(u, tmp_path / "got.csv")
+        x = grid_arrays(grid).coords
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            wr = csv.writer(fh)
+            if grid.dim == 1:
+                wr.writerow(["x", "value"])
+                wr.writerows([f"{a:.17g}", f"{v:.17g}"]
+                             for a, v in zip(x, vals))
+            else:
+                wr.writerow(["x", "y", "value"])
+                wr.writerows([f"{a:.17g}", f"{b:.17g}", f"{vals[i, j]:.17g}"]
+                             for i, a in enumerate(x) for j, b in enumerate(x))
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        for cell in (b",-0\r\n", b",4.9406564584124654e-324\r\n",
+                     b",1.0000000000000001e+300\r\n", b",nan\r\n",
+                     b",-inf\r\n"):
+            assert cell in got
 
     @pytest.mark.parametrize("grid", [Grid(1, 8.0, 65), Grid(2, 2.0, 17)])
     def test_binary_round_trip_bitwise(self, grid, tmp_path):
