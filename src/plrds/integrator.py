@@ -230,17 +230,20 @@ def _norm_ok(sq_old: float, sq_new: float) -> bool:
     return math.isfinite(l2_new) and l2_new <= 10.0 * math.sqrt(sq_old) + 1e-3
 
 
-def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, terms, ctx, cfg):
+def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, terms, ctx, cfg,
+                sq_old=None):
     """One dt step with the divergence guard; halves into substeps on blowup.
 
-    Substeps build their own terms.  Returns (v_new, ||vv||^2, ||v_new||^2,
+    Substeps build their own terms.  sq_old, if given, is ||vv||^2 as an
+    earlier step already summed it.  Returns (v_new, ||vv||^2, ||v_new||^2,
     w, faces), the last two from the last substep.  A StiffnessError reports
     as norm_after the norm of the last rejected attempt."""
     z_mid = 0.5 * (z0 + z1)
     eta_mid = 0.5 * (eta0 + eta1)
     cand, warg, faces = _single_step(co, vv, t_eval, dtt, z_mid, eta_mid,
                                      terms, ctx, cfg.scheme)
-    sq_old = _sq_norm(vv, ctx.arrs.weights)
+    if sq_old is None:
+        sq_old = _sq_norm(vv, ctx.arrs.weights)
     sq_new = _sq_norm(cand, ctx.arrs.weights)
     if _norm_ok(sq_old, sq_new):
         return cand, sq_old, sq_new, warg, faces
@@ -359,9 +362,11 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
                                          eta_mid[c])):
             k = k0 + j
             vv = co.to_v(state, nodes[j], ctx)
+            # Identity transforms (noise-free) hand back the last v_new,
+            # whose sum is known.
             vv_new, sq, sq_new, warg, fc = _macro_step(
                 co, vv, ts[k], dt, zs[k], zs[k + 1], es[k], es[k + 1], terms,
-                ctx, cfg)
+                ctx, cfg, sq_new if k and vv is vv_new else None)
             if with_record:
                 l2s[k] = sq
                 if k in want:

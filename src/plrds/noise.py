@@ -23,7 +23,6 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-from scipy.signal import lfilter
 
 QUAD_TOL = 1e-12
 
@@ -288,7 +287,13 @@ def _ou_values(base, rate: float, k0: int, k1: int, m: int) -> np.ndarray:
     input, so its mismatch with the value recursed out of the previous block
     is truncation-sized (the quad_tol tail weight, far below solver error).
     A window's blocks are the rows of one (blocks, K) array: the anchors fill
-    its first column, and one lfilter along the rows fills the rest.
+    its first column, and every later node is y = decay * y + inc, with
+    inc = gain * (omega_{k+1} - omega_k) taken once for the window (the
+    order of operations of a first-order lfilter, so the bits match it).
+    With at least as many blocks as entries per block the recursion runs one
+    column at a time across all rows; otherwise it runs along each row over
+    Python floats, the last row only up to k1, since no node depends on a
+    later one.
     """
     kblock = base.steps_per_block // m
     dt_ou = m * base.dt
@@ -303,13 +308,25 @@ def _ou_values(base, rate: float, k0: int, k1: int, m: int) -> np.ndarray:
     # anchor keeps ddot's bits, which one matrix product would not.
     starts = range(steps, steps + nb * kblock, kblock)
     dots = np.array([np.dot(wts, w[a - steps : a + 1]) for a in starts])
-    out = np.empty((nb, kblock))
-    out[:, 0] = w[steps::kblock] - bfac * w[:nb * kblock:kblock] - rate * dots
+    anchors = w[steps::kblock] - bfac * w[:nb * kblock:kblock] - rate * dots
     blk = w[steps:].reshape(nb, kblock)
-    out[:, 1:], _ = lfilter([gain], [1.0, -decay], blk[:, 1:] - blk[:, :-1],
-                            axis=-1, zi=decay * out[:, :1])
+    inc = gain * (blk[:, 1:] - blk[:, :-1])
     lo = k0 - j0 * kblock
-    return out.ravel()[lo : lo + k1 - k0 + 1]
+    if nb >= kblock:
+        out = np.empty((nb, kblock))
+        out[:, 0] = anchors
+        for j in range(1, kblock):
+            out[:, j] = decay * out[:, j - 1] + inc[:, j - 1]
+        return out.ravel()[lo : lo + k1 - k0 + 1]
+    rows = inc.tolist()
+    del rows[-1][k1 - j1 * kblock:]
+    vals = []
+    for y, row in zip(anchors.tolist(), rows):
+        vals.append(y)
+        for x in row:
+            y = decay * y + x
+            vals.append(y)
+    return np.array(vals[lo:])
 
 
 def ou_from_path(path, rate: float, t0: float, t1: float, dt: float | None = None) -> OUPath:

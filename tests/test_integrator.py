@@ -573,6 +573,27 @@ class TestChunkedLoop:
         self.assert_same(10, 0.0, path, gaussian_u0(grid, amp), spec, cfg)
         assert any(0 < k < self.chunk(grid) for k in retried), retried
 
+    @pytest.mark.parametrize("case, sums", [("additive", 2 * 40),
+                                             ("deterministic", 40 + 1)])
+    def test_noise_free_steps_sum_each_state_once(self, case, sums,
+                                                  gaussian_u0, path_bank,
+                                                  monkeypatch):
+        # Noise-free transforms are identities, so step k + 1's ||vv||^2 is
+        # step k's ||v_new||^2; the noisy round trip moves bits, so there
+        # each step sums both.
+        grid, cfg = self.GRIDS[1], StepperConfig(dt=2e-3)
+        path = None if case == "deterministic" else path_bank(5, cfg.dt)
+        calls = []
+        sq_norm = integrator._sq_norm
+
+        def counted(*args):
+            calls.append(args)
+            return sq_norm(*args)
+        monkeypatch.setattr(integrator, "_sq_norm", counted)
+        cocycle_apply(40 * cfg.dt, 0.3, path, gaussian_u0(grid, 0.9),
+                      self.SPECS[case], cfg)
+        assert len(calls) == sums
+
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("case", sorted(SPECS))
     def test_stiffness_error(self, case, dim, gaussian_u0, path_bank):

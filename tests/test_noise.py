@@ -236,6 +236,30 @@ class TestOuWindowOracle:
         assert got.tobytes() == \
             self.reference_ou_values(base, 1.5, k0, k1, m).tobytes()
 
+    # Windows of blocks x K nodes pick the loop by shape: the column form
+    # when blocks >= K, the row form (last row trimmed at k1) otherwise.
+    @pytest.mark.parametrize("form, dt, block_length, m, k0, k1", [
+        # 36 blocks of 20: one column at a time across the rows.
+        ("column", DT, 0.1, 1, -297, 387),
+        # 3 blocks of 1,000 at m = 2, ending mid-block: the last row stops
+        # at k1.
+        ("row", DT, 10.0, 2, -1250, 617),
+        # Ending on a block's first node: the last row keeps its anchor.
+        ("row", DT, 10.0, 1, -100, 2000),
+        ("column", DT, 0.1, 1, -300, 400),
+        # The noise-ergodic window: 2,501 blocks of 16 at dt 0.25.
+        ("column", 0.25, 4.0, 1, 0, 40000),
+    ])
+    def test_each_loop_form_matches_the_per_block_loop(
+            self, form, dt, block_length, m, k0, k1):
+        base = NoisePath(31, dt, block_length)
+        kb = base.steps_per_block // m
+        assert (k1 // kb - k0 // kb + 1 >= kb) == (form == "column")
+        got = _ou_values(base, 1.5, k0, k1, m)
+        assert len(got) == k1 - k0 + 1
+        assert got.tobytes() == \
+            self.reference_ou_values(base, 1.5, k0, k1, m).tobytes()
+
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_shifted_view_matches_the_per_block_loop(self, m):
         base = self.paths()["noise"]
