@@ -28,8 +28,7 @@ horizons = [2.0, 4.0, 8.0, 16.0]
 print(f"pullback at tau=0, seed {SEED}, {len(initials)} initial states,")
 print(f"horizons {horizons}\n")
 
-result = pullback_run(0.0, horizons, initials, path, SPEC, CFG,
-                      with_records=False)
+result = pullback_run(0.0, horizons, initials, path, SPEC, CFG)
 
 w = grid_arrays(GRID).weights
 print("endpoint gap between consecutive horizons, per initial state:")

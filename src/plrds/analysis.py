@@ -24,12 +24,11 @@ from .fields import (EndpointEnsemble, Field, Grid, _face_data, _pairing,
                      make_field, tail_mass)
 from .integrator import (StepperConfig, TrajectoryRecord, cocycle_apply,
                          pullback_run, _context, _COUPLINGS, _noise_arrays)
-from .noise import _cumtrapz, check_args, snap_steps
+from .noise import QUAD_TOL, _cumtrapz, check_args, snap_steps
 from .problem import ForcingNorms, ProblemSpec, check_growth_condition
 
 DEFAULT_GRID = Grid(1, 8.0, 257)
 DEFAULT_C = 4.0
-DEFAULT_QUAD_TOL = 1e-12
 _SAMPLER_KEY = 0x1B1D
 
 
@@ -124,7 +123,7 @@ def _weight_window(path, spec: ProblemSpec, quad_tol: float):
 
 
 def absorbing_radius(tau: float, path, spec: ProblemSpec,
-                     quad_tol: float = DEFAULT_QUAD_TOL,
+                     quad_tol: float = QUAD_TOL,
                      grid: Grid = DEFAULT_GRID,
                      c: float = DEFAULT_C) -> RadiusReport:
     """Absorbing radius R at observation time tau for the spec's noise case.
@@ -175,7 +174,7 @@ def absorbing_radius(tau: float, path, spec: ProblemSpec,
 
 
 def absorbing_bound(tau: float, path, spec: ProblemSpec,
-                    quad_tol: float = DEFAULT_QUAD_TOL,
+                    quad_tol: float = QUAD_TOL,
                     grid: Grid = DEFAULT_GRID, c: float = DEFAULT_C) -> float:
     """The case-appropriate absorbing bound on ||u(tau)||^2."""
     return absorbing_radius(tau, path, spec, quad_tol, grid, c).bound
@@ -205,7 +204,7 @@ class AbsorbingReport:
 def absorbing_check(tau: float, spec: ProblemSpec, paths, initials,
                     horizons=(4.0, 8.0, 16.0, 32.0),
                     cfg: StepperConfig = StepperConfig(),
-                    quad_tol: float = DEFAULT_QUAD_TOL, c: float = DEFAULT_C,
+                    quad_tol: float = QUAD_TOL, c: float = DEFAULT_C,
                     workers: int = 1) -> AbsorbingReport:
     """Check that pullback endpoints enter the absorbing ball.
 
@@ -218,17 +217,16 @@ def absorbing_check(tau: float, spec: ProblemSpec, paths, initials,
     if not paths or not initials or not horizons:
         raise ValueError("absorbing_check needs at least one path, one "
                          "initial state and one horizon")
-    run = partial(pullback_run, tau, horizons, initials, spec=spec, cfg=cfg,
-                  with_records=False)
+    run = partial(pullback_run, tau, horizons, initials, spec=spec, cfg=cfg)
     results = _run_pool(run, [{"path": p} for p in paths], workers)
     rows, failures = [], []
     for path, result in zip(paths, results):
         bound = absorbing_bound(tau, path, spec, quad_tol,
                                 initials[0].grid, c)
         for h in horizons:
-            worst = max((l2_sq(m) for m in result.ensembles[h].members),
-                        default=float("nan"))
-            rows.append((path.seed, h, worst, bound, bool(worst <= bound)))
+            ens = result.ensembles[h]
+            worst = max((l2_sq(m) for m in ens.members), default=float("nan"))
+            rows.append((ens.tag.seed, h, worst, bound, bool(worst <= bound)))
         failures.extend(result.failures)
     sat_by_h = {h: all(r[4] for r in rows if r[1] == h) for h in horizons}
     entry = None
@@ -371,25 +369,25 @@ def tail_check(tau: float, spec: ProblemSpec, paths, u0: Field,
     sigma_frac = np.linspace(0.0, 1.0, n_sigma)
     sigma_idx = sorted({nsteps - int(round(f / cfg.dt)) for f in (1.0 - sigma_frac)})
     run = partial(pullback_run, tau, [float(horizon)], [u0], spec=spec,
-                  cfg=cfg, snapshot_indices=sigma_idx, with_records=True)
+                  cfg=cfg, snapshot_indices=sigma_idx)
     results = _run_pool(run, [{"path": p} for p in paths], workers)
     rows, failures = [], []
     monotone = True
-    for path, result in zip(paths, results):
+    for result in results:
+        failures.extend(result.failures)
         rec = result.records.get((horizon, 0))
-        snaps = rec.snapshots if rec is not None else {}
+        if rec is None:
+            continue
+        seed = result.ensembles[horizon].tag.seed
         for k_idx in sigma_idx:
-            snap = snaps.get(k_idx)
-            if snap is None:
-                continue
+            snap = rec.snapshots[k_idx]
             sigma = tau - horizon + k_idx * cfg.dt
             base = l2_sq(snap)
             tails = [tail_mass(snap, k) for k in k_list]
             monotone = monotone and not any(
                 b.plain > a.plain + 1e-15 for a, b in zip(tails, tails[1:]))
-            rows.extend((path.seed, k, sigma, tm.plain, tm.rho_weighted, base)
+            rows.extend((seed, k, sigma, tm.plain, tm.rho_weighted, base)
                         for k, tm in zip(k_list, tails))
-        failures.extend(result.failures)
     max_per_k = {k: max((r[3] for r in rows if r[1] == k), default=float("nan"))
                  for k in k_list}
     sigmas = tuple(sorted({r[2] for r in rows}))
@@ -407,7 +405,7 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
                        cfg: StepperConfig = StepperConfig(),
                        cluster_tol: float | None = None,
                        sampler_seed: int = 1234,
-                       quad_tol: float = DEFAULT_QUAD_TOL, c: float = DEFAULT_C,
+                       quad_tol: float = QUAD_TOL, c: float = DEFAULT_C,
                        check_contraction: bool = True) -> EndpointEnsemble:
     """Estimate the pullback attracting set at tau by long-horizon endpoints.
 
@@ -429,8 +427,7 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
     half = snap_steps(horizon, cfg.dt, "horizon") // 2 * cfg.dt
     horizons = [half, float(horizon)] if (check_contraction and 0.0 < half < horizon) \
         else [float(horizon)]
-    result = pullback_run(tau, horizons, initials, path, spec, cfg,
-                          with_records=False)
+    result = pullback_run(tau, horizons, initials, path, spec, cfg)
     ens = result.ensembles[float(horizon)]
     if check_contraction and len(horizons) == 2:
         s_half = result.ensembles[half].spread()
@@ -463,7 +460,7 @@ def usc_sweep(tau: float, spec: ProblemSpec, paths,
               alphas=(0.4, 0.2, 0.1, 0.05), horizon: float = 16.0,
               n_initials: int = 2, grid: Grid = DEFAULT_GRID,
               cfg: StepperConfig = StepperConfig(), sampler_seed: int = 1234,
-              quad_tol: float = DEFAULT_QUAD_TOL, c: float = DEFAULT_C,
+              quad_tol: float = QUAD_TOL, c: float = DEFAULT_C,
               workers: int = 1) -> UscReport:
     """Compare the noisy attracting sets against the noise-free one as the
     multiplicative intensity alpha decreases toward zero.
@@ -493,7 +490,8 @@ def usc_sweep(tau: float, spec: ProblemSpec, paths,
     medians = tuple(float(np.median(dist[i])) for i in range(len(alphas)))
     failures = [dict(f, alpha=ens.tag.alpha)
                 for ens in (a0, *ensembles) for f in ens.failures]
-    return UscReport(alphas=alphas, seeds=tuple(p.seed for p in paths),
+    seeds = tuple(e.tag.seed for e in ensembles[:len(paths)])
+    return UscReport(alphas=alphas, seeds=seeds,
                      distances=dist, medians=medians, failures=failures)
 
 

@@ -240,10 +240,10 @@ def _run_periodicity_check(cfg: RunConfig, out: Path):
         {"tau": cfg.tau + cfg.period, "path": p, "cluster_tol": tol}
         for p, tol in zip(paths, tols)], cfg.workers)
     rows, failures = [], []
-    for path, tol, e1, e2 in zip(paths, tols, first, second):
+    for tol, e1, e2 in zip(tols, first, second):
         dist = max(hausdorff_semidistance(e1, e2),
                    hausdorff_semidistance(e2, e1))
-        rows.append((path.seed, cfg.tau, dist, tol, bool(dist <= tol)))
+        rows.append((e1.tag.seed, cfg.tau, dist, tol, bool(dist <= tol)))
         failures.extend(e1.failures + e2.failures)
     files = [out / "periodicity.csv"]
     _write_csv(files[0], "seed,tau,distance,cluster_tol,within", rows)

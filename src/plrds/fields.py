@@ -23,21 +23,18 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .noise import arg_rules, check_args, raise_first, violated
+from .noise import _Checked, arg_rules, check_args, raise_first, violated
 
 _BLOCK_FLOATS = 8192     # floats per stacked row-block array: 64 KiB
 
 
 @dataclass(frozen=True)
-class Grid:
+class Grid(_Checked):
     """Uniform tensor grid on [-half_width, half_width]^dim."""
 
     dim: int
     half_width: float
     n: int
-
-    def __post_init__(self):
-        raise_first(self.violations(vars(self)))
 
     @staticmethod
     def violations(v) -> list:

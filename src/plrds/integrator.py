@@ -36,21 +36,18 @@ import numpy as np
 from .fields import (EndpointEnsemble, EnsembleTag, Field, Grid, _face_data,
                      _lap_faces, _lebesgue, _pairing, _sq_norm, grid_arrays,
                      lebesgue_pow, make_field, p_dissipation)
-from .noise import (_ou_and_eta, _resolve, check_args, ou_from_path,
-                    raise_first, shift, snap_steps, violated)
+from .noise import (_Checked, _ou_and_eta, _resolve, check_args,
+                    ou_from_path, shift, snap_steps, violated)
 from .problem import ProblemSpec
 
 
 @dataclass(frozen=True)
-class StepperConfig:
+class StepperConfig(_Checked):
     """Step size and guard policy for the time integrators."""
 
     dt: float = 1e-3
     scheme: str = "imex"
     substep_limit: int = 8
-
-    def __post_init__(self):
-        raise_first(self.violations(vars(self)))
 
     @staticmethod
     def violations(v) -> list:
@@ -276,12 +273,13 @@ def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, terms, ctx, cfg,
     })
 
 
-def stable_dt_bound(u: Field, spec: ProblemSpec, safety: float = 0.2) -> float:
-    """Empirical explicit-diffusion bound safety * dx^p / max face coefficient."""
+def stable_dt_bound(u: Field, spec: ProblemSpec) -> float:
+    """The largest dt with diffusion number nu = dt (p - 1) dim peak / dx^2
+    ≤ 1/2 at u, peak the largest face coefficient |grad u|^{p-2}."""
     grid = u.grid
     faces = _face_data(u.values, grid.dim, grid.dx, spec.p, spec.delta)
     peak = max(float(np.max(coef)) for _, coef in faces)
-    return safety * grid.dx ** spec.p / max(peak, 1e-12)
+    return 0.5 * grid.dx ** 2 / ((spec.p - 1.0) * grid.dim * max(peak, 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -406,40 +404,38 @@ class PullbackResult:
 
 
 def pullback_run(tau: float, horizons, initial_set, path, spec: ProblemSpec,
-                 cfg: StepperConfig, snapshot_indices=None,
-                 with_records: bool = True) -> PullbackResult:
+                 cfg: StepperConfig, snapshot_indices=None) -> PullbackResult:
     """Evolve each initial state from tau - horizon up to tau, per horizon.
 
     Uses the run started at tau - horizon with the noise shifted back by the
     horizon, which is the pullback convention: larger horizons look further
     into the past while the observation time stays tau.  Failed runs are
     recorded as annotations naming the path's seed, tau, the horizon and the
-    initial state, and skipped in the ensembles.
+    initial state, and skipped in the ensembles.  records maps (horizon,
+    initial index) to each run's record only when snapshot_indices is given.
     """
     horizons = list(horizons)
     check_args(horizons=horizons)
     ensembles = {}
     records = {}
     failures = []
+    keep = snapshot_indices is not None
     seed = getattr(_resolve(path)[0], "seed", None)
     for h in horizons:
         view = shift(path, -h) if path is not None else None
         members = []
         for idx, u0 in enumerate(initial_set):
             try:
-                res = cocycle_apply(h, tau - h, view, u0, spec, cfg,
+                out = cocycle_apply(h, tau - h, view, u0, spec, cfg,
                                     snapshot_indices=snapshot_indices,
-                                    with_record=with_records)
+                                    with_record=keep)
             except StiffnessError as exc:
                 failures.append({"seed": seed, "tau": tau, "horizon": h,
                                  "initial": idx, "report": exc.report})
                 continue
-            if with_records:
-                endpoint, rec = res
-                records[(h, idx)] = rec
-            else:
-                endpoint = res
-            members.append(endpoint)
+            if keep:
+                out, records[(h, idx)] = out
+            members.append(out)
         ensembles[h] = EndpointEnsemble(
             members=tuple(members),
             tag=EnsembleTag(tau=tau, seed=seed, alpha=spec.alpha, horizon=h))

@@ -56,6 +56,14 @@ def raise_first(violations: list) -> None:
         raise ValueError(violations[0][1])
 
 
+class _Checked:
+    """Base of the parameter dataclasses: construction raises the first of
+    the class's violations(values) rules that its fields break."""
+
+    def __post_init__(self):
+        raise_first(self.violations(vars(self)))
+
+
 ARG_RULES = {
     "lam": ((lambda x: x > 0, "lam must be > 0"),),
     "p": ((lambda p: p >= 2, "p must be ≥ 2"),),
@@ -96,7 +104,7 @@ def check_args(**args) -> None:
 # Anchor kernel: dot-product weights evaluating
 #   z(T) = omega(T) - e^{-rate*S} omega(T-S)
 #          - rate * int_{-S}^{0} e^{rate*tau} omega(T + tau) dtau
-# over a window [-S, 0] truncated where the exponential falls below quad_tol.
+# over a window [-S, 0] truncated where the exponential falls below QUAD_TOL.
 # The weights integrate e^{rate*tau} against the hat basis of the node grid,
 # so the quadrature is EXACT for the piecewise-linear interpolant of omega --
 # the same input convention the in-block update integrates exactly.  Plain
@@ -105,8 +113,8 @@ def check_args(**args) -> None:
 # anchor, i.e. a Brownian-proportional contamination of z that a time average
 # integrates into super-diffusive growth instead of averaging away.
 @lru_cache(maxsize=None)
-def _anchor_kernel(rate: float, dt: float, quad_tol: float = QUAD_TOL):
-    steps = int(math.ceil(-math.log(quad_tol) / (rate * dt)))
+def _anchor_kernel(rate: float, dt: float):
+    steps = int(math.ceil(-math.log(QUAD_TOL) / (rate * dt)))
     tau = (np.arange(steps + 1) - steps) * dt
     x = rate * dt
     r2d = rate * rate * dt
@@ -265,10 +273,8 @@ def _resolve(path):
 
 @dataclass(frozen=True)
 class OUPath:
-    """Stationary OU values z at nodes t0 + k*dt, driven by a stored path."""
+    """Stationary OU values z at nodes of step dt, driven by a stored path."""
 
-    rate: float
-    t0: float
     dt: float
     values: np.ndarray
 
@@ -285,7 +291,7 @@ def _ou_values(base, rate: float, k0: int, k1: int, m: int) -> np.ndarray:
     so the value at a given index never depends on how large a window was
     requested.  The anchor quadrature is exact for the same piecewise-linear
     input, so its mismatch with the value recursed out of the previous block
-    is truncation-sized (the quad_tol tail weight, far below solver error).
+    is truncation-sized (the QUAD_TOL tail weight, far below solver error).
     A window's blocks are the rows of one (blocks, K) array: the anchors fill
     its first column, and every later node is y = decay * y + inc, with
     inc = gain * (omega_{k+1} - omega_k) taken once for the window (the
@@ -355,11 +361,11 @@ def ou_from_path(path, rate: float, t0: float, t1: float, dt: float | None = Non
     if k1 < k0:
         raise ValueError("t1 must be >= t0")
     vals = _ou_values(base, rate, k0 + off_k, k1 + off_k, m)
-    return OUPath(rate=float(rate), t0=k0 * dt_ou, dt=dt_ou, values=vals)
+    return OUPath(dt=dt_ou, values=vals)
 
 
 @dataclass(frozen=True)
-class EtaConfig:
+class EtaConfig(_Checked):
     """How the scalar modulation process eta is built from the noise.
 
     kind "constant" pins eta to `mean`; "ou" is the mean-zero stationary OU of
@@ -372,9 +378,6 @@ class EtaConfig:
     mean: float = 0.0
     rate: float = 1.0
     seed: int | None = None
-
-    def __post_init__(self):
-        raise_first(self.violations(vars(self)))
 
     @staticmethod
     def violations(v) -> list:

@@ -29,7 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .noise import EtaConfig, arg_rules, check_args, raise_first, violated
+from .noise import (QUAD_TOL, EtaConfig, _Checked, arg_rules, check_args,
+                    violated)
 
 NOISE_CASES = ("additive", "multiplicative", "deterministic")
 
@@ -62,10 +63,10 @@ _EXPR_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs,
 
 
 @lru_cache(maxsize=None)
-def compile_expression(text: str, variables=("t", "x", "y", "s")):
+def compile_expression(text: str):
     """Compile a whitelisted arithmetic expression to a vectorized callable.
 
-    The callable takes the variables as keyword arguments and broadcasts over
+    The callable takes t, x, y and s as keyword arguments and broadcasts over
     array inputs.  Anything outside the whitelist raises ValueError.
     """
     try:
@@ -90,7 +91,7 @@ def compile_expression(text: str, variables=("t", "x", "y", "s")):
             for arg in node.args:
                 check(arg)
         elif isinstance(node, ast.Name):
-            if node.id not in variables:
+            if node.id not in ("t", "x", "y", "s"):
                 raise ValueError(f"expression {text!r}: unknown name {node.id!r}")
         elif isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
@@ -110,7 +111,7 @@ def compile_expression(text: str, variables=("t", "x", "y", "s")):
 
 
 @dataclass(frozen=True)
-class NonlinearitySpec:
+class NonlinearitySpec(_Checked):
     """Reaction term: the default power family or a custom expression.
 
     kind "power-plus-forcing" uses -gamma|s|^(q-2)s + phi(t,x) with the
@@ -122,9 +123,6 @@ class NonlinearitySpec:
     gamma: float = 1.0
     phi_amp: float = 0.5
     expression: str | None = None
-
-    def __post_init__(self):
-        raise_first(self.violations(vars(self)))
 
     @staticmethod
     def violations(v) -> list:
@@ -144,7 +142,7 @@ class NonlinearitySpec:
 
 
 @dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(_Checked):
     """All coefficients of one model instance.
 
     noise_case selects the equation: "additive" (intensity epsilon on the
@@ -163,9 +161,6 @@ class ProblemSpec:
     delta: float = 0.0
     nonlinearity: NonlinearitySpec = field(default_factory=NonlinearitySpec)
     eta: EtaConfig = field(default_factory=EtaConfig)
-
-    def __post_init__(self):
-        raise_first(self.violations(vars(self)))
 
     @staticmethod
     def violations(v) -> list:
@@ -367,24 +362,19 @@ class GrowthReport:
     truncation: float
 
 
-def check_growth_condition(spec: ProblemSpec, tau: float, grid=None,
-                           quad_tol: float = 1e-12, dt: float = 0.05,
-                           integrand=None) -> GrowthReport:
+def check_growth_condition(spec: ProblemSpec, tau: float, integrand,
+                           quad_tol: float = QUAD_TOL) -> GrowthReport:
     """Evaluate int_{-inf}^{tau} e^{lam*s} (||g||^2 + ||psi1||_1 + ||psi3||^q1) ds.
 
     The integral is truncated where the weight e^{lam*(s-tau)} falls below
     quad_tol.  It is reported non-finite when the weighted integrand at the
     truncation point is not negligible against its peak, which is how an
     integrand that grows like the weight decays (or faster) shows up.
-    `integrand` may override the forcing-norm accessor (it receives an array
-    of times).
+    `integrand` is the forcing-norm accessor, such as ForcingNorms.total
+    (it receives an array of times); the quadrature step is at most 0.05.
     """
-    from .fields import Grid
-    if integrand is None:
-        norms = ForcingNorms(spec, grid if grid is not None else Grid(1, 8.0, 257))
-        integrand = norms.total
     s_min = tau + min(0.0, math.log(quad_tol) / spec.lam)
-    n = max(2, int(math.ceil((tau - s_min) / dt)))
+    n = max(2, int(math.ceil((tau - s_min) / 0.05)))
     s = np.linspace(s_min, tau, n + 1)
     weighted = np.exp(spec.lam * s) * np.asarray(integrand(s), dtype=float)
     peak = float(np.max(weighted))

@@ -210,7 +210,7 @@ def test_criterion_08_pullback_cauchy(grid257, cfg_accept, spec_add,
         path = path_bank(seed, cfg_accept.dt)
         initials = sample_initial_ball(grid257, 1.0, 2, 1234)
         res = pullback_run(0.0, [8.0, 16.0, 32.0], initials, path, spec_add,
-                           cfg_accept, with_records=False)
+                           cfg_accept)
         assert not res.failures
         for i in range(len(initials)):
             e8 = res.ensembles[8.0].members[i]

@@ -18,7 +18,7 @@ from plrds.fields import (Field, Grid, flux_pairing, grid_arrays, l2_sq,
                           make_field, p_dissipation)
 from plrds.integrator import (StepperConfig, _COUPLINGS, _context,
                               cocycle_apply)
-from plrds.noise import EtaConfig, TabulatedPath, make_path
+from plrds.noise import EtaConfig, TabulatedPath, make_path, shift
 from plrds.problem import NonlinearitySpec, ProblemSpec
 
 DT = 2e-3
@@ -498,6 +498,17 @@ class TestEstimateAttractor:
             estimate_attractor(0.0, spec, path, horizon=0.0, grid=GRID,
                                cfg=CFG)
 
+    def test_warns_when_the_spread_grows(self):
+        # f = 2s outgrows the damping lam = 1, so endpoints drift apart.
+        spec = ProblemSpec(noise_case="deterministic", alpha=0.0, epsilon=0.0,
+                           nonlinearity=NonlinearitySpec(kind="custom",
+                                                         expression="2*s"))
+        with pytest.warns(UserWarning, match=r"endpoint spread grew from "
+                          r"2\.89 at horizon 0\.5 to 4\.65 at 1\.0"):
+            estimate_attractor(0.0, spec, None, horizon=1.0, n_initials=3,
+                               grid=Grid(1, 8.0, 33),
+                               cfg=StepperConfig(dt=0.01))
+
     def test_rejects_no_initials_before_the_quadrature(self, monkeypatch):
         monkeypatch.setattr(analysis, "absorbing_bound", no_runs)
         with pytest.raises(ValueError, match="n_initials must be ≥ 1"):
@@ -595,6 +606,27 @@ class TestCallerPaths:
                         five_two, alphas=(0.1,), horizon=0.5, n_initials=1,
                         grid=GRID, cfg=CFG)
         assert usc.seeds == (5, 2)
+
+    def test_noise_free_rows_carry_seed_none(self):
+        # Rows take the seed from the run's ensemble tag.
+        det = ProblemSpec(noise_case="deterministic", alpha=0.0, epsilon=0.0)
+        absorb = absorbing_check(0.0, det, [None], ball(1.0, 1),
+                                 horizons=(0.5,), cfg=CFG)
+        assert [r[0] for r in absorb.rows] == [None]
+        tail = tail_check(0.0, det, [None], ball(1.0, 1)[0], horizon=1.0,
+                          k_list=(2.0,), cfg=CFG, n_sigma=2)
+        assert [r[0] for r in tail.rows] == [None, None]
+        usc = usc_sweep(0.0, det, [None], alphas=(0.0,), horizon=0.5,
+                        n_initials=1, grid=GRID, cfg=CFG)
+        assert usc.seeds == (None,)
+        assert usc.distances.tolist() == [[0.0]]
+
+    def test_shifted_view_rows_carry_the_root_seed(self):
+        shifted = absorbing_check(0.0, ProblemSpec(noise_case="additive"),
+                                  [shift(make_path(3, DT), 1.0)],
+                                  ball(1.0, 1), horizons=(0.5,), cfg=CFG)
+        assert [r[0] for r in shifted.rows] == [3]
+        assert [p[0] for p in shifted.per_path] == [3]
 
 
 class TestAlphaSolutionDistances:

@@ -15,7 +15,7 @@ from plrds.analysis import sample_initial_ball
 from plrds.integrator import (StepperConfig, StiffnessError, cocycle_apply,
                               pullback_run, stable_dt_bound, transform_u_to_v,
                               transform_v_to_u)
-from plrds.noise import TabulatedPath, shift, snap_steps
+from plrds.noise import EtaConfig, TabulatedPath, shift, snap_steps
 from plrds.problem import NonlinearitySpec, ProblemSpec
 
 
@@ -103,6 +103,19 @@ class TestReductions:
         assert np.array_equal(va.values, vd.values)
         assert np.array_equal(vm.values, vd.values)
 
+    def test_zero_damping_imex_equals_explicit(self, grid65, cfg_fast,
+                                               gaussian_u0, path_bank):
+        # lam = alpha * eta makes the damping rate a exactly 0, where the
+        # exponential weight (1 - e^{-a dt}) / a would divide by zero.
+        spec = ProblemSpec(noise_case="additive", lam=1.0, alpha=0.0625,
+                           eta=EtaConfig(kind="constant", mean=16.0))
+        path, u0 = path_bank(4, cfg_fast.dt), gaussian_u0(grid65)
+        t = 50 * cfg_fast.dt
+        imex = cocycle_apply(t, 0.0, path, u0, spec, cfg_fast)
+        explicit = cocycle_apply(t, 0.0, path, u0, spec,
+                                 replace(cfg_fast, scheme="explicit"))
+        assert np.array_equal(imex.values, explicit.values)
+
 
 class TestTransforms:
     def test_round_trip_additive(self, grid65, gaussian_u0, spec_add):
@@ -173,9 +186,17 @@ class TestGuards:
         dx = grid65.dx
         gx = np.diff(u.values) / dx
         peak = float(np.max(np.abs(gx) ** (spec_det.p - 2.0)))
-        expected = 0.2 * dx ** spec_det.p / peak
+        # nu = dt (p - 1) dim peak / dx^2 = 1/2 at the bound.
+        expected = 0.5 * dx ** 2 / ((spec_det.p - 1.0) * peak)
         assert math.isclose(stable_dt_bound(u, spec_det), expected,
                             rel_tol=1e-12)
+
+    @pytest.mark.parametrize("grid", [Grid(1, 8.0, 65), Grid(2, 8.0, 33)])
+    def test_stable_dt_bound_is_the_heat_bound_at_p2(self, grid, gaussian_u0):
+        # At p = 2 every face coefficient is 1: dt = dx^2 / (2 dim).
+        spec = ProblemSpec(p=2.0, noise_case="deterministic")
+        assert math.isclose(stable_dt_bound(gaussian_u0(grid), spec),
+                            grid.dx ** 2 / (2 * grid.dim), rel_tol=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -347,7 +368,8 @@ class TestPullback:
                                         path_bank, spec_add):
         initials = [gaussian_u0(grid65, amp=0.5), gaussian_u0(grid65, amp=1.0)]
         res = pullback_run(0.0, [0.5, 1.0], initials,
-                           path_bank(6, cfg_fast.dt), spec_add, cfg_fast)
+                           path_bank(6, cfg_fast.dt), spec_add, cfg_fast,
+                           snapshot_indices=[0])
         assert set(res.ensembles) == {0.5, 1.0}
         assert all(len(ens) == 2 for ens in res.ensembles.values())
         assert set(res.records) == {(0.5, 0), (0.5, 1), (1.0, 0), (1.0, 1)}
@@ -355,6 +377,10 @@ class TestPullback:
         tag = res.ensembles[1.0].tag
         assert tag.tau == 0.0 and tag.horizon == 1.0
         assert tag.alpha == spec_add.alpha
+        # A run keeps its record only when snapshot indices are given.
+        bare = pullback_run(0.0, [0.5], initials[:1],
+                            path_bank(6, cfg_fast.dt), spec_add, cfg_fast)
+        assert bare.records == {} and len(bare.ensembles[0.5]) == 1
 
     def test_horizon_ordering_validated(self, grid65, cfg_fast, gaussian_u0,
                                         path_bank, spec_add):
@@ -369,7 +395,7 @@ class TestPullback:
                                     path_bank, zero_forcing_add):
         u0 = gaussian_u0(grid65)
         res = pullback_run(0.0, [1.0], [u0], path_bank(8, cfg_fast.dt),
-                           zero_forcing_add, cfg_fast, with_records=False)
+                           zero_forcing_add, cfg_fast)
         end = res.ensembles[1.0].members[0]
         assert l2_sq(end) < l2_sq(u0)
 
@@ -378,8 +404,7 @@ class TestPullback:
         cfg = StepperConfig(dt=cfg_fast.dt, substep_limit=0)
         initials = [gaussian_u0(grid65, amp=0.5),
                     gaussian_u0(grid65, amp=1e3)]
-        res = pullback_run(0.0, [0.1], initials, None, spec_det, cfg,
-                           with_records=False)
+        res = pullback_run(0.0, [0.1], initials, None, spec_det, cfg)
         assert len(res.failures) == 1
         note = res.failures[0]
         assert note["horizon"] == 0.1 and note["initial"] == 1

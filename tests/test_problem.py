@@ -151,8 +151,9 @@ class TestForcingNorms:
 
 class TestGrowthCondition:
     def test_default_forcing_is_summable(self):
-        rep = check_growth_condition(ProblemSpec(), tau=0.0,
-                                     grid=Grid(1, 8.0, 65))
+        spec = ProblemSpec()
+        forcing = ForcingNorms(spec, Grid(1, 8.0, 65))
+        rep = check_growth_condition(spec, tau=0.0, integrand=forcing.total)
         assert rep.finite
         assert rep.value > 0.0
 
