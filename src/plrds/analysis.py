@@ -23,7 +23,8 @@ from .fields import (EndpointEnsemble, Field, Grid, _face_data, _pairing,
                      grid_arrays, hausdorff_semidistance, l2_distance, l2_sq,
                      make_field, tail_mass)
 from .integrator import (StepperConfig, TrajectoryRecord, cocycle_apply,
-                         pullback_run, _context, _COUPLINGS, _noise_arrays)
+                         pullback_run, _context, _COUPLINGS, _noise_arrays,
+                         _noisy_path)
 from .noise import QUAD_TOL, _cumtrapz, check_args, snap_steps
 from .problem import ForcingNorms, ProblemSpec, check_growth_condition
 
@@ -47,12 +48,9 @@ def sample_initial_ball(grid: Grid, radius: float, count: int,
     for _ in range(count):
         vals = np.zeros(grid.shape)
         for _ in range(3):
-            if grid.dim == 1:
-                cx = rng.uniform(-grid.half_width / 2, grid.half_width / 2)
-                r2 = (arrs.coords - cx) ** 2
-            else:
-                cx, cy = rng.uniform(-grid.half_width / 2, grid.half_width / 2, 2)
-                r2 = (arrs.x - cx) ** 2 + (arrs.y - cy) ** 2
+            centre = rng.uniform(-grid.half_width / 2, grid.half_width / 2,
+                                 grid.dim)
+            r2 = sum((x - c) ** 2 for x, c in zip((arrs.x, arrs.y), centre))
             width = rng.uniform(0.8, 1.6)
             vals += rng.standard_normal() * np.exp(-r2 / (2.0 * width * width))
         fld = make_field(grid, vals)
@@ -102,7 +100,7 @@ def _weight_window(path, spec: ProblemSpec, quad_tol: float):
         s = -(n * ds) + np.arange(n + 1) * ds
         zero = np.zeros(n + 1)
         return s, np.exp(1.25 * lam * s), zero, zero, ds, n * ds, True
-    dt = path.dt
+    dt = _noisy_path(co, path, spec).dt
     n = max(int(round(4.0 / dt)), int(math.ceil(base_span / dt)))
     cap = 16 * max(int(math.ceil(base_span / dt)), int(round(1.0 / dt)))
     while True:
@@ -110,9 +108,9 @@ def _weight_window(path, spec: ProblemSpec, quad_tol: float):
         s = -span + np.arange(n + 1) * dt
         z, eta = _noise_arrays(co, path, spec, -span, 0.0, dt)
         # eta modulates the additive damping; z, the multiplicative one.
-        integ = _cumtrapz(eta if co.with_eta else z, dt)
+        integ = _cumtrapz(eta if co.additive else z, dt)
         expo = 1.25 * lam * s - 2.0 * spec.alpha * (integ - integ[-1])
-        if not co.with_eta:
+        if not co.additive:
             expo = expo - 2.0 * spec.alpha * z
         with np.errstate(over="ignore"):
             w = np.exp(expo)
@@ -162,11 +160,11 @@ def absorbing_radius(tau: float, path, spec: ProblemSpec,
     parts["g"] = c * float(np.trapezoid(w * forcing.g_l2_sq(s + tau), dx=ds))
     parts["psi"] = c * float(np.trapezoid(w * psi, dx=ds))
     radius = sum(parts.values())
-    shift_sq, bound = 0.0, radius
+    shift_sq = 0.0
     if case == "additive":
         shift_sq = (eps * float(z[-1])) ** 2 * forcing.h_l2_sq
         bound = 2.0 * shift_sq + 2.0 * radius
-    elif case == "multiplicative":
+    else:   # the noise-free window holds z = 0, so this is R to the bit
         bound = math.exp(2.0 * spec.alpha * float(z[-1])) * radius
     return RadiusReport(radius=radius, bound=bound, shift_sq=shift_sq,
                         parts=parts, truncation=span, converged=converged,
@@ -476,10 +474,10 @@ def usc_sweep(tau: float, spec: ProblemSpec, paths,
     check_args(horizon=horizon, n_initials=n_initials, alphas=alphas)
     if not paths:
         raise ValueError("usc_sweep needs at least one path")
-    tasks = [{"spec": spec.with_alpha(0.0, "deterministic"), "path": None}]
-    tasks += [{"spec": spec.with_alpha(
-                   a, "multiplicative" if a > 0 else "deterministic"),
-               "path": p} for a in alphas for p in paths]
+    runs = [(0.0, None)] + [(a, p) for a in alphas for p in paths]
+    tasks = [{"spec": replace(spec, alpha=a, noise_case="multiplicative"
+                              if a > 0 else "deterministic"), "path": p}
+             for a, p in runs]
     run = partial(estimate_attractor, tau, horizon=float(horizon),
                   n_initials=n_initials, grid=grid, cfg=cfg,
                   sampler_seed=sampler_seed, quad_tol=quad_tol, c=c,
@@ -496,17 +494,18 @@ def usc_sweep(tau: float, spec: ProblemSpec, paths,
 
 
 def alpha_solution_distances(tau: float, u0: Field, path, spec: ProblemSpec,
-                             cfg: StepperConfig, alphas=(0.4, 0.2, 0.1, 0.05),
-                             span: float = 1.0) -> list:
-    """||u_alpha(tau+span) - u_0(tau+span)|| for the multiplicative model.
+                             cfg: StepperConfig,
+                             alphas=(0.4, 0.2, 0.1, 0.05)) -> list:
+    """||u_alpha(tau+1) - u_0(tau+1)|| for the multiplicative model.
 
     The noise-free reference uses the deterministic stepper; one value per
     alpha, in the given order.
     """
-    ref = cocycle_apply(span, tau, path, u0,
-                        spec.with_alpha(0.0, "deterministic"), cfg)
-    specs = [spec.with_alpha(float(a), "multiplicative") for a in alphas]
-    return [l2_distance(cocycle_apply(span, tau, path, u0, s, cfg), ref)
+    ref = cocycle_apply(1.0, tau, path, u0, replace(
+        spec, alpha=0.0, noise_case="deterministic"), cfg)
+    specs = [replace(spec, alpha=float(a), noise_case="multiplicative")
+             for a in alphas]
+    return [l2_distance(cocycle_apply(1.0, tau, path, u0, s, cfg), ref)
             for s in specs]
 
 

@@ -27,10 +27,6 @@ from .integrator import StiffnessError, cocycle_apply
 from .noise import make_path, shift
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
@@ -192,7 +188,7 @@ def _run_tail_check(cfg: RunConfig, out: Path):
     files = [out / "tail.csv"]
     _write_csv(files[0], "seed,k,sigma,tail_mass",
                [(r[0], r[1], r[2], r[3]) for r in rep.rows])
-    return files, {"max_per_k": {_fmt(k): v
+    return files, {"max_per_k": {f"{k:.17g}": v
                                  for k, v in rep.max_per_k.items()},
                    "monotone_in_k": rep.monotone_in_k,
                    "sigmas": list(rep.sigmas),
@@ -265,11 +261,16 @@ _RUNNERS = {
 def run_experiment(cfg: RunConfig) -> int:
     """Dispatch a validated config; write manifest + reports; return exit code.
 
-    Exit 1 when the runner raises or reports pullback failures, else 0."""
+    Exit 1 when the runner raises or reports pullback failures, 2 when the
+    output directory cannot be made, else 0."""
     if cfg.experiment == "validate":
         return 0
     out = Path(cfg.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: output directory: {exc}", file=sys.stderr)
+        return 2
     seeds = _seeds(cfg)
     manifest = _Manifest(out, cfg, seeds)
     task = {"task": cfg.experiment, "status": "done"}

@@ -14,7 +14,8 @@ from dataclasses import dataclass, fields as dc_fields, replace
 
 from .fields import Grid
 from .integrator import StepperConfig
-from .noise import ARG_RULES, EtaConfig, arg_rules, snap_steps, violated
+from .noise import (ARG_RULES, QUAD_TOL, EtaConfig, arg_rules, snap_steps,
+                    violated)
 from .problem import NonlinearitySpec, ProblemSpec
 
 # Each experiment, with the [experiment] times it steps to; each must sit on
@@ -40,37 +41,37 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration with documented defaults."""
+    """Resolved run configuration; model defaults are the dataclasses'."""
 
     # [problem]
-    lam: float = 1.0
-    p: float = 3.0
-    q: float = 4.0
-    alpha: float = 0.0625
-    epsilon: float = 0.25
-    noise_case: str = "additive"
-    g_amp: float = 0.5
-    period: float = 1.0
-    delta: float = 0.0
-    gamma: float = 1.0
-    phi_amp: float = 0.5
-    f_kind: str = "power-plus-forcing"
+    lam: float = ProblemSpec.lam
+    p: float = ProblemSpec.p
+    q: float = ProblemSpec.q
+    alpha: float = ProblemSpec.alpha
+    epsilon: float = ProblemSpec.epsilon
+    noise_case: str = ProblemSpec.noise_case
+    g_amp: float = ProblemSpec.g_amp
+    period: float = ProblemSpec.period
+    delta: float = ProblemSpec.delta
+    gamma: float = NonlinearitySpec.gamma
+    phi_amp: float = NonlinearitySpec.phi_amp
+    f_kind: str = NonlinearitySpec.kind
     f_expression: str = ""
     # [grid]
     dim: int = 1
     half_width: float = 8.0
     n: int = 257
     # [stepper]
-    dt: float = 1e-3
-    scheme: str = "imex"
-    substep_limit: int = 8
+    dt: float = StepperConfig.dt
+    scheme: str = StepperConfig.scheme
+    substep_limit: int = StepperConfig.substep_limit
     # [noise]
     seed: int = 0
     noise_dt: float = 0.0          # 0 -> use stepper dt
     block_length: float = 4.0
-    eta_kind: str = "shifted-ou"
-    eta_mean: float = 0.0
-    eta_rate: float = 1.0
+    eta_kind: str = EtaConfig.kind
+    eta_mean: float = EtaConfig.mean
+    eta_rate: float = EtaConfig.rate
     eta_seed: int = -1             # -1 -> same path as the driving noise
     # [experiment]
     experiment: str = "simulate"
@@ -82,7 +83,7 @@ class RunConfig:
     n_seeds: int = 8
     n_initials: int = 2
     c: float = 4.0
-    quad_tol: float = 1e-12
+    quad_tol: float = QUAD_TOL
     cluster_tol: float = 0.0       # 0 -> estimate_attractor's default
     ball_radius: float = 1.0
     sampler_seed: int = 1234

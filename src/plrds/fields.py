@@ -367,6 +367,7 @@ def field_to_csv(u: Field, path) -> None:
 
 
 def field_from_csv(path) -> Field:
+    """Read field_to_csv's file: a header and one x[,y],value row per node."""
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd)
@@ -374,20 +375,20 @@ def field_from_csv(path) -> Field:
     if header[-1] != "value" or len(header) not in (2, 3):
         raise ValueError(f"unrecognized field CSV header {header!r}")
     dim = len(header) - 1
-    coords = sorted({r[0] for r in rows})
-    n = len(coords)
-    half = max(abs(coords[0]), abs(coords[-1]))
-    grid = Grid(dim, half, n)
+    if not rows or any(len(r) != dim + 1 for r in rows):
+        raise ValueError(f"every field CSV row must hold {dim + 1} cells")
+    arr = np.array(rows)
+    coords = np.unique(arr[:, :dim])
+    half = float(max(abs(coords[0]), abs(coords[-1])))
+    grid = Grid(dim, half, len(coords))
     if not np.allclose(coords, grid_arrays(grid).coords, atol=1e-9 * max(1.0, half)):
         raise ValueError("CSV nodes do not form a uniform symmetric grid")
+    idx = np.rint((arr[:, :dim] + half) / grid.dx).astype(int)
+    if (len(rows) != math.prod(grid.shape)
+            or len(np.unique(idx, axis=0)) < len(rows)):
+        raise ValueError("a field CSV must hold exactly one row per node")
     vals = np.zeros(grid.shape)
-    dx = grid.dx
-    for r in rows:
-        i = int(round((r[0] + half) / dx))
-        if dim == 1:
-            vals[i] = r[1]
-        else:
-            vals[int(round((r[0] + half) / dx)), int(round((r[1] + half) / dx))] = r[2]
+    vals[tuple(idx.T)] = arr[:, dim]
     return make_field(grid, vals)
 
 

@@ -80,7 +80,6 @@ class TrajectoryRecord:
     model, v itself otherwise).  snapshots maps node index -> v-field.
     """
 
-    tau: float
     dt: float
     times: np.ndarray = None
     l2_sq: np.ndarray = None
@@ -160,33 +159,30 @@ class _Coupling(NamedTuple):
     """How one noise case enters the step."""
 
     ou_rate: Callable | None    # spec -> OU rate of z; None: no noise
-    with_eta: bool              # eta modulates the damping rate
+    additive: bool              # eta modulates the damping; w is u, else v
     node: Callable              # (z, ctx) -> the term to_v/to_u apply at z
     to_v: Callable              # (u, node term, ctx) -> v
     to_u: Callable              # (v, node term, ctx) -> u
-    w_is_u: bool                # the dissipation argument is u, else v
     rhs: Callable               # (v, w, lap, t, z, eta, g, phi, noise, ctx)
 
     def w_of(self, v, z, ctx):
         """The dissipation argument of v at noise value(s) z."""
-        return self.to_u(v, self.node(z, ctx), ctx) if self.w_is_u else v
+        return self.to_u(v, self.node(z, ctx), ctx) if self.additive else v
 
 
 _COUPLINGS = {
     "additive": _Coupling(
         lambda spec: spec.lam, True,
         lambda z, ctx: (ctx.spec.epsilon * ctx.col(z)) * ctx.h,
-        lambda u, s, ctx: u - s, lambda v, s, ctx: v + s,
-        True, _additive_rhs),
+        lambda u, s, ctx: u - s, lambda v, s, ctx: v + s, _additive_rhs),
     "multiplicative": _Coupling(
         lambda spec: 1.0, False, lambda z, ctx: z,
         lambda u, z, ctx: math.exp(-ctx.spec.alpha * z) * u,
         lambda v, z, ctx: math.exp(ctx.spec.alpha * z) * v,
-        False, _multiplicative_rhs),
+        _multiplicative_rhs),
     "deterministic": _Coupling(
         None, False, lambda z, ctx: z, lambda u, z, ctx: u,
-        lambda v, z, ctx: v,
-        False, _deterministic_rhs),
+        lambda v, z, ctx: v, _deterministic_rhs),
 }
 
 
@@ -197,7 +193,7 @@ def _terms(co: _Coupling, ctx: _ModelContext, factors, z, eta):
     spec, none = ctx.spec, repeat(None)
     g, *phi = factors * ctx.gauss
     noise = (spec.alpha * spec.epsilon * ctx.col(eta) * ctx.col(z)) * ctx.h \
-        if co.with_eta else none
+        if co.additive else none
     return zip(co.node(z, ctx), g, phi[0] if phi else none, noise)
 
 
@@ -207,7 +203,7 @@ def _single_step(co: _Coupling, vv: np.ndarray, t_eval: float, dtt: float,
     """One explicit/IMEX update; returns (v_new, w, faces): the new state, the
     step's dissipation argument and its face data, which a record sums."""
     spec = ctx.spec
-    warg = co.to_u(vv, terms[0], ctx) if co.w_is_u else vv
+    warg = co.to_u(vv, terms[0], ctx) if co.additive else vv
     lap, faces = _lap_faces(warg, ctx.grid, spec.p, spec.delta)
     rhs, a = co.rhs(vv, warg, lap, t_eval, z_mid, eta_mid, *terms[1:], ctx)
     if scheme == "explicit":
@@ -302,9 +298,17 @@ def transform_v_to_u(v: Field, z: float, spec: ProblemSpec) -> Field:
 # The solution operator and pullback runs.
 # ---------------------------------------------------------------------------
 
+def _noisy_path(co: _Coupling, path, spec: ProblemSpec):
+    """path; a ValueError when a noisy case is given none."""
+    if co.ou_rate and path is None:
+        raise ValueError(f"noise_case {spec.noise_case!r} needs a noise path")
+    return path
+
+
 def _noise_arrays(co: _Coupling, path, spec: ProblemSpec, t0: float,
                   t1: float, dt: float):
-    if co.with_eta:
+    _noisy_path(co, path, spec)
+    if co.additive:
         return _ou_and_eta(path, co.ou_rate(spec), spec.eta, t0, t1, dt)
     z = ou_from_path(path, co.ou_rate(spec), t0, t1, dt).values \
         if co.ou_rate else np.zeros(snap_steps(t1 - t0, dt) + 1)
@@ -386,11 +390,11 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
         snapshots[nsteps] = Field(grid, vv_new.copy())
     # At node times the additive dissipation argument w = v + eps*h*z is u
     # itself, taken as given rather than through the v round trip.
-    w0 = Field(grid, u_tau.values if co.w_is_u else v0)
+    w0 = Field(grid, u_tau.values if co.additive else v0)
     dps[0] = p_dissipation(w0, spec.p, spec.delta)
     dqs[0] = lebesgue_pow(w0, spec.q)
     return out, TrajectoryRecord(
-        tau=tau, dt=dt, times=tau + np.arange(nsteps + 1) * dt, l2_sq=l2s,
+        dt=dt, times=tau + np.arange(nsteps + 1) * dt, l2_sq=l2s,
         diss_p=dps, diss_q=dqs, z=z, eta=eta, snapshots=snapshots)
 
 

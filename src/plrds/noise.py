@@ -368,13 +368,13 @@ def ou_from_path(path, rate: float, t0: float, t1: float, dt: float | None = Non
 class EtaConfig(_Checked):
     """How the scalar modulation process eta is built from the noise.
 
-    kind "constant" pins eta to `mean`; "ou" is the mean-zero stationary OU of
-    rate `rate`; "shifted-ou" adds `mean` on top.  With `seed` set, eta rides
-    its own independent path (shifted in lockstep with the main one);
+    kind "constant" pins eta to `mean`; "shifted-ou" adds the stationary OU
+    of rate `rate` to it, so E(eta) = `mean` either way.  With `seed` set, eta
+    rides its own independent path (shifted in lockstep with the main one);
     otherwise it is derived from the same path that drives the equation.
     """
 
-    kind: str = "ou"
+    kind: str = "shifted-ou"
     mean: float = 0.0
     rate: float = 1.0
     seed: int | None = None
@@ -382,14 +382,9 @@ class EtaConfig(_Checked):
     @staticmethod
     def violations(v) -> list:
         return violated(
-            ("kind", v["kind"] in ("constant", "ou", "shifted-ou"),
-             "eta_kind must be constant, ou, or shifted-ou"),
+            ("kind", v["kind"] in ("constant", "shifted-ou"),
+             "eta_kind must be constant or shifted-ou"),
             ("rate", v["rate"] > 0, "eta_rate must be > 0"))
-
-    @property
-    def mean_value(self) -> float:
-        """The process mean E(eta)."""
-        return 0.0 if self.kind == "ou" else self.mean
 
 
 def make_eta(path, cfg: EtaConfig, t0: float, t1: float,
@@ -408,8 +403,8 @@ def make_eta(path, cfg: EtaConfig, t0: float, t1: float,
 
 
 def _eta_of(cfg: EtaConfig, z: np.ndarray) -> np.ndarray:
-    """eta from the OU values z it rides: z, plus the mean for shifted-ou."""
-    return cfg.mean + z if cfg.kind == "shifted-ou" and cfg.mean != 0.0 else z
+    """eta from the OU values z it rides: mean + z, or z itself at mean 0."""
+    return cfg.mean + z if cfg.mean != 0.0 else z
 
 
 def _ou_and_eta(path, rate: float, cfg: EtaConfig, t0: float, t1: float,

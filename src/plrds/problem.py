@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from .fields import grid_arrays
 from .noise import (QUAD_TOL, EtaConfig, _Checked, arg_rules, check_args,
                     violated)
 
@@ -180,23 +181,13 @@ class ProblemSpec(_Checked):
         return self.nonlinearity.gamma
 
     @property
-    def p1(self) -> float:
-        return conjugate_exponent(self.p)
-
-    @property
     def q1(self) -> float:
         return conjugate_exponent(self.q)
 
     @property
     def alpha_max(self) -> float:
         """The admissibility threshold for this spec's eta."""
-        return alpha_zero(self.lam, self.eta.mean_value)
-
-    def with_alpha(self, alpha: float, noise_case: str | None = None) -> "ProblemSpec":
-        kw = {"alpha": alpha}
-        if noise_case is not None:
-            kw["noise_case"] = noise_case
-        return replace(self, **kw)
+        return alpha_zero(self.lam, self.eta.mean)
 
     # -- pointwise model functions (continuum; array-friendly) --------------
 
@@ -267,7 +258,6 @@ class ForcingNorms:
     """
 
     def __init__(self, spec: ProblemSpec, grid):
-        from .fields import grid_arrays  # local import to keep layering simple
         arrs = grid_arrays(grid)
         prof = np.exp(-arrs.radial_sq)
         w = arrs.weights
@@ -307,9 +297,8 @@ class StructureReport:
 
 
 def validate_structure(spec: ProblemSpec, sample_count: int = 100_000,
-                       seed: int = 0, s_bound: float = 3.0,
-                       x_bound: float = 8.0, dim: int = 1) -> StructureReport:
-    """Sample the envelope conditions (C1)-(C4) at random (t, x, s).
+                       seed: int = 0, dim: int = 1) -> StructureReport:
+    """Sample the envelope conditions (C1)-(C4) at random |x|,|y| ≤ 8, |s| ≤ 3.
 
     Returns a report with every violated sample (condition, location, margin).
     The default family yields zero violations; a custom f is checked against
@@ -321,9 +310,9 @@ def validate_structure(spec: ProblemSpec, sample_count: int = 100_000,
     rng = np.random.Generator(np.random.Philox(key=np.array(
         [seed & 0xFFFFFFFFFFFFFFFF, 0x5157C64B], dtype=np.uint64)))
     t = rng.uniform(0.0, spec.period, sample_count)
-    x = rng.uniform(-x_bound, x_bound, sample_count)
-    y = rng.uniform(-x_bound, x_bound, sample_count) if dim == 2 else np.zeros(sample_count)
-    s = rng.uniform(-s_bound, s_bound, sample_count)
+    x = rng.uniform(-8.0, 8.0, sample_count)
+    y = rng.uniform(-8.0, 8.0, sample_count) if dim == 2 else np.zeros(sample_count)
+    s = rng.uniform(-3.0, 3.0, sample_count)
     gauss = np.exp(-(x ** 2 + y ** 2))
 
     fv = spec.f_pointwise(t, x, y, s, gauss)

@@ -135,8 +135,8 @@ class TestAbsorbingRadii:
         spec = ProblemSpec(noise_case="multiplicative", alpha=1e-7)
         path = make_path(0, DT)
         rep = absorbing_radius(0.0, path, spec, grid=GRID)
-        det = absorbing_radius(0.0, None, spec.with_alpha(
-            0.0, "deterministic"), grid=GRID)
+        det = absorbing_radius(0.0, None, replace(
+            spec, alpha=0.0, noise_case="deterministic"), grid=GRID)
         assert abs(rep.radius - det.radius) <= 1e-6 * det.radius
 
     def test_runaway_weight_flagged_not_converged(self):
@@ -627,6 +627,40 @@ class TestCallerPaths:
                                   ball(1.0, 1), horizons=(0.5,), cfg=CFG)
         assert [r[0] for r in shifted.rows] == [3]
         assert [p[0] for p in shifted.per_path] == [3]
+
+    @pytest.mark.parametrize("case", ["additive", "multiplicative"])
+    def test_noisy_spec_without_a_path_is_refused(self, case, monkeypatch):
+        # A ValueError naming the case, before any step and before the
+        # absorbing-radius window reads the path's step.
+        from plrds import integrator
+        monkeypatch.setattr(integrator, "_macro_step", no_runs)
+        spec = ProblemSpec(noise_case=case, alpha=0.1)
+        u0 = ball(1.0, 1)[0]
+        calls = {
+            "cocycle_apply": lambda: cocycle_apply(0.1, 0.0, None, u0, spec,
+                                                   CFG),
+            "pullback_run": lambda: integrator.pullback_run(
+                0.0, [0.1], [u0], None, spec, CFG),
+            "absorbing_radius": lambda: absorbing_radius(0.0, None, spec,
+                                                         grid=GRID),
+            "absorbing_check": lambda: absorbing_check(
+                0.0, spec, [None], [u0], horizons=(0.1,), cfg=CFG),
+            "tail_check": lambda: tail_check(0.0, spec, [None], u0,
+                                             horizon=1.0, k_list=(2.0,),
+                                             cfg=CFG, n_sigma=2),
+            "estimate_attractor": lambda: estimate_attractor(
+                0.0, spec, None, 0.1, n_initials=1, grid=GRID, cfg=CFG)}
+        for call in calls.values():
+            with pytest.raises(ValueError, match=f"noise_case '{case}' needs "
+                               "a noise path"):
+                call()
+        # usc_sweep runs the noise-free A_0 first; its A_alpha runs are
+        # multiplicative whatever the spec's case.
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="noise_case 'multiplicative' "
+                           "needs a noise path"):
+            usc_sweep(0.0, spec, [None], alphas=(0.1,), horizon=0.1,
+                      n_initials=1, grid=GRID, cfg=CFG)
 
 
 class TestAlphaSolutionDistances:

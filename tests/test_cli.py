@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from plrds.config import (_SCHEMA, EXPERIMENTS, MAX_AUDIT_FLOATS,
                           _str_list, parse_config)
 from plrds.fields import Grid, p_laplace, zero_field
 from plrds.integrator import StepperConfig, pullback_run
-from plrds.noise import EtaConfig
+from plrds.noise import QUAD_TOL, EtaConfig
 from plrds.problem import NonlinearitySpec, ProblemSpec, alpha_zero
 
 CFG = StepperConfig()
@@ -140,6 +141,13 @@ class TestParseConfig:
                 if e.startswith("line ")]
         assert nums == sorted(nums) and len(nums) >= 3
 
+    def test_defaults_are_the_dataclasses(self):
+        # The empty config builds the library's default objects.
+        cfg = RunConfig()
+        assert cfg.problem_spec() == ProblemSpec()
+        assert cfg.stepper() == StepperConfig()
+        assert cfg.quad_tol == QUAD_TOL
+
     def test_valid_config_parses(self):
         assert parse_config("[problem]\nq = 5\n").q == 5.0
 
@@ -200,6 +208,17 @@ class TestSchema:
         assert _SCHEMA == SCHEMA
 
 
+class TestReadme:
+    def test_every_ini_block_parses(self):
+        # The parser has no inline comments, so a sample config must keep
+        # each comment on a line of its own.
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```ini\n(.*?)^```", text, re.M | re.S)
+        assert blocks
+        for block in blocks:
+            parse_config(block)
+
+
 class TestMainValidate:
     def test_validate_ok(self, tmp_path, capsys):
         p = tmp_path / "run.ini"
@@ -223,6 +242,13 @@ class TestMainValidate:
         assert "config error: line 3: q must be ≥ p" in err
         assert "config error: line 4: alpha must be ≥ 0" in err
         assert not list(tmp_path.glob("out*"))
+
+    def test_eta_kind_ou_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "ou.ini"
+        p.write_text("[noise]\neta_kind = ou\neta_mean = 0.5\n")
+        assert main(["validate", "--config", str(p)]) == 2
+        assert ("config error: line 2: eta_kind must be constant or "
+                "shifted-ou") in capsys.readouterr().err
 
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.ini"
@@ -295,6 +321,8 @@ ONE_COPY = {
                       lambda: StepperConfig(substep_limit=-1)),
     "eta_kind": ("[noise]\neta_kind = levy\n",
                  lambda: EtaConfig(kind="levy")),
+    "eta_kind-ou": ("[noise]\neta_kind = ou\n",
+                    lambda: EtaConfig(kind="ou")),
     "eta_rate": ("[noise]\neta_rate = 0\n", lambda: EtaConfig(rate=0.0)),
     "horizon": ("[experiment]\nhorizon = 0\n",
                 lambda: analysis.estimate_attractor(0.0, ProblemSpec(), None,
@@ -548,6 +576,17 @@ class TestMainRuns:
                      str(custom)]) == 0
         assert (custom / "series.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "run.ini"
+        p.write_text(base_config(tmp_path / "ignored"))
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        assert main(["simulate", "--config", str(p), "--out",
+                     str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert taken.read_text() == "keep me\n"
+        assert sorted(tmp_path.iterdir()) == [p, taken]
 
     def test_cocycle_test_residual_zero(self, tmp_path):
         out = tmp_path / "out"

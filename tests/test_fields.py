@@ -521,3 +521,33 @@ class TestSerialization:
         path.write_text("a,b,c,d\n")
         with pytest.raises(ValueError):
             field_from_csv(path)
+
+    def _grid5_lines(self, tmp_path) -> list:
+        u = random_field(Grid(2, 2.0, 5), 7)
+        field_to_csv(u, tmp_path / "field.csv")
+        return (tmp_path / "field.csv").read_bytes().decode().splitlines(True)
+
+    @pytest.mark.parametrize("edit", ["drop", "duplicate"])
+    def test_csv_rejects_a_missing_node(self, edit, tmp_path):
+        # Row 13 of 25 is the centre node (2, 2); without it the file used
+        # to read back 0.0 there.
+        lines = self._grid5_lines(tmp_path)
+        lines[13] = "" if edit == "drop" else lines[12]
+        path = tmp_path / "holed.csv"
+        path.write_text("".join(lines), newline="")
+        with pytest.raises(ValueError, match="exactly one row per node"):
+            field_from_csv(path)
+
+    def test_csv_rejects_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("x,value\r\n", newline="")
+        with pytest.raises(ValueError, match="must hold 2 cells"):
+            field_from_csv(path)
+
+    def test_csv_rejects_a_short_row(self, tmp_path):
+        lines = self._grid5_lines(tmp_path)
+        lines[13] = lines[13].rsplit(",", 1)[0] + "\r\n"
+        path = tmp_path / "short.csv"
+        path.write_text("".join(lines), newline="")
+        with pytest.raises(ValueError, match="must hold 3 cells"):
+            field_from_csv(path)

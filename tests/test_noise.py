@@ -354,7 +354,7 @@ class TestEta:
 
     def test_ou_kind_matches_driving_path(self):
         p = make_path(3, 0.01)
-        eta = make_eta(p, EtaConfig(kind="ou", rate=2.0), 0.0, 1.0)
+        eta = make_eta(p, EtaConfig(kind="shifted-ou", rate=2.0), 0.0, 1.0)
         z = ou_from_path(p, 2.0, 0.0, 1.0)
         assert np.array_equal(eta, z.values)
 
@@ -367,18 +367,19 @@ class TestEta:
 
     def test_independent_seed_differs_but_reproducible(self):
         p = make_path(3, 0.01)
-        cfg = EtaConfig(kind="ou", rate=1.0, seed=77)
+        cfg = EtaConfig(kind="shifted-ou", rate=1.0, seed=77)
         e1 = make_eta(p, cfg, 0.0, 1.0)
         e2 = make_eta(p, cfg, 0.0, 1.0)
-        same_omega = make_eta(p, EtaConfig(kind="ou", rate=1.0), 0.0, 1.0)
+        same_omega = make_eta(p, EtaConfig(kind="shifted-ou", rate=1.0),
+                              0.0, 1.0)
         assert np.array_equal(e1, e2)
         assert not np.array_equal(e1, same_omega)
 
     @pytest.mark.parametrize("cfg", [
-        EtaConfig(kind="ou", rate=1.0),
+        EtaConfig(kind="shifted-ou", rate=1.0),
         EtaConfig(kind="shifted-ou", mean=-0.5, rate=1.0),
-        EtaConfig(kind="ou", rate=2.0),
-        EtaConfig(kind="ou", rate=1.0, seed=77),
+        EtaConfig(kind="shifted-ou", rate=2.0),
+        EtaConfig(kind="shifted-ou", rate=1.0, seed=77),
         EtaConfig(kind="constant", mean=0.25)])
     def test_shared_window_keeps_the_bits(self, cfg):
         # z and eta over one window equal the two separate builds, whether
@@ -389,10 +390,12 @@ class TestEta:
             ou_from_path(view, 1.0, 0.0, 2.0, 0.02).values.tobytes()
         assert eta.tobytes() == make_eta(view, cfg, 0.0, 2.0, 0.02).tobytes()
 
-    def test_mean_value_property(self):
-        assert EtaConfig(kind="ou", mean=3.0).mean_value == 0.0
-        assert EtaConfig(kind="shifted-ou", mean=3.0).mean_value == 3.0
-        assert EtaConfig(kind="constant", mean=3.0).mean_value == 3.0
+    def test_ou_kind_rejected(self):
+        # E(eta) is `mean` for every kind, so no kind may ignore it.
+        assert EtaConfig().kind == "shifted-ou"
+        with pytest.raises(ValueError,
+                           match="^eta_kind must be constant or shifted-ou$"):
+            EtaConfig(kind="ou", mean=0.5)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):

@@ -30,7 +30,6 @@ class TestExponents:
 
     def test_spec_derived_exponents(self):
         spec = ProblemSpec()
-        assert math.isclose(spec.p1, 1.5, rel_tol=1e-14)   # p=3
         assert math.isclose(spec.q1, 4.0 / 3.0, rel_tol=1e-14)  # q=4
         assert spec.gamma1 == 0.5 * spec.gamma
 
@@ -45,12 +44,6 @@ class TestExponents:
             ProblemSpec(period=0.0)
         with pytest.raises(ValueError):
             ProblemSpec(noise_case="impulsive")
-
-    def test_with_alpha(self):
-        spec = ProblemSpec(noise_case="multiplicative", alpha=0.2)
-        s0 = spec.with_alpha(0.0, "deterministic")
-        assert s0.alpha == 0.0 and s0.noise_case == "deterministic"
-        assert s0.p == spec.p and s0.g_amp == spec.g_amp
 
 
 class TestEnvelopes:
@@ -175,5 +168,5 @@ class TestGrowthCondition:
     def test_eta_mean_enters_alpha_max(self):
         spec = ProblemSpec(eta=EtaConfig(kind="shifted-ou", mean=1.0))
         assert math.isclose(spec.alpha_max, 0.0625, rel_tol=1e-14)
-        spec0 = ProblemSpec(eta=EtaConfig(kind="ou", mean=0.0))
+        spec0 = ProblemSpec(eta=EtaConfig(kind="shifted-ou", mean=0.0))
         assert math.isclose(spec0.alpha_max, 0.125, rel_tol=1e-14)
