@@ -478,6 +478,9 @@ def usc_sweep(tau: float, spec: ProblemSpec, paths,
     tasks = [{"spec": replace(spec, alpha=a, noise_case="multiplicative"
                               if a > 0 else "deterministic"), "path": p}
              for a, p in runs]
+    for task in tasks:                  # every path checked before any run
+        _noisy_path(_COUPLINGS[task["spec"].noise_case], task["path"],
+                    task["spec"])
     run = partial(estimate_attractor, tau, horizon=float(horizon),
                   n_initials=n_initials, grid=grid, cfg=cfg,
                   sampler_seed=sampler_seed, quad_tol=quad_tol, c=c,

@@ -213,13 +213,14 @@ def lebesgue_pow(u: Field, r: float) -> float:
     return float(_lebesgue(u.values, grid_arrays(u.grid).weights, r))
 
 
-def _sq_norm(values: np.ndarray, weights: np.ndarray) -> float:
-    """sum weights values^2, multiplied in that order."""
-    return float((weights * values * values).sum())
+def _sq_norm(values: np.ndarray, weights: np.ndarray):
+    """sum weights values^2, multiplied in that order, over the trailing grid
+    axes; leading axes are rows, with one value per row."""
+    return (weights * values * values).sum(tuple(range(-weights.ndim, 0)))
 
 
 def l2_sq(u: Field) -> float:
-    return _sq_norm(u.values, grid_arrays(u.grid).weights)
+    return float(_sq_norm(u.values, grid_arrays(u.grid).weights))
 
 
 def l2_distance(a: Field, b: Field) -> float:

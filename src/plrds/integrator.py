@@ -223,23 +223,15 @@ def _norm_ok(sq_old: float, sq_new: float) -> bool:
     return math.isfinite(l2_new) and l2_new <= 10.0 * math.sqrt(sq_old) + 1e-3
 
 
-def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, terms, ctx, cfg,
-                sq_old=None):
-    """One dt step with the divergence guard; halves into substeps on blowup.
+def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, ctx, cfg, sq_old,
+                sq_new):
+    """Redo a dt step whose first attempt the divergence guard rejected by
+    halving it into substeps, each building its own terms.
 
-    Substeps build their own terms.  sq_old, if given, is ||vv||^2 as an
-    earlier step already summed it.  Returns (v_new, ||vv||^2, ||v_new||^2,
-    w, faces), the last two from the last substep.  A StiffnessError reports
-    as norm_after the norm of the last rejected attempt."""
-    z_mid = 0.5 * (z0 + z1)
-    eta_mid = 0.5 * (eta0 + eta1)
-    cand, warg, faces = _single_step(co, vv, t_eval, dtt, z_mid, eta_mid,
-                                     terms, ctx, cfg.scheme)
-    if sq_old is None:
-        sq_old = _sq_norm(vv, ctx.arrs.weights)
-    sq_new = _sq_norm(cand, ctx.arrs.weights)
-    if _norm_ok(sq_old, sq_new):
-        return cand, sq_old, sq_new, warg, faces
+    sq_old is ||vv||^2 and sq_new the rejected attempt's ||v_new||^2.
+    Returns (v_new, ||v_new||^2, w, faces) of the last substep.  A
+    StiffnessError reports as norm_after the norm of the last rejected
+    attempt."""
     for halvings in range(1, cfg.substep_limit + 1):
         nsub = 2 ** halvings
         hs = dtt / nsub
@@ -261,7 +253,7 @@ def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, terms, ctx, cfg,
                 break
             cur, sq_cur = nxt, sq_new
         else:
-            return cur, sq_old, sq_cur, warg, faces
+            return cur, sq_cur, warg, faces
     raise StiffnessError({
         "t": t_eval, "dt": dtt, "halvings": cfg.substep_limit,
         "norm_before": math.sqrt(sq_old), "norm_after": math.sqrt(sq_new),
@@ -297,6 +289,12 @@ def transform_v_to_u(v: Field, z: float, spec: ProblemSpec) -> Field:
 # ---------------------------------------------------------------------------
 # The solution operator and pullback runs.
 # ---------------------------------------------------------------------------
+
+def _rows(arrays: list) -> np.ndarray:
+    """The arrays stacked on a new leading row axis; one array as a view, so
+    chunks of one step copy nothing."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
 
 def _noisy_path(co: _Coupling, path, spec: ProblemSpec):
     """path; a ValueError when a noisy case is given none."""
@@ -349,43 +347,67 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
         l2s, dps, dqs = np.empty((3, nsteps + 1))
     snapshots = {}
 
-    # v at the first node, and at the last node reached so far.
-    v0 = vv_new = co.to_v(state, co.node(z[0], ctx), ctx)
+    v0 = co.to_v(state, co.node(z[0], ctx), ctx)
     ts = [((tau_k + k) % m) * dt for k in range(nsteps)]
     factors, zs, es = ctx.factors(ts), z.tolist(), eta.tolist()
     z_mid, eta_mid = 0.5 * (z[:-1] + z[1:]), 0.5 * (eta[:-1] + eta[1:])
+    zms, ems = z_mid.tolist(), eta_mid.tolist()
     # Chunks of steps build their terms, and a record its quadratures, with
-    # one NumPy call each.
-    chunk = ctx.arrs.block_rows
-    for k0 in range(0, nsteps, chunk):
+    # one NumPy call each.  Every step of a chunk makes its first attempt
+    # unguarded, then one stacked check guards them all: the steps before
+    # the first rejected one stand, that one is redone by halving, and the
+    # next chunk starts after it.  No accepted step depends on a later
+    # guard decision, so the bits are those of guarding each step in turn.
+    chunk, weights = ctx.arrs.block_rows, ctx.arrs.weights
+    k0, sq_new, vv_new = 0, None, v0    # ||v||^2 and v at the last node
+    while k0 < nsteps:
         c = slice(k0, min(k0 + chunk, nsteps))
-        nodes, wargs, faces = co.node(z[k0:c.stop + 1], ctx), [], []
-        for j, terms in enumerate(_terms(co, ctx, factors[:, c], z_mid[c],
-                                         eta_mid[c])):
-            k = k0 + j
-            vv = co.to_v(state, nodes[j], ctx)
-            # Identity transforms (noise-free) hand back the last v_new,
-            # whose sum is known.
-            vv_new, sq, sq_new, warg, fc = _macro_step(
-                co, vv, ts[k], dt, zs[k], zs[k + 1], es[k], es[k + 1], terms,
-                ctx, cfg, sq_new if k and vv is vv_new else None)
+        nodes = co.node(z[k0:c.stop + 1], ctx)
+        vvs, cands, wargs, faces = [], [], [], []
+        # Attempts past a rejected step run on a state that is discarded.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, terms in enumerate(_terms(co, ctx, factors[:, c],
+                                             z_mid[c], eta_mid[c])):
+                k = k0 + j
+                vvs.append(co.to_v(state, nodes[j], ctx))
+                cand, warg, fc = _single_step(co, vvs[j], ts[k], dt, zms[k],
+                                              ems[k], terms, ctx, cfg.scheme)
+                cands.append(cand)
+                if with_record:
+                    wargs.append(warg)
+                    faces.append(fc)
+                state = co.to_u(cand, nodes[j + 1], ctx)
+            sq0 = _sq_norm(_rows(vvs), weights).tolist()
+            sq1 = _sq_norm(_rows(cands), weights).tolist()
+        # The rule on Python floats: on short chunks, cheaper than NumPy.
+        ok = list(map(_norm_ok, sq0, sq1))
+        # Steps kept: those that stand, and the first rejected one, redone.
+        n = ok.index(False) + 1 if False in ok else len(ok)
+        if not ok[n - 1]:
+            j, k = n - 1, k0 + n - 1
+            cands[j], sq1[j], *rec = _macro_step(
+                co, vvs[j], ts[k], dt, zs[k], zs[k + 1], es[k], es[k + 1],
+                ctx, cfg, sq0[j], sq1[j])
             if with_record:
-                l2s[k] = sq
-                if k in want:
-                    snapshots[k] = Field(grid, vv.copy())
-                wargs.append(warg)
-                faces.append(fc)
-            state = co.to_u(vv_new, nodes[j + 1], ctx)
+                wargs[j], faces[j] = rec
+            state = co.to_u(cands[j], nodes[n], ctx)
+        vv_new, sq_new = cands[n - 1], sq1[n - 1]
         if with_record:
-            dps[k0 + 1:c.stop + 1] = _pairing(
-                [tuple(map(np.array, zip(*d))) for d in zip(*faces)], grid.dx)
-            dqs[k0 + 1:c.stop + 1] = _lebesgue(np.array(wargs),
-                                               ctx.arrs.weights, spec.q)
+            l2s[k0:k0 + n] = sq0[:n]
+            for j in range(n):
+                if k0 + j in want:
+                    snapshots[k0 + j] = Field(grid, vvs[j].copy())
+            dps[k0 + 1:k0 + n + 1] = _pairing(
+                [tuple(map(_rows, zip(*d))) for d in zip(*faces[:n])],
+                grid.dx)
+            dqs[k0 + 1:k0 + n + 1] = _lebesgue(_rows(wargs[:n]), weights,
+                                               spec.q)
+        k0 += n
 
     out = Field(grid, state)
     if not with_record:
         return out
-    l2s[nsteps] = sq_new if nsteps else _sq_norm(v0, ctx.arrs.weights)
+    l2s[nsteps] = sq_new if nsteps else _sq_norm(v0, weights)
     if nsteps in want:
         snapshots[nsteps] = Field(grid, vv_new.copy())
     # At node times the additive dissipation argument w = v + eps*h*z is u

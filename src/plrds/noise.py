@@ -23,6 +23,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 QUAD_TOL = 1e-12
 
@@ -310,10 +311,12 @@ def _ou_values(base, rate: float, k0: int, k1: int, m: int) -> np.ndarray:
     first = j0 * kblock - steps          # coarse index of the first node read
     w = base.grid_values(first * m, ((j1 + 1) * kblock - 1) * m)[::m]
     nb = j1 - j0 + 1
-    # Block j's boundary sits at w[steps + (j - j0) * kblock]; one np.dot per
-    # anchor keeps ddot's bits, which one matrix product would not.
-    starts = range(steps, steps + nb * kblock, kblock)
-    dots = np.array([np.dot(wts, w[a - steps : a + 1]) for a in starts])
+    # Block j's boundary sits at w[steps + (j - j0) * kblock], and its anchor
+    # weights the steps + 1 nodes ending there.  vecdot takes ddot on each
+    # window, as np.dot does on one, so it keeps the bits that one matrix
+    # product would not.
+    dots = np.vecdot(sliding_window_view(
+        w[:(nb - 1) * kblock + steps + 1], steps + 1)[::kblock], wts)
     anchors = w[steps::kblock] - bfac * w[:nb * kblock:kblock] - rate * dots
     blk = w[steps:].reshape(nb, kblock)
     inc = gain * (blk[:, 1:] - blk[:, :-1])

@@ -633,7 +633,7 @@ class TestCallerPaths:
         # A ValueError naming the case, before any step and before the
         # absorbing-radius window reads the path's step.
         from plrds import integrator
-        monkeypatch.setattr(integrator, "_macro_step", no_runs)
+        monkeypatch.setattr(integrator, "_single_step", no_runs)
         spec = ProblemSpec(noise_case=case, alpha=0.1)
         u0 = ball(1.0, 1)[0]
         calls = {
@@ -654,9 +654,8 @@ class TestCallerPaths:
             with pytest.raises(ValueError, match=f"noise_case '{case}' needs "
                                "a noise path"):
                 call()
-        # usc_sweep runs the noise-free A_0 first; its A_alpha runs are
-        # multiplicative whatever the spec's case.
-        monkeypatch.undo()
+        # usc_sweep's A_alpha runs are multiplicative whatever the spec's
+        # case; they are checked before its noise-free A_0 runs.
         with pytest.raises(ValueError, match="noise_case 'multiplicative' "
                            "needs a noise path"):
             usc_sweep(0.0, spec, [None], alphas=(0.1,), horizon=0.1,

@@ -9,7 +9,7 @@ import pytest
 from conftest import boundary_mask
 
 from plrds.fields import (EndpointEnsemble, EnsembleTag, Field, Grid,
-                          _face_data, _lap_faces, _pairing,
+                          _face_data, _lap_faces, _pairing, _sq_norm,
                           cutoff_rho, field_from_binary, field_from_csv,
                           field_to_binary, field_to_csv, flux_pairing,
                           grid_arrays, hausdorff_semidistance,
@@ -212,6 +212,20 @@ class TestKernelOracle:
                 assert c[r].tobytes() == rc.tobytes()
             assert pair[r].hex() == _pairing(row, dx).hex()
             assert cross[r].hex() == _pairing(row, dx, grads).hex()
+
+    @pytest.mark.parametrize("grid", [Grid(1, 7.0, 64), Grid(2, 7.0, 18)],
+                             ids=["1d", "2d"])
+    def test_stacked_sq_norm_matches_rows(self, grid):
+        # Rows far apart in scale, and one of negative zeros.
+        weights = grid_arrays(grid).weights
+        stack = np.stack([self.signed_zero_values(grid, s) * 1e3 ** (s - 2)
+                          for s in range(5)] + [np.full(grid.shape, -0.0)])
+        sums = _sq_norm(stack, weights)
+        assert sums.shape == (6,)
+        for r, v in enumerate(stack):
+            single = float(_sq_norm(v, weights))
+            assert sums[r].hex() == single.hex() == \
+                float(np.sum(weights * v * v)).hex()
 
 
 class TestRecordedQuadratures:

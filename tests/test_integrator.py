@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -413,10 +414,12 @@ class TestPullback:
         assert len(res.ensembles[0.1]) == 1
 
 
-def reference_apply(t, tau, path, u_tau, spec, cfg, with_record=False):
+def reference_apply(t, tau, path, u_tau, spec, cfg, with_record=False,
+                    hook=None):
     """cocycle_apply one step at a time: every array of a step built in the
-    step, and the record's quadratures summed per step.  Snapshots at every
-    node."""
+    step, each step guarded on its own, and the record's quadratures summed
+    per step.  Snapshots at every node.  hook(t, dtt, v_new), if given,
+    replaces each attempt's new state."""
     dt, grid = cfg.dt, u_tau.grid
     nsteps, tau_k = snap_steps(t, dt), snap_steps(tau, dt)
     m = snap_steps(spec.period, dt)
@@ -461,7 +464,7 @@ def reference_apply(t, tau, path, u_tau, spec, cfg, with_record=False):
         else:
             out = math.exp(-a * dtt) * vv + (-math.expm1(-a * dtt) / a) * rhs
         out[boundary] = 0.0
-        return out, w, faces
+        return (hook(t, dtt, out) if hook else out), w, faces
 
     def sq(v):
         return float((ctx.arrs.weights * v * v).sum())
@@ -539,14 +542,14 @@ class TestChunkedLoop:
         return max(1, fields._BLOCK_FLOATS // math.prod(grid.shape))
 
     @staticmethod
-    def assert_same(nsteps, tau, path, u0, spec, cfg):
+    def assert_same(nsteps, tau, path, u0, spec, cfg, hook=None):
         t = nsteps * cfg.dt
         end = cocycle_apply(t, tau, path, u0, spec, cfg)
         rec_end, rec = cocycle_apply(t, tau, path, u0, spec, cfg,
                                      snapshot_indices=range(nsteps + 1),
                                      with_record=True)
         ref_end, series, z, eta, snaps = reference_apply(
-            t, tau, path, u0, spec, cfg, with_record=True)
+            t, tau, path, u0, spec, cfg, with_record=True, hook=hook)
         assert end.values.tobytes() == ref_end.tobytes()
         assert rec_end.values.tobytes() == ref_end.tobytes()
         for name, ref in zip(("l2_sq", "diss_p", "diss_q"), series):
@@ -598,26 +601,111 @@ class TestChunkedLoop:
         self.assert_same(10, 0.0, path, gaussian_u0(grid, amp), spec, cfg)
         assert any(0 < k < self.chunk(grid) for k in retried), retried
 
-    @pytest.mark.parametrize("case, sums", [("additive", 2 * 40),
-                                             ("deterministic", 40 + 1)])
-    def test_noise_free_steps_sum_each_state_once(self, case, sums,
-                                                  gaussian_u0, path_bank,
-                                                  monkeypatch):
-        # Noise-free transforms are identities, so step k + 1's ||vv||^2 is
-        # step k's ||v_new||^2; the noisy round trip moves bits, so there
-        # each step sums both.
-        grid, cfg = self.GRIDS[1], StepperConfig(dt=2e-3)
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_speculative_attempts_do_not_warn(self, case, dim, gaussian_u0,
+                                              path_bank, monkeypatch):
+        # The guard-retry setups: attempts past a rejected step overflow on
+        # a discarded state, and print nothing.
+        grid, amp = TestRecordLeavesEndpoint.SETUPS[dim]
+        cfg = StepperConfig(dt=0.04, scheme="explicit", substep_limit=6)
+        path = None if case == "deterministic" else path_bank(3, cfg.dt)
+        attempts = []
+        step = integrator._single_step
+
+        def counted(co, vv, t_eval, dtt, *rest):
+            attempts.append(dtt == cfg.dt)
+            return step(co, vv, t_eval, dtt, *rest)
+        monkeypatch.setattr(integrator, "_single_step", counted)
+        for with_record in (False, True):
+            cocycle_apply(10 * cfg.dt, 0.0, path, gaussian_u0(grid, amp),
+                          self.SPECS[case], cfg, with_record=with_record)
+        assert sum(attempts) > 2 * 10, "no attempt ran past a rejection"
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    def test_two_stacked_norms_per_clean_chunk(self, case, dim, gaussian_u0,
+                                               path_bank, monkeypatch):
+        # No step is rejected, so each chunk sums its states and its first
+        # attempts with one stacked call each, and no step sums on its own.
+        grid, cfg = self.GRIDS[dim], StepperConfig(dt=2e-3)
+        k = self.chunk(grid)
         path = None if case == "deterministic" else path_bank(5, cfg.dt)
-        calls = []
+        rows = []
         sq_norm = integrator._sq_norm
 
-        def counted(*args):
-            calls.append(args)
-            return sq_norm(*args)
+        def counted(values, weights):
+            rows.append(values.shape[:-dim])
+            return sq_norm(values, weights)
         monkeypatch.setattr(integrator, "_sq_norm", counted)
-        cocycle_apply(40 * cfg.dt, 0.3, path, gaussian_u0(grid, 0.9),
+        cocycle_apply((2 * k + 1) * cfg.dt, 0.3, path, gaussian_u0(grid, 0.9),
                       self.SPECS[case], cfg)
-        assert len(calls) == sums
+        assert rows == [(k,)] * 4 + [(1,)] * 2
+
+    @staticmethod
+    def blow_up(dt, first=(), every=()):
+        """A hook on each attempt's new state: the full-dt first attempt of
+        each step index in first, and every attempt of each in every, comes
+        back 1e150 times too large, which the guard rejects."""
+        def hook(t_eval, dtt, out):
+            k = int(t_eval / dt + 1e-6)
+            return out * 1e150 if k in every or (
+                k in first and dtt == dt) else out
+        return hook
+
+    @staticmethod
+    def hooked(monkeypatch, hook):
+        step = integrator._single_step
+
+        def wrapped(co, vv, t_eval, dtt, *rest):
+            out, warg, faces = step(co, vv, t_eval, dtt, *rest)
+            return hook(t_eval, dtt, out), warg, faces
+        monkeypatch.setattr(integrator, "_single_step", wrapped)
+
+    # Rejected steps by index, for chunks of k steps from step 0: a chunk's
+    # first, a middle and its last step, two in one chunk, one at the first
+    # step of the chunk that starts after a rejection, and the run's last.
+    REJECTED = {"first": lambda k: {0}, "middle": lambda k: {k // 2},
+                "last": lambda k: {k - 1}, "two": lambda k: {1, k // 2},
+                "adjacent": lambda k: {k // 2, k // 2 + 1},
+                "run-end": lambda k: {k + 1}}
+
+    @pytest.mark.parametrize("where", sorted(REJECTED))
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rollback_to_a_rejected_step(self, case, dim, where, gaussian_u0,
+                                         path_bank, monkeypatch):
+        grid, cfg = self.GRIDS[dim], StepperConfig(dt=2e-3)
+        k = self.chunk(grid)
+        path = None if case == "deterministic" else path_bank(5, cfg.dt)
+        hook = self.blow_up(cfg.dt, first=self.REJECTED[where](k))
+        self.hooked(monkeypatch, hook)
+        self.assert_same(k + 2, 0.0, path, gaussian_u0(grid, 0.9),
+                         self.SPECS[case], cfg, hook)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stiffness_error_mid_chunk(self, case, dim, gaussian_u0,
+                                       path_bank, monkeypatch):
+        grid, cfg = self.GRIDS[dim], StepperConfig(dt=2e-3, substep_limit=2)
+        k = self.chunk(grid)
+        path = None if case == "deterministic" else path_bank(5, cfg.dt)
+        hook = self.blow_up(cfg.dt, first={3}, every={k // 2})
+        self.hooked(monkeypatch, hook)
+        u0 = gaussian_u0(grid, 0.9)
+        reports = []
+        for run, with_record in ((cocycle_apply, False),
+                                 (cocycle_apply, True),
+                                 (partial(reference_apply, hook=hook), True)):
+            with pytest.raises(StiffnessError) as exc_info:
+                run((k + 2) * cfg.dt, 0.0, path, u0, self.SPECS[case], cfg,
+                    with_record=with_record)
+            reports.append(exc_info.value.report)
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0]["t"] == (k // 2) * cfg.dt
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("case", sorted(SPECS))

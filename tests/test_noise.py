@@ -260,6 +260,20 @@ class TestOuWindowOracle:
         assert got.tobytes() == \
             self.reference_ou_values(base, 1.5, k0, k1, m).tobytes()
 
+    # Anchor kernels of 112 to 55,264 weights: one vecdot over all the
+    # windows keeps the bits of one np.dot per anchor.
+    @pytest.mark.parametrize("rate, dt, block_length, k0, k1", [
+        (1.0, 0.25, 4.0, 0, 4000),      # the noise-ergodic kernel
+        (1.5, 0.01, 0.5, -120, 90),
+        (0.1, DT, 1.0, -500, 700),
+    ])
+    def test_anchor_windows_match_per_anchor_dots(self, rate, dt,
+                                                  block_length, k0, k1):
+        base = NoisePath(31, dt, block_length)
+        got = _ou_values(base, rate, k0, k1, 1)
+        assert got.tobytes() == \
+            self.reference_ou_values(base, rate, k0, k1, 1).tobytes()
+
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_shifted_view_matches_the_per_block_loop(self, m):
         base = self.paths()["noise"]
