@@ -43,8 +43,7 @@ for spec in SPECS:
         nsteps = int(round(SPAN / dt))
         k0 = int(round(WARMUP / dt))
         _, rec = cocycle_apply(SPAN, 0.0, path, u0, spec, cfg,
-                               snapshot_indices=range(k0 - 1, nsteps + 1),
-                               with_record=True)
+                               snapshot_indices=range(k0 - 1, nsteps + 1))
         _, series = energy_audit(rec, spec)
         worst = float(np.max(np.abs(series["residuals"])))
         maxima.append(worst)

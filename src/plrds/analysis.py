@@ -28,8 +28,13 @@ from .integrator import (StepperConfig, TrajectoryRecord, cocycle_apply,
 from .noise import QUAD_TOL, _cumtrapz, check_args, snap_steps
 from .problem import ForcingNorms, ProblemSpec, check_growth_condition
 
-DEFAULT_GRID = Grid(1, 8.0, 257)
+# The library's defaults, which RunConfig reads as the CLI's.
 DEFAULT_C = 4.0
+DEFAULT_HORIZONS = (4.0, 8.0, 16.0, 32.0)
+DEFAULT_K_LIST = (2.0, 3.0, 4.0)
+DEFAULT_ALPHAS = (0.4, 0.2, 0.1, 0.05)
+DEFAULT_N_SIGMA = 8
+DEFAULT_SAMPLER_SEED = 1234
 _SAMPLER_KEY = 0x1B1D
 
 
@@ -38,7 +43,7 @@ _SAMPLER_KEY = 0x1B1D
 # ---------------------------------------------------------------------------
 
 def sample_initial_ball(grid: Grid, radius: float, count: int,
-                        seed: int = 1234) -> list:
+                        seed: int = DEFAULT_SAMPLER_SEED) -> list:
     """Deterministic sum-of-bumps fields with L2 norm inside the radius."""
     check_args(ball_radius=radius, n_initials=count)
     rng = np.random.Generator(np.random.Philox(key=np.array(
@@ -122,7 +127,7 @@ def _weight_window(path, spec: ProblemSpec, quad_tol: float):
 
 def absorbing_radius(tau: float, path, spec: ProblemSpec,
                      quad_tol: float = QUAD_TOL,
-                     grid: Grid = DEFAULT_GRID,
+                     grid: Grid = Grid(),
                      c: float = DEFAULT_C) -> RadiusReport:
     """Absorbing radius R at observation time tau for the spec's noise case.
 
@@ -173,7 +178,7 @@ def absorbing_radius(tau: float, path, spec: ProblemSpec,
 
 def absorbing_bound(tau: float, path, spec: ProblemSpec,
                     quad_tol: float = QUAD_TOL,
-                    grid: Grid = DEFAULT_GRID, c: float = DEFAULT_C) -> float:
+                    grid: Grid = Grid(), c: float = DEFAULT_C) -> float:
     """The case-appropriate absorbing bound on ||u(tau)||^2."""
     return absorbing_radius(tau, path, spec, quad_tol, grid, c).bound
 
@@ -200,7 +205,7 @@ class AbsorbingReport:
 
 
 def absorbing_check(tau: float, spec: ProblemSpec, paths, initials,
-                    horizons=(4.0, 8.0, 16.0, 32.0),
+                    horizons=DEFAULT_HORIZONS,
                     cfg: StepperConfig = StepperConfig(),
                     quad_tol: float = QUAD_TOL, c: float = DEFAULT_C,
                     workers: int = 1) -> AbsorbingReport:
@@ -341,8 +346,9 @@ class TailReport:
 
 
 def tail_check(tau: float, spec: ProblemSpec, paths, u0: Field,
-               horizon: float = 32.0, k_list=(2.0, 3.0, 4.0),
-               cfg: StepperConfig = StepperConfig(), n_sigma: int = 8,
+               horizon: float = 32.0, k_list=DEFAULT_K_LIST,
+               cfg: StepperConfig = StepperConfig(),
+               n_sigma: int = DEFAULT_N_SIGMA,
                workers: int = 1) -> TailReport:
     """Measure how much of v sits outside radius k along the last time unit.
 
@@ -399,10 +405,10 @@ def tail_check(tau: float, spec: ProblemSpec, paths, u0: Field,
 # ---------------------------------------------------------------------------
 
 def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
-                       n_initials: int = 4, grid: Grid = DEFAULT_GRID,
+                       n_initials: int = 4, grid: Grid = Grid(),
                        cfg: StepperConfig = StepperConfig(),
                        cluster_tol: float | None = None,
-                       sampler_seed: int = 1234,
+                       sampler_seed: int = DEFAULT_SAMPLER_SEED,
                        quad_tol: float = QUAD_TOL, c: float = DEFAULT_C,
                        check_contraction: bool = True) -> EndpointEnsemble:
     """Estimate the pullback attracting set at tau by long-horizon endpoints.
@@ -411,8 +417,9 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
     radius the tag records; endpoints closer than cluster_tol (default 1e-4
     times that radius) are merged.  Warns when the endpoint spread at the
     full horizon exceeds the spread at half the horizon, which signals
-    non-contraction.  The failure entries of the pullback runs ride along
-    as the ensemble's failures.
+    non-contraction, and that contraction is unchecked when either spread
+    is nan (no member survived).  The failure entries of the pullback runs
+    ride along as the ensemble's failures.
     """
     check_args(horizon=horizon, n_initials=n_initials)
     if cluster_tol is not None:
@@ -430,7 +437,11 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
     if check_contraction and len(horizons) == 2:
         s_half = result.ensembles[half].spread()
         s_full = ens.spread()
-        if s_full > s_half + cluster_tol:
+        if math.isnan(s_half) or math.isnan(s_full):
+            warnings.warn(f"endpoint spread at horizon {half} or {horizon} "
+                          "is nan (no surviving run); contraction unchecked",
+                          stacklevel=2)
+        elif s_full > s_half + cluster_tol:
             warnings.warn(f"endpoint spread grew from {s_half:.3g} at horizon "
                           f"{half} to {s_full:.3g} at {horizon}; "
                           "no contraction yet", stacklevel=2)
@@ -441,6 +452,13 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
     return EndpointEnsemble(members=tuple(kept), tag=replace(
         ens.tag, horizon=horizon, radius=radius, cluster_tol=cluster_tol),
         failures=tuple(result.failures))
+
+
+def _at_alpha(spec: ProblemSpec, alpha: float) -> ProblemSpec:
+    """spec under multiplicative noise of intensity alpha.  alpha = 0 is the
+    deterministic case, whose steps give the multiplicative ones' bits."""
+    return replace(spec, alpha=float(alpha), noise_case="multiplicative"
+                   if alpha > 0 else "deterministic")
 
 
 @dataclass(frozen=True)
@@ -455,9 +473,10 @@ class UscReport:
 
 
 def usc_sweep(tau: float, spec: ProblemSpec, paths,
-              alphas=(0.4, 0.2, 0.1, 0.05), horizon: float = 16.0,
-              n_initials: int = 2, grid: Grid = DEFAULT_GRID,
-              cfg: StepperConfig = StepperConfig(), sampler_seed: int = 1234,
+              alphas=DEFAULT_ALPHAS, horizon: float = 16.0,
+              n_initials: int = 2, grid: Grid = Grid(),
+              cfg: StepperConfig = StepperConfig(),
+              sampler_seed: int = DEFAULT_SAMPLER_SEED,
               quad_tol: float = QUAD_TOL, c: float = DEFAULT_C,
               workers: int = 1) -> UscReport:
     """Compare the noisy attracting sets against the noise-free one as the
@@ -475,9 +494,7 @@ def usc_sweep(tau: float, spec: ProblemSpec, paths,
     if not paths:
         raise ValueError("usc_sweep needs at least one path")
     runs = [(0.0, None)] + [(a, p) for a in alphas for p in paths]
-    tasks = [{"spec": replace(spec, alpha=a, noise_case="multiplicative"
-                              if a > 0 else "deterministic"), "path": p}
-             for a, p in runs]
+    tasks = [{"spec": _at_alpha(spec, a), "path": p} for a, p in runs]
     for task in tasks:                  # every path checked before any run
         _noisy_path(_COUPLINGS[task["spec"].noise_case], task["path"],
                     task["spec"])
@@ -498,16 +515,14 @@ def usc_sweep(tau: float, spec: ProblemSpec, paths,
 
 def alpha_solution_distances(tau: float, u0: Field, path, spec: ProblemSpec,
                              cfg: StepperConfig,
-                             alphas=(0.4, 0.2, 0.1, 0.05)) -> list:
+                             alphas=DEFAULT_ALPHAS) -> list:
     """||u_alpha(tau+1) - u_0(tau+1)|| for the multiplicative model.
 
     The noise-free reference uses the deterministic stepper; one value per
     alpha, in the given order.
     """
-    ref = cocycle_apply(1.0, tau, path, u0, replace(
-        spec, alpha=0.0, noise_case="deterministic"), cfg)
-    specs = [replace(spec, alpha=float(a), noise_case="multiplicative")
-             for a in alphas]
+    ref = cocycle_apply(1.0, tau, path, u0, _at_alpha(spec, 0.0), cfg)
+    specs = [_at_alpha(spec, a) for a in alphas]
     return [l2_distance(cocycle_apply(1.0, tau, path, u0, s, cfg), ref)
             for s in specs]
 

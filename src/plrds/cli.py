@@ -122,7 +122,7 @@ def _write_field(cfg: RunConfig, out: Path, stem: str, field, files) -> None:
 def _run_simulate(cfg: RunConfig, out: Path):
     spec, stepper, path, u0 = _single_seed_inputs(cfg)
     endpoint, rec = cocycle_apply(cfg.horizon, cfg.tau, path, u0, spec,
-                                  stepper, with_record=True)
+                                  stepper, snapshot_indices=())
     files = [out / "series.csv"]
     _write_csv(files[0], "t,l2_sq,grad_p,q_norm,z,eta",
                _series_rows(rec, spec))
@@ -153,8 +153,7 @@ def _run_energy_audit(cfg: RunConfig, out: Path):
     k0 = int(round(cfg.warmup / stepper.dt))
     _, rec = cocycle_apply(cfg.warmup + cfg.horizon, cfg.tau, path, u0,
                            spec, stepper,
-                           snapshot_indices=range(k0, nsteps + 1),
-                           with_record=True)
+                           snapshot_indices=range(k0, nsteps + 1))
     max_res, series = analysis.energy_audit(rec, spec)
     res_at = dict(zip(series["nodes"], series["residuals"]))
     rows = [row + (res_at.get(k, float("nan")),)

@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dc_fields, replace
 
+from .analysis import (DEFAULT_ALPHAS, DEFAULT_C, DEFAULT_HORIZONS,
+                       DEFAULT_K_LIST, DEFAULT_N_SIGMA, DEFAULT_SAMPLER_SEED)
 from .fields import Grid
 from .integrator import StepperConfig
-from .noise import (ARG_RULES, QUAD_TOL, EtaConfig, arg_rules, snap_steps,
-                    violated)
+from .noise import (ARG_RULES, BLOCK_LENGTH, QUAD_TOL, EtaConfig, arg_rules,
+                    snap_steps, violated)
 from .problem import NonlinearitySpec, ProblemSpec
 
 # Each experiment, with the [experiment] times it steps to; each must sit on
@@ -41,7 +43,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration; model defaults are the dataclasses'."""
+    """Resolved run configuration; model and grid defaults are the
+    dataclasses', experiment defaults the library's."""
 
     # [problem]
     lam: float = ProblemSpec.lam
@@ -58,9 +61,9 @@ class RunConfig:
     f_kind: str = NonlinearitySpec.kind
     f_expression: str = ""
     # [grid]
-    dim: int = 1
-    half_width: float = 8.0
-    n: int = 257
+    dim: int = Grid.dim
+    half_width: float = Grid.half_width
+    n: int = Grid.n
     # [stepper]
     dt: float = StepperConfig.dt
     scheme: str = StepperConfig.scheme
@@ -68,7 +71,7 @@ class RunConfig:
     # [noise]
     seed: int = 0
     noise_dt: float = 0.0          # 0 -> use stepper dt
-    block_length: float = 4.0
+    block_length: float = BLOCK_LENGTH
     eta_kind: str = EtaConfig.kind
     eta_mean: float = EtaConfig.mean
     eta_rate: float = EtaConfig.rate
@@ -77,19 +80,19 @@ class RunConfig:
     experiment: str = "simulate"
     tau: float = 0.0
     horizon: float = 8.0
-    horizons: tuple = (4.0, 8.0, 16.0, 32.0)
-    k_list: tuple = (2.0, 3.0, 4.0)
-    alphas: tuple = (0.4, 0.2, 0.1, 0.05)
+    horizons: tuple = DEFAULT_HORIZONS
+    k_list: tuple = DEFAULT_K_LIST
+    alphas: tuple = DEFAULT_ALPHAS
     n_seeds: int = 8
     n_initials: int = 2
-    c: float = 4.0
+    c: float = DEFAULT_C
     quad_tol: float = QUAD_TOL
     cluster_tol: float = 0.0       # 0 -> estimate_attractor's default
     ball_radius: float = 1.0
-    sampler_seed: int = 1234
+    sampler_seed: int = DEFAULT_SAMPLER_SEED
     warmup: float = 0.5
     workers: int = 1
-    n_sigma: int = 8
+    n_sigma: int = DEFAULT_N_SIGMA
     # [output]
     directory: str = "out"
     formats: tuple = ("csv", "json")

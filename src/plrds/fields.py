@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .noise import _Checked, arg_rules, check_args, raise_first, violated
+from .noise import _Checked, check_args, violated
 
 _BLOCK_FLOATS = 8192     # floats per stacked row-block array: 64 KiB
 
@@ -32,9 +32,9 @@ _BLOCK_FLOATS = 8192     # floats per stacked row-block array: 64 KiB
 class Grid(_Checked):
     """Uniform tensor grid on [-half_width, half_width]^dim."""
 
-    dim: int
-    half_width: float
-    n: int
+    dim: int = 1
+    half_width: float = 8.0
+    n: int = 257
 
     @staticmethod
     def violations(v) -> list:
@@ -190,18 +190,6 @@ def p_dissipation(u: Field, p: float, delta: float = 0.0) -> float:
                     u.grid.dx)
 
 
-def flux_pairing(u: Field, other: Field, p: float, delta: float = 0.0) -> float:
-    """The quadrature sum_faces |grad u|^(p-2) (D u)(D other) dx^dim.
-
-    Discretely equal to (-p_laplace(u), other) for zero-boundary fields.
-    """
-    if u.grid != other.grid:
-        raise ValueError("fields live on different grids")
-    dim, dx = u.grid.dim, u.grid.dx
-    grads = [g for g, _ in _face_data(other.values, dim, dx, 2.0, 0.0)]
-    return _pairing(_face_data(u.values, dim, dx, p, delta), dx, grads)
-
-
 def _lebesgue(values: np.ndarray, weights: np.ndarray, r: float):
     """sum weights |values|^r over the trailing grid axes; leading axes are
     rows, with one value per row."""
@@ -226,18 +214,6 @@ def l2_sq(u: Field) -> float:
 def l2_distance(a: Field, b: Field) -> float:
     """The weighted L2 distance ||a - b||."""
     return math.sqrt(l2_sq(Field(a.grid, a.values - b.values)))
-
-
-def norms(u: Field, p: float, q: float) -> dict:
-    """{l2, lp, lq, w1p} with trapezoid node weights and face gradients."""
-    raise_first(violated(*arg_rules(p=p), ("q", q >= p, "need 2 <= p <= q")))
-    lp_pow = lebesgue_pow(u, p)
-    return {
-        "l2": math.sqrt(l2_sq(u)),
-        "lp": lp_pow ** (1.0 / p),
-        "lq": lebesgue_pow(u, q) ** (1.0 / q),
-        "w1p": (lp_pow + p_dissipation(u, p, 0.0)) ** (1.0 / p),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +305,10 @@ class EndpointEnsemble:
         return len(self.members)
 
     def spread(self) -> float:
-        """Largest pairwise L2 distance among members."""
+        """Largest pairwise L2 distance among members; nan (no surviving
+        run) when there are none."""
+        if not self.members:
+            return math.nan
         worst = 0.0
         for i, f in enumerate(self.members):
             for g in self.members[i + 1:]:

@@ -81,12 +81,12 @@ class TrajectoryRecord:
     """
 
     dt: float
-    times: np.ndarray = None
-    l2_sq: np.ndarray = None
-    diss_p: np.ndarray = None
-    diss_q: np.ndarray = None
-    z: np.ndarray = None
-    eta: np.ndarray = None
+    times: np.ndarray
+    l2_sq: np.ndarray
+    diss_p: np.ndarray
+    diss_q: np.ndarray
+    z: np.ndarray
+    eta: np.ndarray
     snapshots: dict = field(default_factory=dict)
 
 
@@ -314,8 +314,7 @@ def _noise_arrays(co: _Coupling, path, spec: ProblemSpec, t0: float,
 
 
 def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
-                  cfg: StepperConfig, snapshot_indices=None,
-                  with_record: bool = False):
+                  cfg: StepperConfig, snapshot_indices=None):
     """The solution operator: evolve u_tau for duration t, starting at tau.
 
     The path argument carries the noise; its elapsed-time values drive the
@@ -324,8 +323,9 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
     long run exactly, and time-periodic coefficients make runs a whole period
     apart identical.
 
-    With with_record=True also returns a TrajectoryRecord whose snapshots
-    hold the transformed state v at the requested node indices.
+    With snapshot_indices given, even empty, returns (endpoint, record): a
+    TrajectoryRecord whose snapshots hold the transformed state v at those
+    node indices.
     """
     dt = cfg.dt
     nsteps = snap_steps(t, dt, "t")
@@ -338,12 +338,13 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
     co = _COUPLINGS[spec.noise_case]
     grid = u_tau.grid
     ctx = _context(spec, grid)
-    want = set(int(i) for i in snapshot_indices) if snapshot_indices else set()
+    recording = snapshot_indices is not None
+    want = set(int(i) for i in snapshot_indices) if recording else set()
 
     z, eta = _noise_arrays(co, path, spec, 0.0, nsteps * dt, dt)
     state = u_tau.values.copy()
 
-    if with_record:
+    if recording:
         l2s, dps, dqs = np.empty((3, nsteps + 1))
     snapshots = {}
 
@@ -373,7 +374,7 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
                 cand, warg, fc = _single_step(co, vvs[j], ts[k], dt, zms[k],
                                               ems[k], terms, ctx, cfg.scheme)
                 cands.append(cand)
-                if with_record:
+                if recording:
                     wargs.append(warg)
                     faces.append(fc)
                 state = co.to_u(cand, nodes[j + 1], ctx)
@@ -388,11 +389,11 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
             cands[j], sq1[j], *rec = _macro_step(
                 co, vvs[j], ts[k], dt, zs[k], zs[k + 1], es[k], es[k + 1],
                 ctx, cfg, sq0[j], sq1[j])
-            if with_record:
+            if recording:
                 wargs[j], faces[j] = rec
             state = co.to_u(cands[j], nodes[n], ctx)
         vv_new, sq_new = cands[n - 1], sq1[n - 1]
-        if with_record:
+        if recording:
             l2s[k0:k0 + n] = sq0[:n]
             for j in range(n):
                 if k0 + j in want:
@@ -405,7 +406,7 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
         k0 += n
 
     out = Field(grid, state)
-    if not with_record:
+    if not recording:
         return out
     l2s[nsteps] = sq_new if nsteps else _sq_norm(v0, weights)
     if nsteps in want:
@@ -445,7 +446,6 @@ def pullback_run(tau: float, horizons, initial_set, path, spec: ProblemSpec,
     ensembles = {}
     records = {}
     failures = []
-    keep = snapshot_indices is not None
     seed = getattr(_resolve(path)[0], "seed", None)
     for h in horizons:
         view = shift(path, -h) if path is not None else None
@@ -453,13 +453,12 @@ def pullback_run(tau: float, horizons, initial_set, path, spec: ProblemSpec,
         for idx, u0 in enumerate(initial_set):
             try:
                 out = cocycle_apply(h, tau - h, view, u0, spec, cfg,
-                                    snapshot_indices=snapshot_indices,
-                                    with_record=keep)
+                                    snapshot_indices=snapshot_indices)
             except StiffnessError as exc:
                 failures.append({"seed": seed, "tau": tau, "horizon": h,
                                  "initial": idx, "report": exc.report})
                 continue
-            if keep:
+            if snapshot_indices is not None:
                 out, records[(h, idx)] = out
             members.append(out)
         ensembles[h] = EndpointEnsemble(

@@ -26,6 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 QUAD_TOL = 1e-12
+BLOCK_LENGTH = 4.0      # the default block length of a noise path
 
 _GRID_RTOL = 1e-9
 _UINT_MASK = 0xFFFFFFFFFFFFFFFF
@@ -51,7 +52,7 @@ def violated(*rules) -> list:
     return [(name, message) for name, holds, message in rules if not holds]
 
 
-def raise_first(violations: list) -> None:
+def _raise_first(violations: list) -> None:
     """Raise the first (field, message) pair of a violations list."""
     if violations:
         raise ValueError(violations[0][1])
@@ -62,7 +63,7 @@ class _Checked:
     the class's violations(values) rules that its fields break."""
 
     def __post_init__(self):
-        raise_first(self.violations(vars(self)))
+        _raise_first(self.violations(vars(self)))
 
 
 ARG_RULES = {
@@ -99,7 +100,7 @@ def arg_rules(**args) -> list:
 
 def check_args(**args) -> None:
     """Raise the message of the first ARG_RULES rule that args break."""
-    raise_first(violated(*arg_rules(**args)))
+    _raise_first(violated(*arg_rules(**args)))
 
 
 # Anchor kernel: dot-product weights evaluating
@@ -126,14 +127,6 @@ def _anchor_kernel(rate: float, dt: float):
     return steps, wts, bfac
 
 
-def _block_steps(dt: float, block_length: float) -> int:
-    """Check a path's sample step and block length; return steps per block."""
-    spb = snap_steps(block_length, dt, "block_length")
-    if spb < 1:
-        raise ValueError("block_length must be a positive multiple of dt")
-    return spb
-
-
 class NoisePath:
     """Two-sided Brownian path on a uniform grid with omega(0) = 0.
 
@@ -141,8 +134,11 @@ class NoisePath:
     (seed, dt, block_length, i).
     """
 
-    def __init__(self, seed: int, dt: float, block_length: float = 4.0):
-        self.steps_per_block = _block_steps(dt, block_length)
+    def __init__(self, seed: int, dt: float,
+                 block_length: float = BLOCK_LENGTH):
+        self.steps_per_block = snap_steps(block_length, dt, "block_length")
+        if self.steps_per_block < 1:
+            raise ValueError("block_length must be a positive multiple of dt")
         self.dt = float(dt)
         self.seed = int(seed)
         self.block_length = float(block_length)
@@ -209,33 +205,6 @@ class NoisePath:
         return np.concatenate(parts)[i0 - j0 * spb : i1 - j0 * spb + 1]
 
 
-class TabulatedPath:
-    """Path given by explicit grid samples (testing and replay).
-
-    values[i] is the path at time (first_index + i) * dt.  Queries outside the
-    tabulated window raise.  It has no seed; sweep rows record None.
-    """
-
-    seed = None
-
-    def __init__(self, values, dt: float, first_index: int = 0,
-                 block_length: float = 4.0):
-        self.steps_per_block = _block_steps(dt, block_length)
-        self.dt = float(dt)
-        self.arr = np.asarray(values, dtype=float).copy()
-        if self.arr.ndim != 1 or len(self.arr) < 2:
-            raise ValueError("need a 1-d array of at least two samples")
-        self.first_index = int(first_index)
-        self.block_length = self.steps_per_block * self.dt
-
-    def grid_values(self, i0: int, i1: int) -> np.ndarray:
-        lo = self.first_index
-        hi = self.first_index + len(self.arr) - 1
-        if i0 < lo or i1 > hi:
-            raise ValueError(f"indices [{i0}, {i1}] outside tabulated window [{lo}, {hi}]")
-        return self.arr[i0 - lo : i1 - lo + 1]
-
-
 @dataclass(frozen=True)
 class ShiftedView:
     """The path s -> omega(s + offset) - omega(offset), held as the root
@@ -254,7 +223,8 @@ class ShiftedView:
         return self.base.dt
 
 
-def make_path(seed: int, dt: float, block_length: float = 4.0) -> NoisePath:
+def make_path(seed: int, dt: float,
+              block_length: float = BLOCK_LENGTH) -> NoisePath:
     """Frozen two-sided Brownian path for the given seed and step grid."""
     return NoisePath(seed, dt, block_length)
 

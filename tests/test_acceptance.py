@@ -77,8 +77,7 @@ def test_criterion_03_heat_equation_crosscheck(grid257, cfg_accept,
     dt = cfg_accept.dt
     nsteps = 1000
     _, rec = cocycle_apply(nsteps * dt, 0.0, None, u0, spec, cfg_accept,
-                           snapshot_indices=range(nsteps + 1),
-                           with_record=True)
+                           snapshot_indices=range(nsteps + 1))
 
     arrs = grid_arrays(grid257)
     n = grid257.n
@@ -123,8 +122,7 @@ def test_criterion_04_energy_audit_refinement(grid257, spec_add, gaussian_u0):
         nsteps = int(round(10.0 / dtt))
         k0 = int(round(0.5 / dtt))
         _, rec = cocycle_apply(10.0, 0.0, path, u0, spec_add, cfg,
-                               snapshot_indices=range(k0 - 1, nsteps + 1),
-                               with_record=True)
+                               snapshot_indices=range(k0 - 1, nsteps + 1))
         _, series = energy_audit(rec, spec_add)
         keep = series["times"] >= 0.5 - 1e-12
         maxima[dtt] = float(np.max(np.abs(series["residuals"][keep])))

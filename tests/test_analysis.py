@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import TabulatedPath, flux_pairing
 
 from plrds import analysis, fields
 from plrds.analysis import (absorbing_bound, absorbing_check,
@@ -14,11 +15,11 @@ from plrds.analysis import (absorbing_bound, absorbing_check,
                             energy_audit,
                             estimate_attractor, sample_initial_ball,
                             tail_check, usc_sweep)
-from plrds.fields import (Field, Grid, flux_pairing, grid_arrays, l2_sq,
-                          make_field, p_dissipation)
+from plrds.fields import (Field, Grid, grid_arrays, l2_sq, make_field,
+                          p_dissipation)
 from plrds.integrator import (StepperConfig, _COUPLINGS, _context,
                               cocycle_apply)
-from plrds.noise import EtaConfig, TabulatedPath, make_path, shift
+from plrds.noise import EtaConfig, make_path, shift
 from plrds.problem import NonlinearitySpec, ProblemSpec
 
 DT = 2e-3
@@ -233,8 +234,7 @@ class TestEnergyAudit:
         spec = quiet_additive()
         u0 = zero_field(grid65)
         _, rec = cocycle_apply(0.2, 0.0, zero_path(), u0, spec, CFG,
-                               snapshot_indices=range(0, 101),
-                               with_record=True)
+                               snapshot_indices=range(0, 101))
         mx, series = energy_audit(rec, spec)
         assert mx == 0.0
         assert np.all(series["residuals"] == 0.0)
@@ -244,13 +244,11 @@ class TestEnergyAudit:
         u0 = gaussian_u0(grid65)
         path = path_bank(2, DT)
         _, rec = cocycle_apply(0.1, 0.0, path, u0, spec, CFG,
-                               snapshot_indices={0, 50},
-                               with_record=True)
+                               snapshot_indices={0, 50})
         with pytest.raises(ValueError):
             energy_audit(rec, spec)
         _, rec2 = cocycle_apply(0.1, 0.0, path, u0, spec, CFG,
-                                snapshot_indices={0, 20, 40},
-                                with_record=True)
+                                snapshot_indices={0, 20, 40})
         with pytest.raises(ValueError, match="consecutive"):
             energy_audit(rec2, spec)
 
@@ -268,8 +266,7 @@ class TestEnergyAudit:
             for seed in (0, 3):
                 _, rec = cocycle_apply(1.0, 0.0, make_path(seed, dt), u0,
                                        spec, cfg,
-                                       snapshot_indices=range(k0, k1 + 1),
-                                       with_record=True)
+                                       snapshot_indices=range(k0, k1 + 1))
                 mx, _ = energy_audit(rec, spec)
                 worst = max(worst, mx)
             pooled[dt] = worst
@@ -289,8 +286,7 @@ class TestEnergyAudit:
                 k0, k1 = round(0.5 / dt), round(2.0 / dt)
                 _, rec = cocycle_apply(2.0, 0.0, path, u0, spec,
                                        StepperConfig(dt=dt),
-                                       snapshot_indices=range(k0 - 1, k1 + 1),
-                                       with_record=True)
+                                       snapshot_indices=range(k0 - 1, k1 + 1))
                 worst.append(energy_audit(rec, spec)[0])
             ratios = [a / b for a, b in zip(worst, worst[1:])]
             assert all(1.5 <= r <= 3.0 for r in ratios), (seed, ratios)
@@ -299,8 +295,7 @@ class TestEnergyAudit:
                                           spec_det):
         u0 = gaussian_u0(grid65)
         _, rec = cocycle_apply(0.5, 0.0, None, u0, spec_det, CFG,
-                               snapshot_indices=range(0, 251),
-                               with_record=True)
+                               snapshot_indices=range(0, 251))
         mx, _ = energy_audit(rec, spec_det)
         assert mx < 0.02
 
@@ -376,8 +371,7 @@ class TestAuditOracle:
             else make_path(5, DT)
         u0 = make_field(grid, 0.9 * np.exp(-0.5 * grid_arrays(grid).radial_sq))
         return cocycle_apply(nsteps * DT, tau, path, u0, spec, cfg,
-                             snapshot_indices=range(nsteps + 1),
-                             with_record=True)[1]
+                             snapshot_indices=range(nsteps + 1))[1]
 
     @staticmethod
     def subsets(rec, rows):

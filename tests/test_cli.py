@@ -1,7 +1,9 @@
 """Config parsing/validation and the in-process command-line interface."""
 
 import json
+import math
 import re
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -146,6 +148,7 @@ class TestParseConfig:
         cfg = RunConfig()
         assert cfg.problem_spec() == ProblemSpec()
         assert cfg.stepper() == StepperConfig()
+        assert cfg.grid() == Grid()
         assert cfg.quad_tol == QUAD_TOL
 
     def test_valid_config_parses(self):
@@ -713,12 +716,15 @@ class TestMainRuns:
         # Members diverge (with noise, every one); the run must not report
         # an empty set as a spread, distance or periodicity of zero and exit
         # 0.  Each failure names the seed of its run, also where the model
-        # has no noise.
+        # has no noise.  With no member left, the attractor estimate says it
+        # could not check contraction.
         out = tmp_path / "out"
         p = tmp_path / "run.ini"
         p.write_text(base_config(out, noise_case=case, dt=0.25, horizon=2,
                                  n_initials=4, alphas="0.4") + STIFF)
-        assert main([experiment, "--config", str(p)]) == 1
+        with pytest.warns(UserWarning, match="contraction unchecked") \
+                if experiment == "estimate-attractor" else nullcontext():
+            assert main([experiment, "--config", str(p)]) == 1
         manifest = json.loads((out / "manifest.json").read_text())
         (task,) = manifest["tasks"]
         assert (manifest["status"], task["status"]) == ("failed", "failed")
@@ -726,6 +732,8 @@ class TestMainRuns:
         assert all("suggested_dt" in f["report"] for f in task["detail"])
         # A distance involving an empty ensemble is nan, never 0.
         report = json.loads((out / "report.json").read_text())
+        if experiment == "estimate-attractor":
+            assert report["members"] == 0 and math.isnan(report["spread"])
         if experiment == "usc-sweep":
             dist = dict(line.split(",")[1:] for line in
                         (out / "usc.csv").read_text().splitlines()[1:])

@@ -6,14 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import boundary_mask
+from conftest import boundary_mask, flux_pairing, norms
 
 from plrds.fields import (EndpointEnsemble, EnsembleTag, Field, Grid,
                           _face_data, _lap_faces, _pairing, _sq_norm,
                           cutoff_rho, field_from_binary, field_from_csv,
-                          field_to_binary, field_to_csv, flux_pairing,
-                          grid_arrays, hausdorff_semidistance,
-                          l2_distance, l2_sq, lebesgue_pow, make_field, norms, p_dissipation,
+                          field_to_binary, field_to_csv, grid_arrays,
+                          hausdorff_semidistance, l2_distance, l2_sq,
+                          lebesgue_pow, make_field, p_dissipation,
                           p_laplace, tail_mass, zero_field)
 from plrds.integrator import StepperConfig, cocycle_apply
 from plrds.noise import make_path
@@ -258,7 +258,7 @@ class TestRecordedQuadratures:
         path = None if case == "deterministic" else make_path(4, cfg.dt)
         u0 = make_field(grid, 0.8 * np.exp(-grid_arrays(grid).radial_sq))
         _, rec = cocycle_apply(0.1, 0.25, path, u0, spec, cfg,
-                               with_record=True)
+                               snapshot_indices=())
         digest = hashlib.sha256(rec.diss_p.tobytes()
                                 + rec.diss_q.tobytes()).hexdigest()
         assert digest == self.DIGESTS[(case, dim)]
@@ -446,6 +446,9 @@ class TestEnsemble:
                             rel_tol=1e-12)
         single = EndpointEnsemble(members=(u,), tag=EnsembleTag(tau=0.0))
         assert single.spread() == 0.0
+        # No member: the spread is unknown (no surviving run), not zero.
+        empty = EndpointEnsemble(members=(), tag=EnsembleTag(tau=0.0))
+        assert math.isnan(empty.spread())
         assert len(ens) == 2
         assert ens.failures == ()
 

@@ -6,17 +6,17 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import boundary_mask
+from conftest import TabulatedPath, boundary_mask, flux_pairing
 
 from plrds import fields, integrator
-from plrds.fields import (Field, Grid, _lap_faces, _pairing, flux_pairing,
-                          grid_arrays, l2_sq, lebesgue_pow, make_field,
-                          p_dissipation)
+from plrds.fields import (Field, Grid, _lap_faces, _pairing, grid_arrays,
+                          l2_sq, lebesgue_pow, make_field, p_dissipation)
 from plrds.analysis import sample_initial_ball
-from plrds.integrator import (StepperConfig, StiffnessError, cocycle_apply,
-                              pullback_run, stable_dt_bound, transform_u_to_v,
+from plrds.integrator import (StepperConfig, StiffnessError,
+                              TrajectoryRecord, cocycle_apply, pullback_run,
+                              stable_dt_bound, transform_u_to_v,
                               transform_v_to_u)
-from plrds.noise import EtaConfig, TabulatedPath, shift, snap_steps
+from plrds.noise import EtaConfig, shift, snap_steps
 from plrds.problem import NonlinearitySpec, ProblemSpec
 
 
@@ -216,8 +216,7 @@ class TestRecord:
         nsteps = 50
         want = {0, 25, 50}
         out, rec = cocycle_apply(nsteps * cfg_fast.dt, 0.0, path, u0,
-                                 spec_add, cfg_fast, snapshot_indices=want,
-                                 with_record=True)
+                                 spec_add, cfg_fast, snapshot_indices=want)
         assert len(rec.times) == nsteps + 1
         assert rec.times[0] == 0.0
         assert math.isclose(rec.times[-1], nsteps * cfg_fast.dt,
@@ -230,12 +229,27 @@ class TestRecord:
         u_end = transform_v_to_u(v_end, float(rec.z[-1]), spec_add)
         assert np.allclose(u_end.values, out.values, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("snaps", [None, (), [0], range(3)],
+                             ids=["none", "empty", "one", "range"])
+    def test_record_iff_snapshot_indices(self, snaps, grid65, cfg_fast,
+                                         gaussian_u0, path_bank, spec_add):
+        # Snapshot indices, even none, ask for a record; no argument, none.
+        out = cocycle_apply(2 * cfg_fast.dt, 0.0, path_bank(4, cfg_fast.dt),
+                            gaussian_u0(grid65), spec_add, cfg_fast,
+                            snapshot_indices=snaps)
+        if snaps is None:
+            assert isinstance(out, Field)
+        else:
+            endpoint, rec = out
+            assert isinstance(endpoint, Field)
+            assert isinstance(rec, TrajectoryRecord)
+            assert set(rec.snapshots) == set(snaps)
+
     def test_zero_duration_record(self, grid65, cfg_fast, gaussian_u0,
                                   path_bank, spec_add):
         u0 = gaussian_u0(grid65)
         out, rec = cocycle_apply(0.0, 0.0, path_bank(4, cfg_fast.dt), u0,
-                                 spec_add, cfg_fast, snapshot_indices={0},
-                                 with_record=True)
+                                 spec_add, cfg_fast, snapshot_indices={0})
         assert len(rec.times) == 1
         assert 0 in rec.snapshots
 
@@ -249,10 +263,9 @@ class TestRecord:
         path = None if case == "deterministic" else path_bank(4, cfg_fast.dt)
         for u0 in sample_initial_ball(grid65, 2.0, 4):
             _, r0 = cocycle_apply(0.0, 0.25, path, u0, spec, cfg_fast,
-                                  snapshot_indices={0}, with_record=True)
+                                  snapshot_indices={0})
             _, r5 = cocycle_apply(5 * cfg_fast.dt, 0.25, path, u0, spec,
-                                  cfg_fast, snapshot_indices={0},
-                                  with_record=True)
+                                  cfg_fast, snapshot_indices={0})
             for name in ("times", "l2_sq", "diss_p", "diss_q", "z", "eta"):
                 assert getattr(r0, name).tobytes() == \
                     getattr(r5, name)[:1].tobytes(), name
@@ -269,7 +282,7 @@ class TestRecord:
             path = path_bank(seed, cfg_fast.dt)
             for u0 in sample_initial_ball(grid65, 1.0, 8):
                 _, rec = cocycle_apply(0.002, 0.0, path, u0, spec_add,
-                                       cfg_fast, with_record=True)
+                                       cfg_fast, snapshot_indices=())
                 assert rec.diss_p[0] == p_dissipation(u0, spec_add.p,
                                                       spec_add.delta)
                 assert rec.diss_q[0] == lebesgue_pow(u0, spec_add.q)
@@ -282,16 +295,16 @@ class TestRecord:
             u0 = make_field(grid, np.random.default_rng(seed).standard_normal(
                 grid.shape))
             _, rec = cocycle_apply(0.0, 0.0, path, u0, spec_add, cfg_fast,
-                                   with_record=True)
+                                   snapshot_indices=())
             dp = p_dissipation(u0, spec_add.p, spec_add.delta)
             assert rec.diss_p[0] == dp
             assert flux_pairing(u0, u0, spec_add.p, spec_add.delta) == dp
 
 
 class TestRecordLeavesEndpoint:
-    """A record only reads what the step computed: with and without
-    with_record, cocycle_apply gives the same endpoint bits and the same
-    StiffnessError report."""
+    """A record only reads what the step computed: with and without one,
+    cocycle_apply gives the same endpoint bits and the same StiffnessError
+    report."""
 
     # Explicit steps that need the halving guard on these grids and
     # amplitudes, yet finish within six halvings.
@@ -306,7 +319,7 @@ class TestRecordLeavesEndpoint:
     def both(t, path, u0, spec, cfg):
         plain = cocycle_apply(t, 0.0, path, u0, spec, cfg)
         recorded, rec = cocycle_apply(t, 0.0, path, u0, spec, cfg,
-                                      with_record=True)
+                                      snapshot_indices=())
         assert np.all(np.isfinite(rec.diss_p)) and \
             np.all(np.isfinite(rec.diss_q))
         return plain.values, recorded.values
@@ -356,10 +369,10 @@ class TestRecordLeavesEndpoint:
         path = None if case == "deterministic" else path_bank(3, cfg.dt)
         u0 = gaussian_u0(grid, amp)
         reports = []
-        for with_record in (False, True):
+        for snaps in (None, ()):
             with pytest.raises(StiffnessError) as exc_info:
                 cocycle_apply(10 * cfg.dt, 0.0, path, u0, spec, cfg,
-                              with_record=with_record)
+                              snapshot_indices=snaps)
             reports.append(exc_info.value.report)
         assert reports[0] == reports[1]
 
@@ -414,11 +427,12 @@ class TestPullback:
         assert len(res.ensembles[0.1]) == 1
 
 
-def reference_apply(t, tau, path, u_tau, spec, cfg, with_record=False,
+def reference_apply(t, tau, path, u_tau, spec, cfg, snapshot_indices=None,
                     hook=None):
     """cocycle_apply one step at a time: every array of a step built in the
     step, each step guarded on its own, and the record's quadratures summed
-    per step.  Snapshots at every node.  hook(t, dtt, v_new), if given,
+    per step.  A record, asked for as cocycle_apply's is, snapshots every
+    node.  hook(t, dtt, v_new), if given,
     replaces each attempt's new state."""
     dt, grid = cfg.dt, u_tau.grid
     nsteps, tau_k = snap_steps(t, dt), snap_steps(tau, dt)
@@ -509,7 +523,7 @@ def reference_apply(t, tau, path, u_tau, spec, cfg, with_record=False,
                             lebesgue_pow(Field(grid, w), spec.q))
         series[0, k] = s_old
         state = to_u(vv_new, z[k + 1])
-    if not with_record:
+    if snapshot_indices is None:
         return state
     snaps[nsteps] = vv_new.copy()
     w0 = Field(grid, u_tau.values if case == "additive" else v0)
@@ -546,10 +560,9 @@ class TestChunkedLoop:
         t = nsteps * cfg.dt
         end = cocycle_apply(t, tau, path, u0, spec, cfg)
         rec_end, rec = cocycle_apply(t, tau, path, u0, spec, cfg,
-                                     snapshot_indices=range(nsteps + 1),
-                                     with_record=True)
+                                     snapshot_indices=range(nsteps + 1))
         ref_end, series, z, eta, snaps = reference_apply(
-            t, tau, path, u0, spec, cfg, with_record=True, hook=hook)
+            t, tau, path, u0, spec, cfg, snapshot_indices=(), hook=hook)
         assert end.values.tobytes() == ref_end.tobytes()
         assert rec_end.values.tobytes() == ref_end.tobytes()
         for name, ref in zip(("l2_sq", "diss_p", "diss_q"), series):
@@ -618,9 +631,9 @@ class TestChunkedLoop:
             attempts.append(dtt == cfg.dt)
             return step(co, vv, t_eval, dtt, *rest)
         monkeypatch.setattr(integrator, "_single_step", counted)
-        for with_record in (False, True):
+        for snaps in (None, ()):
             cocycle_apply(10 * cfg.dt, 0.0, path, gaussian_u0(grid, amp),
-                          self.SPECS[case], cfg, with_record=with_record)
+                          self.SPECS[case], cfg, snapshot_indices=snaps)
         assert sum(attempts) > 2 * 10, "no attempt ran past a rejection"
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -697,12 +710,11 @@ class TestChunkedLoop:
         self.hooked(monkeypatch, hook)
         u0 = gaussian_u0(grid, 0.9)
         reports = []
-        for run, with_record in ((cocycle_apply, False),
-                                 (cocycle_apply, True),
-                                 (partial(reference_apply, hook=hook), True)):
+        for run, snaps in ((cocycle_apply, None), (cocycle_apply, ()),
+                           (partial(reference_apply, hook=hook), ())):
             with pytest.raises(StiffnessError) as exc_info:
                 run((k + 2) * cfg.dt, 0.0, path, u0, self.SPECS[case], cfg,
-                    with_record=with_record)
+                    snapshot_indices=snaps)
             reports.append(exc_info.value.report)
         assert reports[0] == reports[1] == reports[2]
         assert reports[0]["t"] == (k // 2) * cfg.dt
@@ -718,7 +730,8 @@ class TestChunkedLoop:
         reports = []
         for run in (cocycle_apply, reference_apply):
             with pytest.raises(StiffnessError) as exc_info:
-                run(10 * cfg.dt, 0.0, path, u0, spec, cfg, with_record=True)
+                run(10 * cfg.dt, 0.0, path, u0, spec, cfg,
+                    snapshot_indices=())
             reports.append(exc_info.value.report)
         assert reports[0] == reports[1]
         assert reports[0]["t"] > 0.0

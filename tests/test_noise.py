@@ -9,12 +9,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import TabulatedPath
 from scipy.signal import lfilter
 
-from plrds.noise import (EtaConfig, NoisePath, ShiftedView, TabulatedPath,
-                         _anchor_kernel, _ou_and_eta, _ou_values,
-                         ergodic_diagnostics, make_eta, make_path,
-                         ou_from_path, shift, snap_steps)
+from plrds.noise import (EtaConfig, NoisePath, ShiftedView, _anchor_kernel,
+                         _ou_and_eta, _ou_values, ergodic_diagnostics,
+                         make_eta, make_path, ou_from_path, shift, snap_steps)
 
 
 def zero_path(dt: float, back: float, forward: float) -> TabulatedPath:
