@@ -145,8 +145,8 @@ def absorbing_radius(tau: float, path, spec: ProblemSpec,
     when an additive alpha exceeds the admissibility threshold.
     """
     check_args(quad_tol=quad_tol, c=c)
-    case = spec.noise_case
-    if case == "additive" and spec.alpha > spec.alpha_max:
+    additive = _COUPLINGS[spec.noise_case].additive
+    if additive and spec.alpha > spec.alpha_max:
         warnings.warn(f"alpha={spec.alpha} exceeds the admissible threshold "
                       f"{spec.alpha_max:.6g}; the radius bound is heuristic there",
                       stacklevel=2)
@@ -157,7 +157,7 @@ def absorbing_radius(tau: float, path, spec: ProblemSpec,
     eps = spec.epsilon
     parts = {"constant": c}
     psi = forcing.psi1_l1(s + tau)
-    if case == "additive":
+    if additive:
         noise_term = (np.abs(eps * z) ** spec.p + np.abs(eps * z) ** spec.q
                       + (spec.alpha * eps * eta * z) ** 2)
         parts["noise"] = c * float(np.trapezoid(w * noise_term, dx=ds))
@@ -166,7 +166,7 @@ def absorbing_radius(tau: float, path, spec: ProblemSpec,
     parts["psi"] = c * float(np.trapezoid(w * psi, dx=ds))
     radius = sum(parts.values())
     shift_sq = 0.0
-    if case == "additive":
+    if additive:
         shift_sq = (eps * float(z[-1])) ** 2 * forcing.h_l2_sq
         bound = 2.0 * shift_sq + 2.0 * radius
     else:   # the noise-free window holds z = 0, so this is R to the bit
@@ -296,9 +296,10 @@ def energy_audit(record: TrajectoryRecord, spec: ProblemSpec):
     factors = ctx.factors(ts)
     h_grads = [g for g, _ in _face_data(ctx.h, dim, dx, 2.0, 0.0)]
     # The case picks the coefficients; a factor of 1.0 multiplies exactly.
+    # The noise-free case takes the multiplicative ones at z = 0, all 1.0.
     ones = np.ones(len(interior))
     mod, eps, c_p, c_f, to_u = ek, spec.epsilon, ones, ones, ones
-    if spec.noise_case == "multiplicative":
+    if not co.additive:
         mod, eps = zk, 0.0
         c_p, c_f, to_u = (np.array([math.exp(a * e * s) for s in zk.tolist()])
                           for e in (spec.p - 2.0, -1.0, 1.0))
@@ -417,8 +418,9 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
     radius the tag records; endpoints closer than cluster_tol (default 1e-4
     times that radius) are merged.  Warns when the endpoint spread at the
     full horizon exceeds the spread at half the horizon, which signals
-    non-contraction, and that contraction is unchecked when either spread
-    is nan (no member survived).  The failure entries of the pullback runs
+    non-contraction; both spreads are over the initial states that survived
+    both horizons, and with fewer than two of those it warns that
+    contraction is unchecked.  The failure entries of the pullback runs
     ride along as the ensemble's failures.
     """
     check_args(horizon=horizon, n_initials=n_initials)
@@ -435,12 +437,17 @@ def estimate_attractor(tau: float, spec: ProblemSpec, path, horizon: float,
     result = pullback_run(tau, horizons, initials, path, spec, cfg)
     ens = result.ensembles[float(horizon)]
     if check_contraction and len(horizons) == 2:
-        s_half = result.ensembles[half].spread()
-        s_full = ens.spread()
-        if math.isnan(s_half) or math.isnan(s_full):
-            warnings.warn(f"endpoint spread at horizon {half} or {horizon} "
-                          "is nan (no surviving run); contraction unchecked",
-                          stacklevel=2)
+        failed = {(f["horizon"], f["initial"]) for f in result.failures}
+        kept = {h: [i for i in range(n_initials) if (h, i) not in failed]
+                for h in horizons}
+        both = set(kept[half]) & set(kept[horizons[1]])
+        s_half, s_full = (replace(result.ensembles[h], members=tuple(
+            m for i, m in zip(kept[h], result.ensembles[h].members)
+            if i in both)).spread() for h in horizons)
+        if len(both) < 2:
+            warnings.warn(f"fewer than two initial states survived both "
+                          f"horizons {half} and {horizon}; contraction "
+                          "unchecked", stacklevel=2)
         elif s_full > s_half + cluster_tol:
             warnings.warn(f"endpoint spread grew from {s_half:.3g} at horizon "
                           f"{half} to {s_full:.3g} at {horizon}; "

@@ -36,8 +36,8 @@ import numpy as np
 from .fields import (EndpointEnsemble, EnsembleTag, Field, Grid, _face_data,
                      _lap_faces, _lebesgue, _pairing, _sq_norm, grid_arrays,
                      lebesgue_pow, make_field, p_dissipation)
-from .noise import (_Checked, _ou_and_eta, _resolve, check_args,
-                    ou_from_path, shift, snap_steps, violated)
+from .noise import (_Checked, _resolve, check_args, make_eta, ou_from_path,
+                    shift, snap_steps, violated)
 from .problem import ProblemSpec
 
 
@@ -136,9 +136,13 @@ def _context(spec: ProblemSpec, grid: Grid) -> _ModelContext:
 # with one NumPy call each from per-step scalars.
 # ---------------------------------------------------------------------------
 
+def _deterministic_rhs(v, w, lap, t, z, eta, g, phi, noise, ctx):
+    return (lap + ctx.f_of(t, v, phi)) + g, ctx.spec.lam
+
+
 def _additive_rhs(v, w, lap, t, z, eta, g, phi, noise, ctx):
-    rhs = ((lap + ctx.f_of(t, w, phi)) + g) + noise
-    return rhs, ctx.spec.lam - ctx.spec.alpha * eta
+    rhs = _deterministic_rhs(w, w, lap, t, z, eta, g, phi, noise, ctx)[0]
+    return rhs + noise, ctx.spec.lam - ctx.spec.alpha * eta
 
 
 def _multiplicative_rhs(v, w, lap, t, z, eta, g, phi, noise, ctx):
@@ -149,10 +153,6 @@ def _multiplicative_rhs(v, w, lap, t, z, eta, g, phi, noise, ctx):
            + (1.0 / scale) * ctx.f_of(t, scale * v, phi)) \
         + (1.0 / scale) * g
     return rhs, spec.lam
-
-
-def _deterministic_rhs(v, w, lap, t, z, eta, g, phi, noise, ctx):
-    return (lap + ctx.f_of(t, v, phi)) + g, ctx.spec.lam
 
 
 class _Coupling(NamedTuple):
@@ -306,11 +306,10 @@ def _noisy_path(co: _Coupling, path, spec: ProblemSpec):
 def _noise_arrays(co: _Coupling, path, spec: ProblemSpec, t0: float,
                   t1: float, dt: float):
     _noisy_path(co, path, spec)
-    if co.additive:
-        return _ou_and_eta(path, co.ou_rate(spec), spec.eta, t0, t1, dt)
     z = ou_from_path(path, co.ou_rate(spec), t0, t1, dt).values \
         if co.ou_rate else np.zeros(snap_steps(t1 - t0, dt) + 1)
-    return z, np.zeros(len(z))
+    return z, (make_eta(path, spec.eta, t0, t1, dt) if co.additive
+               else np.zeros(len(z)))
 
 
 def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,

@@ -250,8 +250,13 @@ class OUPath:
     values: np.ndarray
 
 
+@lru_cache(maxsize=1)
 def _ou_values(base, rate: float, k0: int, k1: int, m: int) -> np.ndarray:
     """OU values at indices k0..k1 of the coarse grid m*dt of a root path.
+
+    Memoized (the last window) and read-only: the initial states of a
+    pullback read one window, and eta on z's path at z's rate reads z's.
+    Paths hash by identity and the cache holds them, so no id is reused.
 
     Values come in blocks of K = steps_per_block // m entries.  Each block
     starts from a fresh quadrature anchor at its boundary and advances by the
@@ -296,16 +301,19 @@ def _ou_values(base, rate: float, k0: int, k1: int, m: int) -> np.ndarray:
         out[:, 0] = anchors
         for j in range(1, kblock):
             out[:, j] = decay * out[:, j - 1] + inc[:, j - 1]
-        return out.ravel()[lo : lo + k1 - k0 + 1]
-    rows = inc.tolist()
-    del rows[-1][k1 - j1 * kblock:]
-    vals = []
-    for y, row in zip(anchors.tolist(), rows):
-        vals.append(y)
-        for x in row:
-            y = decay * y + x
-            vals.append(y)
-    return np.array(vals[lo:])
+        vals = out.ravel()[lo : lo + k1 - k0 + 1]
+    else:
+        rows = inc.tolist()
+        del rows[-1][k1 - j1 * kblock:]
+        nodes = []
+        for y, row in zip(anchors.tolist(), rows):
+            nodes.append(y)
+            for x in row:
+                y = decay * y + x
+                nodes.append(y)
+        vals = np.array(nodes[lo:])
+    vals.flags.writeable = False
+    return vals
 
 
 def ou_from_path(path, rate: float, t0: float, t1: float, dt: float | None = None) -> OUPath:
@@ -367,28 +375,12 @@ def make_eta(path, cfg: EtaConfig, t0: float, t1: float,
     if cfg.kind == "constant":
         step = path.dt if dt is None else float(dt)
         return np.full(snap_steps(t1 - t0, step, "window") + 1, cfg.mean)
-    src_path = path
     if cfg.seed is not None:
         base, off = _resolve(path)
-        independent = NoisePath(cfg.seed, base.dt, base.block_length)
-        src_path = shift(independent, off) if off != 0.0 else independent
-    return _eta_of(cfg, ou_from_path(src_path, cfg.rate, t0, t1, dt).values)
-
-
-def _eta_of(cfg: EtaConfig, z: np.ndarray) -> np.ndarray:
-    """eta from the OU values z it rides: mean + z, or z itself at mean 0."""
+        path = shift(NoisePath(cfg.seed, base.dt, base.block_length), off)
+    z = ou_from_path(path, cfg.rate, t0, t1, dt).values
+    # mean 0 keeps the OU values themselves (read-only, maybe shared with z).
     return cfg.mean + z if cfg.mean != 0.0 else z
-
-
-def _ou_and_eta(path, rate: float, cfg: EtaConfig, t0: float, t1: float,
-                dt: float | None = None):
-    """The OU values z of ou_from_path(path, rate, t0, t1, dt) and
-    make_eta(path, cfg, t0, t1, dt).  When eta rides the same path at z's
-    rate it is built from z rather than from a second pass over the window."""
-    z = ou_from_path(path, rate, t0, t1, dt).values
-    if cfg.kind != "constant" and cfg.seed is None and cfg.rate == rate:
-        return z, _eta_of(cfg, z)
-    return z, make_eta(path, cfg, t0, t1, dt)
 
 
 def _cumtrapz(values: np.ndarray, dx: float) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import TabulatedPath, flux_pairing
 
-from plrds import analysis, fields
+from plrds import analysis, fields, integrator
 from plrds.analysis import (absorbing_bound, absorbing_check,
                             absorbing_radius, alpha_solution_distances,
                             energy_audit,
@@ -17,8 +17,8 @@ from plrds.analysis import (absorbing_bound, absorbing_check,
                             tail_check, usc_sweep)
 from plrds.fields import (Field, Grid, grid_arrays, l2_sq, make_field,
                           p_dissipation)
-from plrds.integrator import (StepperConfig, _COUPLINGS, _context,
-                              cocycle_apply)
+from plrds.integrator import (StepperConfig, StiffnessError, _COUPLINGS,
+                              _context, cocycle_apply)
 from plrds.noise import EtaConfig, make_path, shift
 from plrds.problem import NonlinearitySpec, ProblemSpec
 
@@ -454,6 +454,12 @@ class TestTailCheck:
                        k_list=(6.0,), cfg=CFG, n_sigma=2)
 
 
+# f = 2s outgrows the damping lam = 1, so endpoints drift apart.
+SPREADING = ProblemSpec(noise_case="deterministic", alpha=0.0, epsilon=0.0,
+                        nonlinearity=NonlinearitySpec(kind="custom",
+                                                      expression="2*s"))
+
+
 class TestEstimateAttractor:
     def test_contracting_model_dedupes_to_one_member(self):
         spec = ProblemSpec(noise_case="deterministic", alpha=0.0,
@@ -493,15 +499,54 @@ class TestEstimateAttractor:
                                cfg=CFG)
 
     def test_warns_when_the_spread_grows(self):
-        # f = 2s outgrows the damping lam = 1, so endpoints drift apart.
-        spec = ProblemSpec(noise_case="deterministic", alpha=0.0, epsilon=0.0,
-                           nonlinearity=NonlinearitySpec(kind="custom",
-                                                         expression="2*s"))
         with pytest.warns(UserWarning, match=r"endpoint spread grew from "
                           r"2\.89 at horizon 0\.5 to 4\.65 at 1\.0"):
-            estimate_attractor(0.0, spec, None, horizon=1.0, n_initials=3,
+            estimate_attractor(0.0, SPREADING, None, horizon=1.0, n_initials=3,
                                grid=Grid(1, 8.0, 33),
                                cfg=StepperConfig(dt=0.01))
+
+    @staticmethod
+    def failing_at(monkeypatch, pairs):
+        """Make the pullback runs at the given (horizon, initial index)
+        pairs raise StiffnessError; a horizon's runs come in state order."""
+        calls = []
+
+        def apply(t, tau, path, u0, spec, cfg, **kwargs):
+            calls.append(t)
+            if (t, calls.count(t) - 1) in pairs:
+                raise StiffnessError({"t": tau, "halvings": 0,
+                                      "norm_before": 1.0, "norm_after": 1e9,
+                                      "suggested_dt": 1e-3})
+            return cocycle_apply(t, tau, path, u0, spec, cfg, **kwargs)
+        monkeypatch.setattr(integrator, "cocycle_apply", apply)
+
+    def test_contraction_compares_states_surviving_both_horizons(
+            self, monkeypatch):
+        # Without initial state 1 at the full horizon, its spread (2.71)
+        # is below that of all three states at half the horizon (2.89); over
+        # states 0 and 2 alone the spread still grows from 1.79.
+        self.failing_at(monkeypatch, {(1.0, 1)})
+        with pytest.warns(UserWarning, match=r"endpoint spread grew from "
+                          r"1\.79 at horizon 0\.5 to 2\.71 at 1\.0"):
+            ens = estimate_attractor(0.0, SPREADING, None, horizon=1.0,
+                                     n_initials=3, grid=Grid(1, 8.0, 33),
+                                     cfg=StepperConfig(dt=0.01))
+        assert len(ens) == 2
+        assert [(f["horizon"], f["initial"]) for f in ens.failures] == \
+            [(1.0, 1)]
+
+    def test_one_state_surviving_both_horizons_leaves_contraction_unchecked(
+            self, monkeypatch):
+        self.failing_at(monkeypatch, {(0.5, 0), (1.0, 1)})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ens = estimate_attractor(0.0, SPREADING, None, horizon=1.0,
+                                     n_initials=3, grid=Grid(1, 8.0, 33),
+                                     cfg=StepperConfig(dt=0.01))
+        assert [str(w.message) for w in caught] == [
+            "fewer than two initial states survived both horizons 0.5 and "
+            "1.0; contraction unchecked"]
+        assert len(ens) == 2
 
     def test_rejects_no_initials_before_the_quadrature(self, monkeypatch):
         monkeypatch.setattr(analysis, "absorbing_bound", no_runs)
@@ -626,7 +671,6 @@ class TestCallerPaths:
     def test_noisy_spec_without_a_path_is_refused(self, case, monkeypatch):
         # A ValueError naming the case, before any step and before the
         # absorbing-radius window reads the path's step.
-        from plrds import integrator
         monkeypatch.setattr(integrator, "_single_step", no_runs)
         spec = ProblemSpec(noise_case=case, alpha=0.1)
         u0 = ball(1.0, 1)[0]

@@ -8,12 +8,13 @@ records the NumPy version and platform it was made on; elsewhere the
 last-bit behaviour of NumPy's kernels may differ, so the comparison is
 skipped there.
 
-After a deliberate change of output, regenerate the fixture with
+To pin new runs, regenerate the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints every run whose digests it adds, changes or drops before it
-writes the file.
+which prints every run whose digests it adds, changes or drops.  It writes
+the file only when no existing digest changes or drops; after a deliberate
+change of output, pass --accept-changes to write it anyway.
 """
 
 import hashlib
@@ -95,6 +96,16 @@ RUNS.update({f"simulate-custom-multiplicative-{dim}d": (
     _BASE.format(case="multiplicative", dim=dim, n=n).replace(
         "[grid]", _CUSTOM + "[grid]") + "horizon = 1\n")
     for dim, n in ((1, 33), (2, 17))})
+# Noise inputs no run above reaches: a constant eta, eta on its own seed's
+# path, and a path step half the stepper's, so the OU is read at m = 2.
+_NOISE = {"eta-constant": "eta_kind = constant\neta_mean = 0.5\n",
+          "eta-seed": "eta_seed = 7\n",
+          "noise-dt-half": "dt = 0.005\n"}
+RUNS.update({f"simulate-additive-{label}-1d": (
+    "simulate",
+    _BASE.format(case="additive", dim=1, n=33) + "horizon = 1\n[noise]\n"
+    + keys)
+    for label, keys in _NOISE.items()})
 
 
 def _environment() -> dict:
@@ -152,8 +163,10 @@ def test_pool_writes_the_golden_bytes(name, tmp_path):
     assert run_and_hash(name, tmp_path, workers=2) == expected
 
 
-def _report_changes(old: dict, new: dict) -> None:
-    """Print each run whose digests the rewrite adds, changes or drops."""
+def _report_changes(old: dict, new: dict) -> bool:
+    """Print each run whose digests the rewrite adds, changes or drops;
+    return whether any existing digest changes or drops."""
+    altered = False
     for name in sorted(set(old) | set(new)):
         if name not in old:
             print(f"added   {name}")
@@ -163,19 +176,34 @@ def _report_changes(old: dict, new: dict) -> None:
             files = sorted(f for f in set(old[name]) | set(new[name])
                            if old[name].get(f) != new[name].get(f))
             print(f"changed {name}: {', '.join(files)}")
+        altered |= name in old and old[name] != new.get(name)
+    return altered
 
 
-def main(root: Path) -> None:
+def main(root: Path, accept_changes: bool = False) -> int:
+    """Rewrite the fixture; exit status 1, writing nothing, when an existing
+    digest would change or drop and accept_changes is not set."""
     digests = {name: run_and_hash(name, root) for name in sorted(RUNS)}
     old = json.loads(FIXTURE.read_text())["digests"] if FIXTURE.exists() \
         else {}
-    _report_changes(old, digests)
+    if _report_changes(old, digests) and not accept_changes:
+        print(f"not writing {FIXTURE}: existing digests would change or "
+              "drop; pass --accept-changes if that is deliberate")
+        return 1
     body = {"environment": _environment(), "digests": digests}
     FIXTURE.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE} ({sum(map(len, digests.values()))} files)")
+    return 0
 
 
 if __name__ == "__main__":
+    import argparse
+    import sys
     import tempfile
+    parser = argparse.ArgumentParser(description="Regenerate the fixture.")
+    parser.add_argument("--accept-changes", action="store_true",
+                        help="write the fixture even when existing digests "
+                        "change or drop")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        main(Path(tmp))
+        sys.exit(main(Path(tmp), args.accept_changes))

@@ -16,7 +16,7 @@ from plrds.integrator import (StepperConfig, StiffnessError,
                               TrajectoryRecord, cocycle_apply, pullback_run,
                               stable_dt_bound, transform_u_to_v,
                               transform_v_to_u)
-from plrds.noise import EtaConfig, shift, snap_steps
+from plrds.noise import EtaConfig, _ou_values, shift, snap_steps
 from plrds.problem import NonlinearitySpec, ProblemSpec
 
 
@@ -395,6 +395,21 @@ class TestPullback:
         bare = pullback_run(0.0, [0.5], initials[:1],
                             path_bank(6, cfg_fast.dt), spec_add, cfg_fast)
         assert bare.records == {} and len(bare.ensembles[0.5]) == 1
+
+    def test_each_window_is_built_once_per_horizon(self, grid65, cfg_fast,
+                                                   gaussian_u0, path_bank,
+                                                   spec_add):
+        # Every initial state reads the same shifted window for z, and the
+        # default eta reads z's.  Only the first state of each horizon
+        # builds it; the other reads of 2 horizons x 2 states x (z, eta)
+        # are memo hits.
+        initials = [gaussian_u0(grid65, amp=0.5), gaussian_u0(grid65, amp=1.0)]
+        _ou_values.cache_clear()
+        res = pullback_run(0.0, [0.1, 0.2], initials,
+                           path_bank(6, cfg_fast.dt), spec_add, cfg_fast)
+        assert all(len(ens) == 2 for ens in res.ensembles.values())
+        info = _ou_values.cache_info()
+        assert (info.misses, info.hits) == (2, 6)
 
     def test_horizon_ordering_validated(self, grid65, cfg_fast, gaussian_u0,
                                         path_bank, spec_add):

@@ -13,8 +13,8 @@ from conftest import TabulatedPath
 from scipy.signal import lfilter
 
 from plrds.noise import (EtaConfig, NoisePath, ShiftedView, _anchor_kernel,
-                         _ou_and_eta, _ou_values, ergodic_diagnostics,
-                         make_eta, make_path, ou_from_path, shift, snap_steps)
+                         _ou_values, ergodic_diagnostics, make_eta, make_path,
+                         ou_from_path, shift, snap_steps)
 
 
 def zero_path(dt: float, back: float, forward: float) -> TabulatedPath:
@@ -295,6 +295,18 @@ class TestShiftedView:
 
 
 class TestStationaryProcess:
+    # One block of 400 nodes takes the row loop, 26 blocks of 16 the column
+    # loop; the memo hands out both forms, so neither may be written.
+    @pytest.mark.parametrize("dt, t1", [(0.01, 1.0), (0.25, 100.0)])
+    def test_values_are_read_only(self, dt, t1):
+        p = make_path(3, dt)
+        z = ou_from_path(p, 1.0, 0.0, t1)
+        with pytest.raises(ValueError, match="read-only"):
+            z.values[0] = 1.0
+        assert ou_from_path(p, 1.0, 0.0, t1).values[0] != 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            make_eta(p, EtaConfig(), 0.0, t1)[-1] += 1.0
+
     def test_zero_path_gives_zero_process(self):
         z = ou_from_path(zero_path(0.01, 40.0, 8.0), 1.0, 0.0, 4.0)
         assert np.all(z.values == 0.0)
@@ -396,13 +408,21 @@ class TestEta:
         EtaConfig(kind="shifted-ou", rate=1.0, seed=77),
         EtaConfig(kind="constant", mean=0.25)])
     def test_shared_window_keeps_the_bits(self, cfg):
-        # z and eta over one window equal the two separate builds, whether
-        # eta reuses z (same path, same rate) or builds its own.
+        # z and eta over one window, read as the stepper reads them, equal
+        # fresh builds of each; the memo serves eta whenever it rides z's
+        # path at z's rate.
         view = shift(make_path(3, 0.01), -2.0)
-        z, eta = _ou_and_eta(view, 1.0, cfg, 0.0, 2.0, 0.02)
+        _ou_values.cache_clear()
+        z = ou_from_path(view, 1.0, 0.0, 2.0, 0.02).values
+        eta = make_eta(view, cfg, 0.0, 2.0, 0.02)
+        rides_z = cfg.kind != "constant" and cfg.seed is None \
+            and cfg.rate == 1.0
+        assert _ou_values.cache_info().hits == rides_z
+        _ou_values.cache_clear()
+        assert eta.tobytes() == make_eta(view, cfg, 0.0, 2.0, 0.02).tobytes()
+        _ou_values.cache_clear()
         assert z.tobytes() == \
             ou_from_path(view, 1.0, 0.0, 2.0, 0.02).values.tobytes()
-        assert eta.tobytes() == make_eta(view, cfg, 0.0, 2.0, 0.02).tobytes()
 
     def test_ou_kind_rejected(self):
         # E(eta) is `mean` for every kind, so no kind may ignore it.
