@@ -335,14 +335,14 @@ class TailReport:
 
     rows hold (seed, k, sigma, tail_plain, tail_rho, l2_sq); max_per_k maps k
     to the largest plain tail over (seed, sigma); monotone_in_k records the
-    pointwise decrease across the ascending k list.
+    pointwise decrease across the ascending k list, None with no rows.
     """
 
     k_list: tuple
     sigmas: tuple
     rows: list
     max_per_k: dict
-    monotone_in_k: bool
+    monotone_in_k: bool | None
     failures: list
 
 
@@ -397,8 +397,8 @@ def tail_check(tau: float, spec: ProblemSpec, paths, u0: Field,
                  for k in k_list}
     sigmas = tuple(sorted({r[2] for r in rows}))
     return TailReport(k_list=k_list, sigmas=sigmas, rows=rows,
-                      max_per_k=max_per_k, monotone_in_k=monotone,
-                      failures=failures)
+                      max_per_k=max_per_k, failures=failures,
+                      monotone_in_k=monotone if rows else None)
 
 
 # ---------------------------------------------------------------------------

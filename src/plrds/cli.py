@@ -23,7 +23,7 @@ from .config import (_SCHEMA, EXPERIMENTS, FAN_OUT, ConfigError, RunConfig,
                      parse_config)
 from .fields import (_write_csv, field_to_binary, field_to_csv,
                      hausdorff_semidistance, l2_sq)
-from .integrator import StiffnessError, cocycle_apply
+from .integrator import _COUPLINGS, StiffnessError, cocycle_apply
 from .noise import make_path, shift
 
 
@@ -72,7 +72,7 @@ def _paths(cfg: RunConfig) -> list:
 
 def _noise_path(cfg: RunConfig):
     """The path driving a single-seed run; the deterministic model has none."""
-    return None if cfg.noise_case == "deterministic" else _paths(cfg)[0]
+    return _paths(cfg)[0] if _COUPLINGS[cfg.noise_case].ou_rate else None
 
 
 def _initials(cfg: RunConfig, n: int) -> list:

@@ -18,7 +18,7 @@ import csv
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,7 +42,7 @@ class Grid(_Checked):
                         ("half_width", v["half_width"] > 0, "L must be > 0"),
                         ("n", v["n"] >= 3, "n must be ≥ 3"))
 
-    @property
+    @cached_property
     def dx(self) -> float:
         return 2.0 * self.half_width / (self.n - 1)
 
@@ -107,11 +107,12 @@ def zero_field(grid: Grid) -> Field:
 def _face_data(values: np.ndarray, dim: int, dx: float, p: float, delta: float):
     """Per-direction face gradients and coefficients |grad|^(p-2) at faces,
     over the trailing dim axes of values; leading axes are rows."""
-    e = 0.5 * (p - 2.0)
+    # Sums of squares are +0.0 or more (or nan): adding dd = +0.0 is a no-op.
+    e, dd = 0.5 * (p - 2.0), delta * delta
     if dim == 1:
         gx = (values[..., 1:] - values[..., :-1]) / dx
-        coef = (gx * gx + delta * delta) ** e
-        return ((gx, coef),)
+        sq = gx * gx
+        return ((gx, (sq + dd if dd else sq) ** e),)
     v = values
     pad = np.zeros(v.shape[:-2] + (v.shape[-2] + 2, v.shape[-1] + 2))
     pad[..., 1:-1, 1:-1] = v                          # v in a ring of zeros
@@ -119,14 +120,15 @@ def _face_data(values: np.ndarray, dim: int, dx: float, p: float, delta: float):
     dyn = (pad_y[..., 2:] - pad_y[..., :-2]) / (2.0 * dx)
     gx = (v[..., 1:, :] - v[..., :-1, :]) / dx
     ty = 0.5 * (dyn[..., 1:, :] + dyn[..., :-1, :])
-    coef_x = (gx * gx + ty * ty + delta * delta) ** e
+    sq_x = gx * gx + ty * ty
 
     pad_x = pad[..., 1:-1]
     dxn = (pad_x[..., 2:, :] - pad_x[..., :-2, :]) / (2.0 * dx)
     gy = (v[..., 1:] - v[..., :-1]) / dx
     tx = 0.5 * (dxn[..., 1:] + dxn[..., :-1])
-    coef_y = (gy * gy + tx * tx + delta * delta) ** e
-    return ((gx, coef_x), (gy, coef_y))
+    sq_y = gy * gy + tx * tx
+    return ((gx, (sq_x + dd if dd else sq_x) ** e),
+            (gy, (sq_y + dd if dd else sq_y) ** e))
 
 
 def _lap_faces(values: np.ndarray, grid: Grid, p: float, delta: float):
@@ -139,7 +141,8 @@ def _lap_faces(values: np.ndarray, grid: Grid, p: float, delta: float):
     if grid.dim == 1:
         gx, coef = faces[0]
         flux = coef * gx
-        out[1:-1] = (flux[1:] - flux[:-1]) / dx
+        inner = np.subtract(flux[1:], flux[:-1], out=out[1:-1])
+        inner /= dx
     else:
         (gx, cx), (gy, cy) = faces
         fx = cx * gx

@@ -105,6 +105,8 @@ class _ModelContext:
         self.x = arrs.x
         self.y = arrs.y if grid.dim == 2 else 0.0
         self.split_f = spec.nonlinearity.kind != "custom"
+        self.p, self.delta, self.edges = spec.p, spec.delta, arrs.edges
+        self.phases = {}                # step time -> its factors
 
     def col(self, x):
         """x, a scalar or a sequence, with unit grid axes: one row each."""
@@ -115,12 +117,20 @@ class _ModelContext:
         """f(t, w); phi, if given, is phi(t) gauss of the default f."""
         if phi is None:
             return self.spec.f_pointwise(t, self.x, self.y, w, self.gauss)
-        return self.spec.reaction(w) + phi
+        f = self.spec.reaction(w)
+        f += phi
+        return f
 
     def factors(self, ts):
         """Columns of g(t) and, for the default f, phi(t), one call per t."""
         fns = (self.spec.g_time, self.spec.phi_time)[:1 + self.split_f]
         return self.col([[fn(t) for t in ts] for fn in fns])
+
+    def phase_factors(self, ts):
+        """factors(ts) at step times j dt, j < m: each evaluated once, kept."""
+        for t in set(ts).difference(self.phases):
+            self.phases[t] = self.factors([t]).ravel().tolist()
+        return self.col(np.transpose([self.phases[t] for t in ts]))
 
 
 @lru_cache(maxsize=64)
@@ -142,16 +152,16 @@ def _deterministic_rhs(v, w, lap, t, z, eta, g, phi, noise, ctx):
 
 def _additive_rhs(v, w, lap, t, z, eta, g, phi, noise, ctx):
     rhs = _deterministic_rhs(w, w, lap, t, z, eta, g, phi, noise, ctx)[0]
-    return rhs + noise, ctx.spec.lam - ctx.spec.alpha * eta
+    return np.add(rhs, noise, out=rhs), ctx.spec.lam - ctx.spec.alpha * eta
 
 
 def _multiplicative_rhs(v, w, lap, t, z, eta, g, phi, noise, ctx):
     spec = ctx.spec
     scale = math.exp(spec.alpha * z)
-    rhs = ((math.exp(spec.alpha * (spec.p - 2.0) * z) * lap
-            + (spec.alpha * z) * v)
-           + (1.0 / scale) * ctx.f_of(t, scale * v, phi)) \
-        + (1.0 / scale) * g
+    rhs = math.exp(spec.alpha * (spec.p - 2.0) * z) * lap \
+        + (spec.alpha * z) * v
+    rhs += (1.0 / scale) * ctx.f_of(t, scale * v, phi)
+    rhs += (1.0 / scale) * g
     return rhs, spec.lam
 
 
@@ -202,17 +212,18 @@ def _single_step(co: _Coupling, vv: np.ndarray, t_eval: float, dtt: float,
                  scheme: str):
     """One explicit/IMEX update; returns (v_new, w, faces): the new state, the
     step's dissipation argument and its face data, which a record sums."""
-    spec = ctx.spec
-    warg = co.to_u(vv, terms[0], ctx) if co.additive else vv
-    lap, faces = _lap_faces(warg, ctx.grid, spec.p, spec.delta)
-    rhs, a = co.rhs(vv, warg, lap, t_eval, z_mid, eta_mid, *terms[1:], ctx)
+    node, g, phi, noise = terms
+    warg = co.to_u(vv, node, ctx) if co.additive else vv
+    lap, faces = _lap_faces(warg, ctx.grid, ctx.p, ctx.delta)
+    rhs, a = co.rhs(vv, warg, lap, t_eval, z_mid, eta_mid, g, phi, noise, ctx)
     if scheme == "explicit":
         out = vv + dtt * (rhs - a * vv)
     elif a == 0.0:
         out = vv + dtt * rhs
     else:
-        out = math.exp(-a * dtt) * vv + (-math.expm1(-a * dtt) / a) * rhs
-    for edge in ctx.arrs.edges:
+        out = math.exp(-a * dtt) * vv
+        out += np.multiply(rhs, -math.expm1(-a * dtt) / a, out=rhs)
+    for edge in ctx.edges:
         out[edge] = 0.0
     return out, warg, faces
 
@@ -349,7 +360,7 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
 
     v0 = co.to_v(state, co.node(z[0], ctx), ctx)
     ts = [((tau_k + k) % m) * dt for k in range(nsteps)]
-    factors, zs, es = ctx.factors(ts), z.tolist(), eta.tolist()
+    factors, zs, es = ctx.phase_factors(ts), z.tolist(), eta.tolist()
     z_mid, eta_mid = 0.5 * (z[:-1] + z[1:]), 0.5 * (eta[:-1] + eta[1:])
     zms, ems = z_mid.tolist(), eta_mid.tolist()
     # Chunks of steps build their terms, and a record its quadratures, with
@@ -366,17 +377,17 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
         vvs, cands, wargs, faces = [], [], [], []
         # Attempts past a rejected step run on a state that is discarded.
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, terms in enumerate(_terms(co, ctx, factors[:, c],
-                                             z_mid[c], eta_mid[c])):
-                k = k0 + j
-                vvs.append(co.to_v(state, nodes[j], ctx))
-                cand, warg, fc = _single_step(co, vvs[j], ts[k], dt, zms[k],
-                                              ems[k], terms, ctx, cfg.scheme)
+            for terms, node, node1, t_k, zm, em in zip(
+                    _terms(co, ctx, factors[:, c], z_mid[c], eta_mid[c]),
+                    nodes, nodes[1:], ts[c], zms[c], ems[c]):
+                vvs.append(co.to_v(state, node, ctx))
+                cand, warg, fc = _single_step(co, vvs[-1], t_k, dt, zm, em,
+                                              terms, ctx, cfg.scheme)
                 cands.append(cand)
                 if recording:
                     wargs.append(warg)
                     faces.append(fc)
-                state = co.to_u(cand, nodes[j + 1], ctx)
+                state = co.to_u(cand, node1, ctx)
             sq0 = _sq_norm(_rows(vvs), weights).tolist()
             sq1 = _sq_norm(_rows(cands), weights).tolist()
         # The rule on Python floats: on short chunks, cheaper than NumPy.

@@ -368,16 +368,19 @@ class EtaConfig(_Checked):
             ("rate", v["rate"] > 0, "eta_rate must be > 0"))
 
 
+_eta_root = lru_cache(maxsize=1)(NoisePath)
+
+
 def make_eta(path, cfg: EtaConfig, t0: float, t1: float,
              dt: float | None = None) -> np.ndarray:
     """eta at the nodes of [t0, t1] with step dt (default: the path step),
-    realized alongside a path window (same offsets as the path)."""
+    alongside a path window at its offsets; eta_seed's own path is kept."""
     if cfg.kind == "constant":
         step = path.dt if dt is None else float(dt)
         return np.full(snap_steps(t1 - t0, step, "window") + 1, cfg.mean)
     if cfg.seed is not None:
         base, off = _resolve(path)
-        path = shift(NoisePath(cfg.seed, base.dt, base.block_length), off)
+        path = shift(_eta_root(cfg.seed, base.dt, base.block_length), off)
     z = ou_from_path(path, cfg.rate, t0, t1, dt).values
     # mean 0 keeps the OU values themselves (read-only, maybe shared with z).
     return cfg.mean + z if cfg.mean != 0.0 else z

@@ -210,7 +210,10 @@ class ProblemSpec(_Checked):
 
     def reaction(self, s):
         """The power part -gamma |s|^(q-2) s of the default f."""
-        return -self.nonlinearity.gamma * np.abs(s) ** (self.q - 2.0) * s
+        r = np.abs(s) ** (self.q - 2.0)
+        r *= -self.nonlinearity.gamma
+        r *= s
+        return r
 
     def f_prime_pointwise(self, t, x, y, s):
         """d f/d s; analytic for the default family, central difference otherwise."""

@@ -9,6 +9,7 @@ two-dimensional code path.  Each test records its verdict through
 import math
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from conftest import record_criterion
 
@@ -162,6 +163,7 @@ def test_criterion_05_interpolation_inequality(grid257):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_06_absorbing_entry(grid257, cfg_accept, spec_mult):
     spec_a = ProblemSpec(noise_case="additive",
                          alpha=0.5 * alpha_zero(1.0, 0.0))
@@ -182,6 +184,7 @@ def test_criterion_06_absorbing_entry(grid257, cfg_accept, spec_mult):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_07_tail_smallness(grid257, cfg_accept, spec_add):
     rep = tail_check(0.0, spec_add,
                      [make_path(s, cfg_accept.dt) for s in range(16)],
@@ -200,6 +203,7 @@ def test_criterion_07_tail_smallness(grid257, cfg_accept, spec_add):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_08_pullback_cauchy(grid257, cfg_accept, spec_add,
                                       path_bank):
     decreasing = 0
@@ -225,6 +229,7 @@ def test_criterion_08_pullback_cauchy(grid257, cfg_accept, spec_add,
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_09_periodicity(grid257, cfg_accept, spec_add, path_bank):
     worst = 0.0
     ok = True
@@ -265,6 +270,7 @@ def test_criterion_10_alpha_solution_convergence(grid257, cfg_accept,
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_11_upper_semicontinuity(grid257, cfg_accept, spec_mult):
     rep = usc_sweep(0.0, spec_mult,
                     [make_path(s, cfg_accept.dt) for s in range(8)],

@@ -694,23 +694,30 @@ class TestMainRuns:
 
     def test_stiffness_failure_exit_1_manifest_failed(self, tmp_path,
                                                       capsys):
-        out = tmp_path / "out"
-        p = tmp_path / "run.ini"
-        p.write_text(base_config(out, dt=0.01) + STIFF)
-        code = main(["simulate", "--config", str(p)])
-        assert code == 1
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "failed"
-        assert manifest["tasks"][0]["status"] == "failed"
-        assert not (out / "series.csv").exists()
+        # The one run diverges: no data file and no report.json, so no
+        # number of a run that did not finish.
+        for experiment, data in [("simulate", "series.csv"),
+                                 ("energy-audit", "energy.csv")]:
+            out = tmp_path / experiment
+            p = tmp_path / f"{experiment}.ini"
+            p.write_text(base_config(out, dt=0.01) + STIFF)
+            code = main([experiment, "--config", str(p)])
+            assert code == 1
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["status"] == "failed"
+            assert manifest["tasks"][0]["status"] == "failed"
+            assert not (out / data).exists()
+            assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("experiment, case, seeds", [
         ("estimate-attractor", "additive", {0}),
         ("usc-sweep", "additive", {None, 0, 1}),
         ("periodicity-check", "additive", {0, 1}),
-        ("periodicity-check", "deterministic", {0, 1})],
+        ("periodicity-check", "deterministic", {0, 1}),
+        ("absorb-check", "additive", {0, 1}),
+        ("tail-check", "additive", {0, 1})],
         ids=["estimate-attractor", "usc-sweep", "periodicity-check",
-             "periodicity-check-deterministic"])
+             "periodicity-check-deterministic", "absorb-check", "tail-check"])
     def test_diverged_pullback_members_fail_the_run(self, experiment, case,
                                                     seeds, tmp_path):
         # Members diverge (with noise, every one); the run must not report
@@ -744,6 +751,14 @@ class TestMainRuns:
             rows = (out / "periodicity.csv").read_text().splitlines()[1:]
             assert [r.split(",")[2::2] for r in rows] == [["nan", "false"]] * 2
             assert report["all_within"] is False
+        if experiment == "absorb-check":
+            # The bound rests on the path alone; no row is satisfied.
+            assert report["entry_time"] is None
+            assert not any(r["satisfied"] for r in report["per_path"])
+            assert all(math.isnan(r["margin"]) for r in report["per_path"])
+        if experiment == "tail-check":
+            assert report["monotone_in_k"] is None and report["sigmas"] == []
+            assert all(math.isnan(v) for v in report["max_per_k"].values())
 
     def test_cocycle_test_divergence_records_stiffness_report(self, tmp_path,
                                                               capsys):

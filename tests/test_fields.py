@@ -171,10 +171,11 @@ class TestKernelOracle:
     @pytest.mark.parametrize("grid", [Grid(1, 7.0, 64), Grid(2, 7.0, 18)],
                              ids=["1d", "2d"])
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
-    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    @pytest.mark.parametrize("delta", [0.0, 1e-200, 0.1])
     def test_bitwise_against_reference(self, grid, p, delta):
         # Raw values with a nonzero boundary, so the differences against
-        # the kernel's ring of zeros carry data too.
+        # the kernel's ring of zeros carry data too.  The kernel adds
+        # delta^2 only when it is not 0; 1e-200 squares to +0.0.
         v = self.signed_zero_values(grid, 7)
         assert np.any(np.signbit(v) & (v == 0.0))
         faces = _face_data(v, grid.dim, grid.dx, p, delta)

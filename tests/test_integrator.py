@@ -713,6 +713,50 @@ class TestChunkedLoop:
         self.assert_same(k + 2, 0.0, path, gaussian_u0(grid, 0.9),
                          self.SPECS[case], cfg, hook)
 
+    @pytest.fixture
+    def forcing_calls(self, monkeypatch):
+        """The times of every g_time and phi_time call, by name, made on
+        model contexts built inside the test."""
+        calls = {"g_time": [], "phi_time": []}
+        for name, times in calls.items():
+            def counted(spec, t, fn=getattr(ProblemSpec, name), times=times):
+                times.append(t)
+                return fn(spec, t)
+            monkeypatch.setattr(ProblemSpec, name, counted)
+        integrator._context.cache_clear()
+        yield calls
+        integrator._context.cache_clear()
+
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    def test_forcing_once_per_phase(self, case, forcing_calls, gaussian_u0,
+                                    path_bank):
+        # Two periods of 25 steps, then a second call half a period on:
+        # g and phi are evaluated once at each phase time j dt.
+        grid, cfg = self.GRIDS[1], StepperConfig(dt=2e-3)
+        spec = replace(self.SPECS[case], period=0.05)
+        path = None if case == "deterministic" else path_bank(5, cfg.dt)
+        u0 = gaussian_u0(grid, 0.9)
+        cocycle_apply(50 * cfg.dt, 0.3, path, u0, spec, cfg)
+        cocycle_apply(50 * cfg.dt, 0.326, path, u0, spec, cfg)
+        phases = [j * cfg.dt for j in range(25)]
+        for times in forcing_calls.values():
+            assert sorted(times) == phases
+
+    def test_retried_substeps_evaluate_their_own_times(
+            self, forcing_calls, gaussian_u0, path_bank, monkeypatch):
+        # A rejected step's two substeps start at t_k and t_k + dt/2, and
+        # each evaluates the forcing there; every step phase, once.
+        grid, cfg = self.GRIDS[1], StepperConfig(dt=2e-3)
+        k = self.chunk(grid)
+        self.hooked(monkeypatch, self.blow_up(cfg.dt, first={k // 2}))
+        cocycle_apply((k + 2) * cfg.dt, 0.0, path_bank(5, cfg.dt),
+                      gaussian_u0(grid, 0.9), self.SPECS["additive"], cfg)
+        t = (k // 2) * cfg.dt
+        expected = sorted([j * cfg.dt for j in range(k + 2)]
+                          + [t, t + cfg.dt / 2])
+        for times in forcing_calls.values():
+            assert sorted(times) == expected
+
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("case", sorted(SPECS))
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -13,8 +13,8 @@ from conftest import TabulatedPath
 from scipy.signal import lfilter
 
 from plrds.noise import (EtaConfig, NoisePath, ShiftedView, _anchor_kernel,
-                         _ou_values, ergodic_diagnostics, make_eta, make_path,
-                         ou_from_path, shift, snap_steps)
+                         _eta_root, _ou_values, ergodic_diagnostics, make_eta,
+                         make_path, ou_from_path, shift, snap_steps)
 
 
 def zero_path(dt: float, back: float, forward: float) -> TabulatedPath:
@@ -400,6 +400,27 @@ class TestEta:
                               0.0, 1.0)
         assert np.array_equal(e1, e2)
         assert not np.array_equal(e1, same_omega)
+
+    def test_independent_seed_builds_each_block_once(self, monkeypatch):
+        # Two calls on one window, with z's window read in between as a
+        # pullback does, share eta's own root path: each of its Brownian
+        # blocks is generated once, not once per call.
+        built, gen = [], NoisePath._generator_at
+
+        def counted(path, j):
+            built.append((path.seed, j))
+            return gen(path, j)
+        monkeypatch.setattr(NoisePath, "_generator_at", counted)
+        _eta_root.cache_clear()
+        view = shift(make_path(3, 0.01), -2.0)
+        cfg = EtaConfig(kind="shifted-ou", rate=1.0, seed=77)
+        etas = []
+        for _ in range(2):
+            ou_from_path(view, 1.0, 0.0, 2.0)
+            etas.append(make_eta(view, cfg, 0.0, 2.0))
+        eta_blocks = [j for seed, j in built if seed == 77]
+        assert eta_blocks and len(eta_blocks) == len(set(eta_blocks))
+        assert etas[0].tobytes() == etas[1].tobytes()
 
     @pytest.mark.parametrize("cfg", [
         EtaConfig(kind="shifted-ou", rate=1.0),
