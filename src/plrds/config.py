@@ -66,7 +66,6 @@ class RunConfig:
     n: int = Grid.n
     # [stepper]
     dt: float = StepperConfig.dt
-    scheme: str = StepperConfig.scheme
     substep_limit: int = StepperConfig.substep_limit
     # [noise]
     seed: int = 0
@@ -151,7 +150,7 @@ _SECTIONS = {
                 "period", "delta", "gamma", "phi_amp", "f_kind",
                 "f_expression"),
     "grid": ("dim", "half_width", "n"),
-    "stepper": ("dt", "scheme", "substep_limit"),
+    "stepper": ("dt", "substep_limit"),
     "noise": ("seed", "noise_dt", "block_length", "eta_kind", "eta_mean",
               "eta_rate", "eta_seed"),
     "experiment": ("tau", "horizon", "horizons", "k_list", "alphas",

@@ -263,24 +263,22 @@ def _members(obj) -> list:
     return list(obj.members) if hasattr(obj, "members") else list(obj)
 
 
+def _finite(fields) -> bool:
+    return all(np.isfinite(f.values).all() for f in fields)
+
+
 def hausdorff_semidistance(a, b) -> float:
     """max over members of a of the L2 distance to the nearest member of b;
-    nan (unknown, not zero) if either set is empty."""
+    nan (unknown, not zero) if either set is empty or a member not finite."""
     fa, fb = _members(a), _members(b)
-    if not fa or not fb:
+    if not fa or not fb or not _finite(fa + fb):
         return math.nan
     grid = fa[0].grid
     for f in fa + fb:
         if f.grid != grid:
             raise ValueError("all members must share one grid")
-    w = grid_arrays(grid).weights.ravel()
-    mb = np.stack([f.values.ravel() for f in fb])
-    worst = 0.0
-    for f in fa:
-        diff = mb - f.values.ravel()
-        d2 = (diff * diff) @ w
-        worst = max(worst, float(np.min(d2)))
-    return math.sqrt(worst)
+    w, mb = grid_arrays(grid).weights, np.stack([f.values for f in fb])
+    return math.sqrt(np.max([np.min(_sq_norm(mb - f.values, w)) for f in fa]))
 
 
 @dataclass(frozen=True)
@@ -308,15 +306,13 @@ class EndpointEnsemble:
         return len(self.members)
 
     def spread(self) -> float:
-        """Largest pairwise L2 distance among members; nan (no surviving
-        run) when there are none."""
-        if not self.members:
+        """Largest pairwise L2 distance among members; nan when there are
+        none (no surviving run) or one is not finite."""
+        ms = self.members
+        if not ms or not _finite(ms):
             return math.nan
-        worst = 0.0
-        for i, f in enumerate(self.members):
-            for g in self.members[i + 1:]:
-                worst = max(worst, l2_distance(f, g))
-        return worst
+        return float(np.max([l2_distance(f, g) for i, f in enumerate(ms)
+                             for g in ms[i + 1:]], initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -46,15 +46,12 @@ class StepperConfig(_Checked):
     """Step size and guard policy for the time integrators."""
 
     dt: float = 1e-3
-    scheme: str = "imex"
     substep_limit: int = 8
 
     @staticmethod
     def violations(v) -> list:
         return violated(
             ("dt", v["dt"] > 0, "dt must be > 0"),
-            ("scheme", v["scheme"] in ("imex", "explicit"),
-             "scheme must be imex or explicit"),
             ("substep_limit", v["substep_limit"] >= 0,
              "substep_limit must be ≥ 0"))
 
@@ -208,21 +205,16 @@ def _terms(co: _Coupling, ctx: _ModelContext, factors, z, eta):
 
 
 def _single_step(co: _Coupling, vv: np.ndarray, t_eval: float, dtt: float,
-                 z_mid: float, eta_mid: float, terms, ctx: _ModelContext,
-                 scheme: str):
-    """One explicit/IMEX update; returns (v_new, w, faces): the new state, the
-    step's dissipation argument and its face data, which a record sums."""
+                 z_mid: float, eta_mid: float, terms, ctx: _ModelContext):
+    """One IMEX update; returns (v_new, w, faces): the new state, the step's
+    dissipation argument and its face data, which a record sums.  At a = 0
+    the weight (1 - e^(-a dt))/a takes its limit dt: forward Euler."""
     node, g, phi, noise = terms
     warg = co.to_u(vv, node, ctx) if co.additive else vv
     lap, faces = _lap_faces(warg, ctx.grid, ctx.p, ctx.delta)
     rhs, a = co.rhs(vv, warg, lap, t_eval, z_mid, eta_mid, g, phi, noise, ctx)
-    if scheme == "explicit":
-        out = vv + dtt * (rhs - a * vv)
-    elif a == 0.0:
-        out = vv + dtt * rhs
-    else:
-        out = math.exp(-a * dtt) * vv
-        out += np.multiply(rhs, -math.expm1(-a * dtt) / a, out=rhs)
+    out = math.exp(-a * dtt) * vv
+    out += np.multiply(rhs, -math.expm1(-a * dtt) / a if a else dtt, out=rhs)
     for edge in ctx.edges:
         out[edge] = 0.0
     return out, warg, faces
@@ -258,7 +250,7 @@ def _macro_step(co, vv, t_eval, dtt, z0, z1, eta0, eta1, ctx, cfg, sq_old,
             ts = t_eval + i * hs
             terms = next(_terms(co, ctx, ctx.factors([ts]), [zs], [es]))
             nxt, warg, faces = _single_step(co, cur, ts, hs, zs, es, terms,
-                                            ctx, cfg.scheme)
+                                            ctx)
             sq_new = _sq_norm(nxt, ctx.arrs.weights)
             if not _norm_ok(sq_cur, sq_new):
                 break
@@ -382,7 +374,7 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
                     nodes, nodes[1:], ts[c], zms[c], ems[c]):
                 vvs.append(co.to_v(state, node, ctx))
                 cand, warg, fc = _single_step(co, vvs[-1], t_k, dt, zm, em,
-                                              terms, ctx, cfg.scheme)
+                                              terms, ctx)
                 cands.append(cand)
                 if recording:
                     wargs.append(warg)

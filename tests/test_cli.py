@@ -76,7 +76,7 @@ class TestParseConfig:
         assert cfg.p == 3.0 and cfg.q == 4.0
         assert cfg.lam == 1.0 and cfg.alpha == 0.0625
         assert cfg.n == 257 and cfg.half_width == 8.0
-        assert cfg.dt == 1e-3 and cfg.scheme == "imex"
+        assert cfg.dt == 1e-3 and cfg.substep_limit == 8
         assert cfg.experiment == "simulate"
         assert cfg.formats == ("csv", "json")
 
@@ -182,7 +182,7 @@ SCHEMA = {
                 "f_expression": ("f_expression", str)},
     "grid": {"dim": ("dim", int), "l": ("half_width", _float),
              "n": ("n", int), "half_width": ("half_width", _float)},
-    "stepper": {"dt": ("dt", _float), "scheme": ("scheme", str),
+    "stepper": {"dt": ("dt", _float),
                 "substep_limit": ("substep_limit", int)},
     "noise": {"seed": ("seed", int), "dt": ("noise_dt", _float),
               "block_length": ("block_length", _float),
@@ -318,8 +318,6 @@ ONE_COPY = {
     "half_width": ("[grid]\nl = 0\n", lambda: Grid(1, 0.0, 257)),
     "n": ("[grid]\nn = 2\n", lambda: Grid(1, 8.0, 2)),
     "dt": ("[stepper]\ndt = 0\n", lambda: StepperConfig(dt=0.0)),
-    "scheme": ("[stepper]\nscheme = leapfrog\n",
-               lambda: StepperConfig(scheme="leapfrog")),
     "substep_limit": ("[stepper]\nsubstep_limit = -1\n",
                       lambda: StepperConfig(substep_limit=-1)),
     "eta_kind": ("[noise]\neta_kind = levy\n",
@@ -419,6 +417,9 @@ OVERRIDE_PROBES = {
                             "multiple of dt=0.001"),
     "name-key": (["simulate"], {}, "[experiment]\nname = simulate\n",
                  "line 2: unknown key 'name' in section [experiment]"),
+    # The step has one update rule; the key that chose another is gone.
+    "scheme-key": (["simulate"], {}, "[stepper]\nscheme = imex\n",
+                   "line 2: unknown key 'scheme' in section [stepper]"),
     "tail-check-horizon": (["tail-check"], {},
                            "[experiment]\nhorizon = 0.5\n",
                            "line 2: tail_check samples the last time unit; "
@@ -536,8 +537,8 @@ class TestReportWriter:
         assert sorted(calls) == [(0.0, 0), (0.0, 1), (1.0, 0), (1.0, 1)]
 
 
-# Explicit steps this coarse blow up from a large initial state.
-STIFF = ("\n[stepper]\nscheme = explicit\nsubstep_limit = 1\n"
+# Steps this coarse blow up from a large initial state.
+STIFF = ("\n[stepper]\nsubstep_limit = 1\n"
          "[experiment]\nball_radius = 50\n")
 
 
@@ -724,11 +725,14 @@ class TestMainRuns:
         # an empty set as a spread, distance or periodicity of zero and exit
         # 0.  Each failure names the seed of its run, also where the model
         # has no noise.  With no member left, the attractor estimate says it
-        # could not check contraction.
+        # could not check contraction.  Initial states from sampler seed 2
+        # leave seed 0's usc-sweep ensemble empty and seed 1's not, and no
+        # periodicity-check member.
         out = tmp_path / "out"
         p = tmp_path / "run.ini"
         p.write_text(base_config(out, noise_case=case, dt=0.25, horizon=2,
-                                 n_initials=4, alphas="0.4") + STIFF)
+                                 n_initials=4, alphas="0.4") + STIFF
+                     + "sampler_seed = 2\n")
         with pytest.warns(UserWarning, match="contraction unchecked") \
                 if experiment == "estimate-attractor" else nullcontext():
             assert main([experiment, "--config", str(p)]) == 1

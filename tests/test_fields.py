@@ -244,6 +244,7 @@ class TestRecordedQuadratures:
         ("deterministic", 2): "37c57d353e8e2f5bd5077854f3e87b0ea0b12e0880d02e770b2a4be643e1b5d0",
     }
 
+    @pytest.mark.bytes
     @pytest.mark.parametrize("case,dim", sorted(DIGESTS))
     def test_digest(self, case, dim):
         if np.__version__ != "2.4.6":
@@ -424,6 +425,26 @@ class TestHausdorff:
         assert math.isnan(hausdorff_semidistance([zero_field(g)], []))
         assert math.isnan(hausdorff_semidistance([], []))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_member_gives_nan(self, bad):
+        # Python's max(0.0, nan) is 0.0: a nan that comes second would
+        # vanish.  A non-finite member, on either side, makes the distance
+        # unknown.
+        g = Grid(1, 8.0, 65)
+        ok, far = zero_field(g), make_field(g, np.ones(g.shape))
+        broken = Field(g, np.full(g.shape, bad))
+        for a, b in (([ok], [broken]), ([broken], [ok]), ([ok, broken], [ok]),
+                     ([far], [ok, broken]), ([ok], [broken, ok])):
+            assert math.isnan(hausdorff_semidistance(a, b)), (a, b)
+
+    def test_is_the_largest_nearest_l2_distance_bitwise(self):
+        # The one weighted square sum, _sq_norm, measures the set distance.
+        g = Grid(2, 1.3, 33)
+        a = [random_field(g, s) for s in range(3)]
+        b = [random_field(g, s) for s in range(3, 7)]
+        assert hausdorff_semidistance(a, b) == max(
+            min(l2_distance(f, h) for h in b) for f in a)
+
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):
             hausdorff_semidistance([zero_field(Grid(1, 8.0, 65))],
@@ -450,6 +471,14 @@ class TestEnsemble:
         # No member: the spread is unknown (no surviving run), not zero.
         empty = EndpointEnsemble(members=(), tag=EnsembleTag(tau=0.0))
         assert math.isnan(empty.spread())
+        # A non-finite member makes it unknown too, wherever it sits.
+        for bad in (math.nan, math.inf):
+            broken = Field(g, np.full(g.shape, bad))
+            for members in ((zero_field(g), broken, u), (broken, u),
+                            (u, v, broken), (broken,)):
+                ens_bad = EndpointEnsemble(members=members,
+                                           tag=EnsembleTag(tau=0.0))
+                assert math.isnan(ens_bad.spread()), members
         assert len(ens) == 2
         assert ens.failures == ()
 

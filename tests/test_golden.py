@@ -29,6 +29,8 @@ import pytest
 from plrds import cli
 from plrds.config import FAN_OUT
 
+pytestmark = pytest.mark.bytes
+
 FIXTURE = Path(__file__).with_name("golden_digests.json")
 
 _BASE = """\

@@ -104,18 +104,17 @@ class TestReductions:
         assert np.array_equal(va.values, vd.values)
         assert np.array_equal(vm.values, vd.values)
 
-    def test_zero_damping_imex_equals_explicit(self, grid65, cfg_fast,
-                                               gaussian_u0, path_bank):
+    def test_zero_damping_step_is_forward_euler(self, grid65, cfg_fast,
+                                                gaussian_u0, path_bank):
         # lam = alpha * eta makes the damping rate a exactly 0, where the
-        # exponential weight (1 - e^{-a dt}) / a would divide by zero.
+        # exponential weight (1 - e^{-a dt}) / a would divide by zero.  Its
+        # limit dt gives forward Euler, which reference_apply writes as
+        # v + dt RHS; endpoint and record must carry its bits.
         spec = ProblemSpec(noise_case="additive", lam=1.0, alpha=0.0625,
                            eta=EtaConfig(kind="constant", mean=16.0))
-        path, u0 = path_bank(4, cfg_fast.dt), gaussian_u0(grid65)
-        t = 50 * cfg_fast.dt
-        imex = cocycle_apply(t, 0.0, path, u0, spec, cfg_fast)
-        explicit = cocycle_apply(t, 0.0, path, u0, spec,
-                                 replace(cfg_fast, scheme="explicit"))
-        assert np.array_equal(imex.values, explicit.values)
+        assert spec.lam - spec.alpha * spec.eta.mean == 0.0
+        TestChunkedLoop.assert_same(50, 0.0, path_bank(4, cfg_fast.dt),
+                                    gaussian_u0(grid65), spec, cfg_fast)
 
 
 class TestTransforms:
@@ -158,7 +157,7 @@ class TestRefinement:
 class TestGuards:
     def test_stiffness_error_explicit_large_dt(self, grid65, gaussian_u0,
                                                spec_det):
-        cfg = StepperConfig(dt=0.05, scheme="explicit", substep_limit=2)
+        cfg = StepperConfig(dt=0.05, substep_limit=2)
         u0 = gaussian_u0(grid65, amp=50.0)
         with pytest.raises(StiffnessError) as exc_info:
             cocycle_apply(0.5, 0.0, None, u0, spec_det, cfg)
@@ -171,13 +170,13 @@ class TestGuards:
 
     def test_stiffness_report_has_last_attempt_norm(self, grid65, gaussian_u0,
                                                     spec_det):
-        cfg = StepperConfig(dt=0.05, scheme="explicit", substep_limit=2)
+        cfg = StepperConfig(dt=0.05, substep_limit=2)
         u0 = gaussian_u0(grid65, amp=50.0)
         with pytest.raises(StiffnessError) as full:
             cocycle_apply(cfg.dt, 0.0, None, u0, spec_det, cfg)
         # The last attempt splits the step into four substeps.  Its first
         # substep is a one-step run at dt/4 without retries, which diverges.
-        sub = StepperConfig(dt=cfg.dt / 4, scheme="explicit", substep_limit=0)
+        sub = StepperConfig(dt=cfg.dt / 4, substep_limit=0)
         with pytest.raises(StiffnessError) as first:
             cocycle_apply(sub.dt, 0.0, None, u0, spec_det, sub)
         assert full.value.report["norm_after"] == first.value.report["norm_after"]
@@ -202,8 +201,6 @@ class TestGuards:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             StepperConfig(dt=0.0)
-        with pytest.raises(ValueError):
-            StepperConfig(scheme="leapfrog")
         with pytest.raises(ValueError):
             StepperConfig(substep_limit=-1)
 
@@ -306,9 +303,9 @@ class TestRecordLeavesEndpoint:
     cocycle_apply gives the same endpoint bits and the same StiffnessError
     report."""
 
-    # Explicit steps that need the halving guard on these grids and
+    # Steps at dt 0.04 that need the halving guard on these grids and
     # amplitudes, yet finish within six halvings.
-    SETUPS = {1: (Grid(1, 8.0, 65), 2.0), 2: (Grid(2, 8.0, 17), 8.0)}
+    SETUPS = {1: (Grid(1, 8.0, 65), 2.5), 2: (Grid(2, 8.0, 17), 8.0)}
 
     @staticmethod
     def spec_of(case, spec_add, spec_mult, spec_det):
@@ -343,7 +340,7 @@ class TestRecordLeavesEndpoint:
                            spec_add, spec_mult, spec_det, monkeypatch):
         spec = self.spec_of(case, spec_add, spec_mult, spec_det)
         grid, amp = self.SETUPS[dim]
-        cfg = StepperConfig(dt=0.04, scheme="explicit", substep_limit=6)
+        cfg = StepperConfig(dt=0.04, substep_limit=6)
         path = None if case == "deterministic" else path_bank(3, cfg.dt)
         calls = []
         step = integrator._single_step
@@ -365,7 +362,7 @@ class TestRecordLeavesEndpoint:
                               spec_add, spec_mult, spec_det):
         spec = self.spec_of(case, spec_add, spec_mult, spec_det)
         grid, amp = self.SETUPS[dim]
-        cfg = StepperConfig(dt=0.04, scheme="explicit", substep_limit=0)
+        cfg = StepperConfig(dt=0.04, substep_limit=0)
         path = None if case == "deterministic" else path_bank(3, cfg.dt)
         u0 = gaussian_u0(grid, amp)
         reports = []
@@ -486,9 +483,7 @@ def reference_apply(t, tau, path, u_tau, spec, cfg, snapshot_indices=None,
                    + (1.0 / scale) * f(t, scale * vv)) + (1.0 / scale) * g(t)
         else:
             rhs = (lap + f(t, vv)) + g(t)
-        if cfg.scheme == "explicit":
-            out = vv + dtt * (rhs - a * vv)
-        elif a == 0.0:
+        if a == 0.0:
             out = vv + dtt * rhs
         else:
             out = math.exp(-a * dtt) * vv + (-math.expm1(-a * dtt) / a) * rhs
@@ -612,10 +607,10 @@ class TestChunkedLoop:
     @pytest.mark.parametrize("case", sorted(SPECS))
     def test_guard_retry_inside_a_chunk(self, case, dim, gaussian_u0,
                                         path_bank, monkeypatch):
-        # Explicit steps that need the halving guard, yet finish within six
-        # halvings (the setups of TestRecordLeavesEndpoint).
+        # Steps that need the halving guard, yet finish within six halvings
+        # (the setups of TestRecordLeavesEndpoint).
         grid, amp = TestRecordLeavesEndpoint.SETUPS[dim]
-        cfg = StepperConfig(dt=0.04, scheme="explicit", substep_limit=6)
+        cfg = StepperConfig(dt=0.04, substep_limit=6)
         spec = self.SPECS[case]
         path = None if case == "deterministic" else path_bank(3, cfg.dt)
         retried = []
@@ -637,7 +632,7 @@ class TestChunkedLoop:
         # The guard-retry setups: attempts past a rejected step overflow on
         # a discarded state, and print nothing.
         grid, amp = TestRecordLeavesEndpoint.SETUPS[dim]
-        cfg = StepperConfig(dt=0.04, scheme="explicit", substep_limit=6)
+        cfg = StepperConfig(dt=0.04, substep_limit=6)
         path = None if case == "deterministic" else path_bank(3, cfg.dt)
         attempts = []
         step = integrator._single_step
@@ -782,7 +777,7 @@ class TestChunkedLoop:
     @pytest.mark.parametrize("case", sorted(SPECS))
     def test_stiffness_error(self, case, dim, gaussian_u0, path_bank):
         grid, amp = TestRecordLeavesEndpoint.SETUPS[dim]
-        cfg = StepperConfig(dt=0.04, scheme="explicit", substep_limit=1)
+        cfg = StepperConfig(dt=0.04, substep_limit=1)
         spec = self.SPECS[case]
         path = None if case == "deterministic" else path_bank(3, cfg.dt)
         u0 = gaussian_u0(grid, amp)

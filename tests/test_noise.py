@@ -534,6 +534,7 @@ def ou_digest_case(name: str):
     }[name[:-3]] + (m * dt,)
 
 
+@pytest.mark.bytes
 @pytest.mark.parametrize("name", sorted(OU_DIGESTS))
 def test_ou_values_match_pinned_digests(name):
     env = {"numpy": np.__version__, "machine": platform.machine(),
