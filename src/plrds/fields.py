@@ -23,9 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .noise import _Checked, check_args, violated
-
-_BLOCK_FLOATS = 8192     # floats per stacked row-block array: 64 KiB
+from .noise import _BLOCK_FLOATS, _Checked, check_args, violated
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 QUAD_TOL = 1e-12
 BLOCK_LENGTH = 4.0      # the default block length of a noise path
+_BLOCK_FLOATS = 8192    # floats per stacked row-block array: 64 KiB
 
 _GRID_RTOL = 1e-9
 _UINT_MASK = 0xFFFFFFFFFFFFFFFF
@@ -287,11 +288,15 @@ def _ou_values(base, rate: float, k0: int, k1: int, m: int) -> np.ndarray:
     w = base.grid_values(first * m, ((j1 + 1) * kblock - 1) * m)[::m]
     nb = j1 - j0 + 1
     # Block j's boundary sits at w[steps + (j - j0) * kblock], and its anchor
-    # weights the steps + 1 nodes ending there.  vecdot takes ddot on each
-    # window, as np.dot does on one, so it keeps the bits that one matrix
-    # product would not.
-    dots = np.vecdot(sliding_window_view(
-        w[:(nb - 1) * kblock + steps + 1], steps + 1)[::kblock], wts)
+    # weights the steps + 1 nodes ending there.  Each anchor is a product and
+    # a sum along its window, over blocks of _BLOCK_FLOATS // (steps + 1)
+    # windows (one at least).  No BLAS: no thread count or kernel, nor the
+    # number of windows asked for, moves a bit.
+    win = sliding_window_view(w[:(nb - 1) * kblock + steps + 1],
+                              steps + 1)[::kblock]
+    rows = max(1, _BLOCK_FLOATS // (steps + 1))
+    dots = np.concatenate([(win[i:i + rows] * wts).sum(-1)
+                           for i in range(0, nb, rows)])
     anchors = w[steps::kblock] - bfac * w[:nb * kblock:kblock] - rate * dots
     blk = w[steps:].reshape(nb, kblock)
     inc = gain * (blk[:, 1:] - blk[:, :-1])

@@ -2,9 +2,11 @@
 terminal summary."""
 
 import math
+import platform
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from plrds.fields import (Field, Grid, _face_data, _pairing, grid_arrays,
                           l2_sq, lebesgue_pow, make_field, p_dissipation)
@@ -17,6 +19,27 @@ from plrds.problem import NonlinearitySpec, ProblemSpec
 # passed, detail) tuples, printed one line per criterion at session end.
 ACCEPTANCE_RESULTS = []
 ACCEPTANCE_TOTAL = 12
+
+
+def environment_key() -> dict:
+    """What the byte pins hold under: the NumPy version, the machine, the OS
+    and the SIMD targets NumPy's dispatch enabled, which pick the kernels of
+    its transcendentals.  No output bit reads BLAS, so nothing of it is
+    recorded."""
+    return {"numpy": np.__version__, "machine": platform.machine(),
+            "system": platform.system(),
+            "dispatch": sorted(t for t in __cpu_dispatch__
+                               if __cpu_features__[t])}
+
+
+def skip_unless_environment(recorded: dict, what: str) -> None:
+    """Skip, naming the first entry that differs, unless this host's
+    environment_key() is the recorded one."""
+    here = environment_key()
+    for key in sorted(set(recorded) | set(here)):
+        if recorded.get(key) != here.get(key):
+            pytest.skip(f"{what} were made with {key} {recorded.get(key)}, "
+                        f"this is {here.get(key)}")
 
 
 def boundary_mask(grid: Grid) -> np.ndarray:

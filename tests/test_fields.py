@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import boundary_mask, flux_pairing, norms
+from conftest import (boundary_mask, flux_pairing, norms,
+                      skip_unless_environment)
 
 from plrds.fields import (EndpointEnsemble, EnsembleTag, Field, Grid,
                           _face_data, _lap_faces, _pairing, _sq_norm,
@@ -232,9 +233,13 @@ class TestKernelOracle:
 class TestRecordedQuadratures:
     """SHA-256 of the float arrays diss_p and diss_q of one recorded run per
     noise case and dimension.  The golden CSVs see these arrays only after
-    formatting; these digests pin their bits.  Recorded with NumPy 2.4.6 on
-    x86_64; last-bit behaviour of NumPy's kernels may differ elsewhere."""
+    formatting; these digests pin their bits.  They hold under the recorded
+    environment key (conftest's environment_key) and are skipped under
+    another, where the last bits of NumPy's kernels may differ."""
 
+    ENVIRONMENT = {"numpy": "2.4.6", "machine": "x86_64", "system": "Linux",
+                   "dispatch": ["AVX512_ICL", "AVX512_SPR", "X86_V3",
+                                "X86_V4"]}
     DIGESTS = {
         ("additive", 1): "696d1bebd84ed898eb7e89c2963b05bdc5a32c7f2c532eb614916f7d81d01df7",
         ("multiplicative", 1): "00fa872c01f1ea748aaccc508fa25bc7d548d0b0c8fc3f03775350a11da4018d",
@@ -247,9 +252,7 @@ class TestRecordedQuadratures:
     @pytest.mark.bytes
     @pytest.mark.parametrize("case,dim", sorted(DIGESTS))
     def test_digest(self, case, dim):
-        if np.__version__ != "2.4.6":
-            pytest.skip(f"digests were made with NumPy 2.4.6, this is "
-                        f"{np.__version__}")
+        skip_unless_environment(self.ENVIRONMENT, "quadrature digests")
         spec = {"additive": ProblemSpec(noise_case="additive"),
                 "multiplicative": ProblemSpec(noise_case="multiplicative",
                                               alpha=0.1),

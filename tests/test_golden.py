@@ -3,10 +3,11 @@
 Each run executes one experiment on a small grid (1D n = 33, plus the 2D
 attractor estimates, energy audits and a 2D simulate on n = 17) and hashes
 every output file except manifest.json, which carries wall-clock fields.  A
-change meant to leave the numbers alone must leave every digest alone.  The fixture
-records the NumPy version and platform it was made on; elsewhere the
-last-bit behaviour of NumPy's kernels may differ, so the comparison is
-skipped there.
+change meant to leave the numbers alone must leave every digest alone.  The
+fixture records the environment key it was made under (conftest's
+environment_key: the NumPy version, the platform and NumPy's SIMD dispatch);
+under another key the last bits of NumPy's transcendentals may differ, so
+the comparison is skipped there, naming the entry that differs.
 
 To pin new runs, regenerate the fixture with
 
@@ -21,10 +22,13 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import environment_key, skip_unless_environment
 
 from plrds import cli
 from plrds.config import FAN_OUT
@@ -108,11 +112,11 @@ RUNS.update({f"simulate-additive-{label}-1d": (
     _BASE.format(case="additive", dim=1, n=33) + "horizon = 1\n[noise]\n"
     + keys)
     for label, keys in _NOISE.items()})
-
-
-def _environment() -> dict:
-    return {"numpy": np.__version__, "python": platform.python_version(),
-            "machine": platform.machine(), "system": platform.system()}
+# The default step: each OU anchor weights 27,633 nodes, where the 2,765 of
+# dt = 0.01 sit below the size at which a threaded BLAS would split a dot.
+RUNS["simulate-additive-dt1e-3-1d"] = (
+    "simulate", _BASE.format(case="additive", dim=1, n=33).replace(
+        "dt = 0.01\n", "dt = 0.001\n") + "horizon = 0.2\n")
 
 
 def run_and_hash(name: str, root: Path, workers: int = 1) -> dict:
@@ -143,11 +147,7 @@ def run_and_hash(name: str, root: Path, workers: int = 1) -> dict:
 
 def _fixture() -> dict:
     body = json.loads(FIXTURE.read_text())
-    env = _environment()
-    for key in ("numpy", "machine", "system"):
-        if body["environment"][key] != env[key]:
-            pytest.skip(f"golden digests were made with {key} "
-                        f"{body['environment'][key]}, this is {env[key]}")
+    skip_unless_environment(body["environment"], "golden digests")
     return body["digests"]
 
 
@@ -163,6 +163,41 @@ def test_pool_writes_the_golden_bytes(name, tmp_path):
     # The fan-out experiments send noise paths to two worker processes.
     expected = _fixture()[name]
     assert run_and_hash(name, tmp_path, workers=2) == expected
+
+
+# No output bit reads BLAS, so neither OpenBLAS's thread count nor its kernel
+# may move a digest.  Each setting acts only on the child process it is given.
+_BLAS_SETTINGS = {"one-thread": {"OPENBLAS_NUM_THREADS": "1"},
+                  "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+                  "prescott": {"OPENBLAS_CORETYPE": "Prescott"}}
+_BLAS_RUNS = ("simulate-additive-dt1e-3-1d", "absorb-check-multiplicative-1d")
+_CHILD = """\
+import json, sys
+from pathlib import Path
+import test_golden
+print(json.dumps({name: test_golden.run_and_hash(name, Path(sys.argv[1]))
+                  for name in test_golden._BLAS_RUNS}))
+"""
+
+
+@pytest.mark.parametrize("setting", sorted(_BLAS_SETTINGS))
+def test_blas_settings_keep_the_golden_bytes(setting, tmp_path):
+    if platform.machine() != "x86_64":
+        pytest.skip(f"OpenBLAS kernels are named for x86_64, this is "
+                    f"{platform.machine()}")
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        pytest.skip(f"NumPy is built against {blas}, not OpenBLAS")
+    expected = _fixture()
+    here = Path(__file__).parent
+    path = [str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, **_BLAS_SETTINGS[setting],
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", _CHILD, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert got == {name: expected[name] for name in _BLAS_RUNS}
 
 
 def _report_changes(old: dict, new: dict) -> bool:
@@ -192,7 +227,7 @@ def main(root: Path, accept_changes: bool = False) -> int:
         print(f"not writing {FIXTURE}: existing digests would change or "
               "drop; pass --accept-changes if that is deliberate")
         return 1
-    body = {"environment": _environment(), "digests": digests}
+    body = {"environment": environment_key(), "digests": digests}
     FIXTURE.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE} ({sum(map(len, digests.values()))} files)")
     return 0

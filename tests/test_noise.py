@@ -4,12 +4,11 @@ window independence, and convergence of the derived stationary process."""
 import hashlib
 import math
 import pickle
-import platform
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import TabulatedPath
+from conftest import TabulatedPath, skip_unless_environment
 from scipy.signal import lfilter
 
 from plrds.noise import (EtaConfig, NoisePath, ShiftedView, _anchor_kernel,
@@ -207,7 +206,7 @@ class TestOuWindowOracle:
         for j in range(j0, j1 + 1):
             a = j * kblock - first
             win = w[a - steps : a + 1]
-            z0 = win[-1] - bfac * win[0] - rate * float(np.dot(wts, win))
+            z0 = win[-1] - bfac * win[0] - rate * float((win * wts).sum())
             dw = np.diff(w[a : a + kblock])
             rest, _ = lfilter([gain], [1.0, -decay], dw,
                               zi=np.array([decay * z0]))
@@ -260,14 +259,14 @@ class TestOuWindowOracle:
         assert got.tobytes() == \
             self.reference_ou_values(base, 1.5, k0, k1, m).tobytes()
 
-    # Anchor kernels of 112 to 55,264 weights: one vecdot over all the
-    # windows keeps the bits of one np.dot per anchor.
+    # Anchor kernels of 112 to 55,264 weights: the blocked product and sum
+    # over all the windows keeps the bits of one product and sum per anchor.
     @pytest.mark.parametrize("rate, dt, block_length, k0, k1", [
         (1.0, 0.25, 4.0, 0, 4000),      # the noise-ergodic kernel
         (1.5, 0.01, 0.5, -120, 90),
         (0.1, DT, 1.0, -500, 700),
     ])
-    def test_anchor_windows_match_per_anchor_dots(self, rate, dt,
+    def test_anchor_windows_match_per_anchor_sums(self, rate, dt,
                                                   block_length, k0, k1):
         base = NoisePath(31, dt, block_length)
         got = _ou_values(base, rate, k0, k1, 1)
@@ -484,34 +483,36 @@ class TestTabulatedPath:
 
 # SHA-256 of ou_from_path values, pinned so a rewrite of the OU code must
 # keep every bit.  The windows cross block boundaries on both sides of 0, at
-# OU step m * 5e-3 for m = 1 and 2; last-bit behaviour of NumPy's kernels may
-# differ on another NumPy or platform, so the comparison is skipped there.
-OU_ENVIRONMENT = {"numpy": "2.4.6", "machine": "x86_64", "system": "Linux"}
+# OU step m * 5e-3 for m = 1 and 2.  They hold under the recorded environment
+# key (conftest's environment_key); under another, the last bits of NumPy's
+# np.exp in the anchor weights may differ, so the comparison is skipped.
+OU_ENVIRONMENT = {"numpy": "2.4.6", "machine": "x86_64", "system": "Linux",
+                  "dispatch": ["AVX512_ICL", "AVX512_SPR", "X86_V3", "X86_V4"]}
 OU_DIGESTS = {
     "straddle-m1":
-        "a3676a4b16d06d4a6af15a3e0c336b0f51a760225bea2d1e5cfa4fab2d2c4935",
+        "f3c01b8c48621a17cee3eabe5bd84e95377ac839f30248da62683c5c18bc4007",
     "past-m1":
-        "19852db6e3f5b9ffb3d583a836db3ac1209fba65875dbfa5c2fbfe186e03f962",
+        "a1de8f1d8f0b46af5ec383c5c1a8f7177e60f168c673293b495c26ab827470a4",
     "future-m1":
-        "ebcfe0b702a66e1e7a5f013b4466b9df65fe76b97285e0e5cfed4d396fdc67c9",
+        "85c3b03037e82157f93065aeaeedc6c148302432b3a80f895822241a86457bd2",
     "view-m1":
-        "06aa61e9c62fdd7fca0a07f989e49234a9460f0ca49857df0e725b049a094377",
+        "50deab51f1e2f6657f6c596a215dbc5f6006f70cee6ceb1c5aa9762e6835f985",
     "tabulated-m1":
-        "7a36162871a6f341876e02406150a125952f4c8a437be3f0a1e6e86940fc4f87",
+        "de5f6091958c8ec11a36c05c09128ae3011784b561a1e40a02912b4db0a2cdf5",
     "one-entry-block-m1":
-        "1529549fd6c03bb29a429d2283381049b86179c2464e0724dd7e8bca291ae672",
+        "f634cfa4842d1b705e0166ba9fa99a885b87a9d3223cfe6bc4401de4777b8825",
     "straddle-m2":
-        "aaa2b8007746baecd350ec522e78f7d7418685ed4b08706f2ae15a6e50178198",
+        "99e5fd5cd6622842c990c882826ec21b4fedadc78741624ea596b85f65383a29",
     "past-m2":
-        "3c65178b534fcc602cf0b9adeaecc3e27a05afc9babd935ceeee7246a57b00d3",
+        "6b0f07dafb471be07d290685b4ecf15f0e2763314d5b949031f20658ceebd55a",
     "future-m2":
-        "ba7f72acd113704f15d8dff2370ea454d15df22274de5fc52ead68952969c53e",
+        "0c9c8c837c0f139bf18967d40ce781b609453ae6a130af3f19d053dfc751ff3d",
     "view-m2":
-        "f7d21f4ae0b0741d665cfbbda50970abc2d9a544929843720db6d8423fad2d7c",
+        "4e25e61f697dddb1ea558535395be04cc411e62b27e0c4c2efe9424ea20ab4af",
     "tabulated-m2":
-        "4a32a672c45148100d4ef0fc4b1965a49086e31f312584a56fe398860aed9bb0",
+        "e7055f83531d008af7a2e81007b97842bb6c7133cddeeaf29d4279bada81d55a",
     "one-entry-block-m2":
-        "1752e035957369fcd2bed90ad8e1200550f0a2ef5fa431315e2cb5b4bf1ad849",
+        "c123e636ca4d00a9a9d25bf262062dd7c78f5a8f2039adfed68f61505b965e44",
 }
 
 
@@ -537,9 +538,6 @@ def ou_digest_case(name: str):
 @pytest.mark.bytes
 @pytest.mark.parametrize("name", sorted(OU_DIGESTS))
 def test_ou_values_match_pinned_digests(name):
-    env = {"numpy": np.__version__, "machine": platform.machine(),
-           "system": platform.system()}
-    if env != OU_ENVIRONMENT:
-        pytest.skip(f"OU digests were made on {OU_ENVIRONMENT}, this is {env}")
+    skip_unless_environment(OU_ENVIRONMENT, "OU digests")
     z = ou_from_path(*ou_digest_case(name))
     assert hashlib.sha256(z.values.tobytes()).hexdigest() == OU_DIGESTS[name]
