@@ -19,12 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis
-from .config import (_SCHEMA, EXPERIMENTS, FAN_OUT, ConfigError, RunConfig,
-                     parse_config)
+from .config import _SCHEMA, EXPERIMENTS, ConfigError, RunConfig, parse_config
 from .fields import (_write_csv, field_to_binary, field_to_csv,
                      hausdorff_semidistance, l2_sq)
-from .integrator import _COUPLINGS, StiffnessError, cocycle_apply
+from .integrator import StiffnessError, cocycle_apply
 from .noise import make_path, shift
+
+# The experiments that run n_seeds seeds; every other run has one.
+FAN_OUT = ("absorb-check", "tail-check", "usc-sweep", "periodicity-check")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -70,11 +72,6 @@ def _paths(cfg: RunConfig) -> list:
     return [make_path(s, cfg.path_dt(), cfg.block_length) for s in _seeds(cfg)]
 
 
-def _noise_path(cfg: RunConfig):
-    """The path driving a single-seed run; the deterministic model has none."""
-    return _paths(cfg)[0] if _COUPLINGS[cfg.noise_case].ou_rate else None
-
-
 def _initials(cfg: RunConfig, n: int) -> list:
     """n initial states drawn from the configured ball."""
     return analysis.sample_initial_ball(cfg.grid(), cfg.ball_radius, n,
@@ -82,7 +79,7 @@ def _initials(cfg: RunConfig, n: int) -> list:
 
 
 def _single_seed_inputs(cfg: RunConfig):
-    return (cfg.problem_spec(), cfg.stepper(), _noise_path(cfg),
+    return (cfg.problem_spec(), cfg.stepper(), _paths(cfg)[0],
             _initials(cfg, 1)[0])
 
 
@@ -137,8 +134,8 @@ def _run_cocycle_test(cfg: RunConfig, out: Path):
     for (s, t) in ((1.0, 1.0), (2.0, 3.0)):
         long = cocycle_apply(s + t, cfg.tau, path, u0, spec, stepper)
         first = cocycle_apply(s, cfg.tau, path, u0, spec, stepper)
-        view = shift(path, s) if path is not None else None
-        second = cocycle_apply(t, cfg.tau + s, view, first, spec, stepper)
+        second = cocycle_apply(t, cfg.tau + s, shift(path, s), first, spec,
+                               stepper)
         residuals[f"({s:g},{t:g})"] = float(
             np.max(np.abs(long.values - second.values)))
     files = [out / "cocycle.csv"]
@@ -195,7 +192,7 @@ def _run_tail_check(cfg: RunConfig, out: Path):
 
 
 def _run_estimate_attractor(cfg: RunConfig, out: Path):
-    ens = _estimator(cfg)(cfg.tau, path=_noise_path(cfg))
+    ens = _estimator(cfg)(cfg.tau, path=_paths(cfg)[0])
     files = []
     for i, member in enumerate(ens.members):
         _write_field(cfg, out, f"member_{i:03d}", member, files)

@@ -27,8 +27,6 @@ EXPERIMENTS = {"validate": (), "simulate": ("horizon",), "cocycle-test": (),
                "absorb-check": ("horizons",), "tail-check": ("horizon",),
                "estimate-attractor": ("horizon",), "usc-sweep": ("horizon",),
                "periodicity-check": ("horizon",)}
-# The experiments that build one noise path per seed, n_seeds of them.
-FAN_OUT = ("absorb-check", "tail-check", "usc-sweep", "periodicity-check")
 # An energy audit's (horizon/dt + 1) * n^dim snapshot floats: 512 MiB at most.
 MAX_AUDIT_FLOATS = 2 ** 26
 
@@ -247,8 +245,7 @@ def _validate(cfg: RunConfig, lines: dict, experiment) -> list:
     # The run snaps these to the stepper's and noise path's grids, or fails.
     snaps = [(a, cfg.dt) for a in
              ("period", "tau") + EXPERIMENTS.get(experiment, ())]
-    if experiment and (cfg.noise_case != "deterministic"
-                       or experiment in FAN_OUT):
+    if experiment:  # every run builds its seed's noise path
         snaps += [("block_length", cfg.dt), ("dt", cfg.path_dt())]
     for attr, step in snaps:
         value = getattr(cfg, attr)
@@ -272,6 +269,7 @@ def _validate(cfg: RunConfig, lines: dict, experiment) -> list:
          "audit needs snapshots at three or more consecutive nodes"),
         ("horizon", audit_floats <= MAX_AUDIT_FLOATS, f"audit snapshots "
          f"would hold {audit_floats:,} floats, over {MAX_AUDIT_FLOATS:,}"),
+        ("eta_seed", cfg.eta_seed >= -1, "eta_seed must be ≥ -1"),
         ("n_seeds", cfg.n_seeds >= 1, "n_seeds must be ≥ 1"),
         ("warmup", cfg.warmup >= 0, "warmup must be ≥ 0"),
         ("workers", cfg.workers >= 1, "workers must be ≥ 1"),

@@ -445,9 +445,7 @@ def pullback_run(tau: float, horizons, initial_set, path, spec: ProblemSpec,
     """
     horizons = list(horizons)
     check_args(horizons=horizons)
-    ensembles = {}
-    records = {}
-    failures = []
+    ensembles, records, failures = {}, {}, []
     seed = getattr(_resolve(path)[0], "seed", None)
     for h in horizons:
         view = shift(path, -h) if path is not None else None

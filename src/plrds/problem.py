@@ -117,7 +117,9 @@ class NonlinearitySpec(_Checked):
 
     kind "power-plus-forcing" uses -gamma|s|^(q-2)s + phi(t,x) with the
     time-periodic gaussian phi above; kind "custom" evaluates `expression`
-    in the variables t, x, y, s (y ignored in one dimension).
+    in t, x, y, s (y unused in 1D).  Like g and phi, the stepper reads it at
+    t mod `period`, so a t-dependent expression should be `period`-periodic;
+    energy_audit reads the absolute t, so its residual exposes one that is not.
     """
 
     kind: str = "power-plus-forcing"

@@ -11,7 +11,7 @@ from anywhere, sequentially, in a few minutes:
     python tests/mutants.py
 
 Every edit must match its file exactly once, or the script stops before it
-runs anything.  Exit status 0 whether or not mutants survive; 2 when an edit
+runs anything; tests/test_mutants.py checks that in the tier-1 suite.  Exit status 0 whether or not mutants survive; 2 when an edit
 does not apply or the unmutated copy fails.
 """
 

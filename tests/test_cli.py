@@ -288,6 +288,8 @@ PROBES = {
                           "block_length = 4.005\n", 4),
     "dt-off-noise-dt-grid": ("[stepper]\ndt = 0.005\n[noise]\n"
                              "dt = 0.002\n", 2),
+    # -1 lets eta ride the driving path; no other negative seed means one.
+    "eta-seed-below-minus-1": ("[noise]\neta_seed = -5\n", 2),
     "block-off-coarse-dt-grid": ("[stepper]\ndt = 0.2\n[noise]\n"
                                  "dt = 0.001\nblock_length = 2.5\n", 5),
 }
@@ -474,16 +476,20 @@ class TestOverrides:
             parse_config(text.format(n=8193), experiment="energy-audit")
         assert parse_config(text.format(n=8193), experiment="simulate")
 
-    def test_noise_keys_are_checked_where_a_path_is_built(self):
-        text = ("[problem]\nnoise_case = deterministic\n[stepper]\n"
-                "dt = 0.01\n[noise]\nblock_length = 4.005\n")
-        # A noise-free simulate builds no path; absorb-check builds one per
-        # seed whatever the noise case.
-        assert parse_config(text, experiment="simulate").block_length == 4.005
-        with pytest.raises(ConfigError) as err:
-            parse_config(text, experiment="absorb-check")
-        assert err.value.errors == ["line 6: block_length=4.005 is not an "
-                                    "integer multiple of dt=0.01"]
+    def test_noise_keys_are_checked_where_a_path_is_built(self, tmp_path,
+                                                          capsys):
+        p = tmp_path / "probe.ini"
+        p.write_text("[problem]\nnoise_case = deterministic\n[stepper]\n"
+                     "dt = 0.01\n[noise]\nblock_length = 4.005\n[output]\n"
+                     f"directory = {tmp_path / 'out'}\n")
+        # Every run builds its seed's path, a noise-free one too, and
+        # validate applies the rules of a run.
+        for experiment in EXPERIMENTS:
+            assert main([experiment, "--config", str(p)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: line 6: block_length=4.005 is not an integer "
+                "multiple of dt=0.01\n")
+        assert list(tmp_path.iterdir()) == [p]
         # Without an experiment no run, and so no path, is checked.
         assert parse_config("[noise]\ndt = 0.25\n").noise_dt == 0.25
 

@@ -31,7 +31,7 @@ import pytest
 from conftest import environment_key, skip_unless_environment
 
 from plrds import cli
-from plrds.config import FAN_OUT
+from plrds.cli import FAN_OUT
 
 pytestmark = pytest.mark.bytes
 

@@ -64,6 +64,18 @@ class TestPeriodicity:
         b = cocycle_apply(1.0, spec.period, path, u0, spec, cfg_fast)
         assert np.array_equal(a.values, b.values)
 
+    def test_custom_f_reads_t_mod_period(self, grid65, gaussian_u0):
+        # The stepper reads a custom f at the forcing phase, so even an f
+        # that is not period-periodic in t gives a period-shift law.
+        spec = ProblemSpec(
+            noise_case="deterministic", alpha=0.0, g_amp=0.0,
+            nonlinearity=NonlinearitySpec(
+                kind="custom", expression="-abs(s)*s + t*exp(-x*x)"))
+        cfg, u0 = StepperConfig(dt=0.01), gaussian_u0(grid65)
+        a = cocycle_apply(2.0, 0.0, None, u0, spec, cfg)
+        b = cocycle_apply(2.0, spec.period, None, u0, spec, cfg)
+        assert np.array_equal(a.values, b.values)
+
 
 class TestReductions:
     def test_additive_alpha_eps_zero_matches_deterministic(self, grid65,
@@ -104,6 +116,26 @@ class TestReductions:
         assert np.array_equal(va.values, vd.values)
         assert np.array_equal(vm.values, vd.values)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_multiplicative_is_conjugate_to_noise_free(self, seed, grid65,
+                                                       cfg_fast, path_bank):
+        # At p = q = 2 with f = 0 and g = 0 the equation is linear, and the
+        # Stratonovich solution is u_alpha(T) = e^{alpha (w(T) - w(0))}
+        # u_0(T) with u_0 the noise-free run.
+        f0 = NonlinearitySpec(kind="custom", expression="0*s")
+        model = partial(ProblemSpec, p=2.0, q=2.0, g_amp=0.0, nonlinearity=f0)
+        u0 = make_field(grid65, 1.2 * np.exp(-0.5 * grid_arrays(grid65)
+                                              .radial_sq))
+        path, alpha = path_bank(seed, cfg_fast.dt), 0.5
+        w = path.grid_values(0, snap_steps(1.0, cfg_fast.dt))
+        exact = math.exp(alpha * (w[-1] - w[0])) * cocycle_apply(
+            1.0, 0.0, None, u0, model(noise_case="deterministic", alpha=0.0),
+            cfg_fast).values
+        got = cocycle_apply(1.0, 0.0, path, u0, model(
+            noise_case="multiplicative", alpha=alpha), cfg_fast).values
+        err = l2_sq(Field(grid65, got - exact)) / l2_sq(Field(grid65, exact))
+        assert math.sqrt(err) <= 5e-3
+
     def test_zero_damping_step_is_forward_euler(self, grid65, cfg_fast,
                                                 gaussian_u0, path_bank):
         # lam = alpha * eta makes the damping rate a exactly 0, where the
@@ -131,6 +163,19 @@ class TestTransforms:
             back = transform_v_to_u(transform_u_to_v(u, z, spec_mult), z,
                                     spec_mult)
             assert np.allclose(back.values, u.values, rtol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_additive_shift_is_eps_z_h(self, dim, gaussian_u0):
+        # h = exp(-|x|^2/2), built here by hand, zero on the boundary.
+        grid = Grid(dim, 8.0, 33)
+        h = np.exp(-0.5 * grid_arrays(grid).radial_sq)
+        h[boundary_mask(grid)] = 0.0
+        spec = ProblemSpec(noise_case="additive", epsilon=0.7)
+        u = gaussian_u0(grid)
+        for z in (-1.7, 2.3):
+            v = transform_u_to_v(u, z, spec)
+            assert np.allclose(v.values, u.values - 0.7 * z * h, rtol=0.0,
+                               atol=1e-14)
 
     def test_deterministic_transform_is_identity_copy(self, grid65,
                                                       gaussian_u0, spec_det):
