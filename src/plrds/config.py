@@ -242,17 +242,22 @@ def _validate(cfg: RunConfig, lines: dict, experiment) -> list:
     for cls, alias in _BUILT.items():
         view = dict(values, **{k: values[a] for k, a in alias.items()})
         errors += [at(alias.get(k, k)) + m for k, m in cls.violations(view)]
-    # The run snaps these to the stepper's and noise path's grids, or fails.
-    snaps = [(a, cfg.dt) for a in
+    # The run snaps these to the stepper's and noise path's grids, or fails,
+    # as on a period or block of 0 steps; cocycle-test's legs last 1, 2, 3.
+    snaps = [(a, getattr(cfg, a), cfg.dt) for a in
              ("period", "tau") + EXPERIMENTS.get(experiment, ())]
     if experiment:  # every run builds its seed's noise path
-        snaps += [("block_length", cfg.dt), ("dt", cfg.path_dt())]
-    for attr, step in snaps:
-        value = getattr(cfg, attr)
+        snaps += [("block_length", cfg.block_length, cfg.dt),
+                  ("dt", cfg.dt, cfg.path_dt())]
+    if experiment == "cocycle-test":
+        snaps.append(("t", 1.0, cfg.dt))
+    for attr, value, step in snaps:
         try:
             for v in value if isinstance(value, tuple) else (value,):
-                if step > 0:
-                    snap_steps(v, step, attr)
+                if step > 0 and snap_steps(v, step, attr) < 1 and v > 0 \
+                        and attr in ("period", "block_length"):
+                    raise ValueError(f"{attr} must be a positive multiple "
+                                     "of dt")
         except ValueError as exc:
             errors.append(f"{at(attr, 'dt', 'noise_dt')}{exc}")
     spec_keys = {f.name for f in dc_fields(ProblemSpec)}

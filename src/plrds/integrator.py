@@ -103,7 +103,6 @@ class _ModelContext:
         self.y = arrs.y if grid.dim == 2 else 0.0
         self.split_f = spec.nonlinearity.kind != "custom"
         self.p, self.delta, self.edges = spec.p, spec.delta, arrs.edges
-        self.phases = {}                # step time -> its factors
 
     def col(self, x):
         """x, a scalar or a sequence, with unit grid axes: one row each."""
@@ -119,15 +118,10 @@ class _ModelContext:
         return f
 
     def factors(self, ts):
-        """Columns of g(t) and, for the default f, phi(t), one call per t."""
+        """Columns of g(t) and, for the default f, phi(t): one call each over
+        the times ts; NumPy gives each element the bits of its own call."""
         fns = (self.spec.g_time, self.spec.phi_time)[:1 + self.split_f]
-        return self.col([[fn(t) for t in ts] for fn in fns])
-
-    def phase_factors(self, ts):
-        """factors(ts) at step times j dt, j < m: each evaluated once, kept."""
-        for t in set(ts).difference(self.phases):
-            self.phases[t] = self.factors([t]).ravel().tolist()
-        return self.col(np.transpose([self.phases[t] for t in ts]))
+        return self.col([fn(np.asarray(ts, float)) for fn in fns])
 
 
 @lru_cache(maxsize=64)
@@ -351,8 +345,8 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
     snapshots = {}
 
     v0 = co.to_v(state, co.node(z[0], ctx), ctx)
-    ts = [((tau_k + k) % m) * dt for k in range(nsteps)]
-    factors, zs, es = ctx.phase_factors(ts), z.tolist(), eta.tolist()
+    phases = (tau_k + np.arange(nsteps)) % m * dt
+    factors, ts = ctx.factors(phases), phases.tolist()
     z_mid, eta_mid = 0.5 * (z[:-1] + z[1:]), 0.5 * (eta[:-1] + eta[1:])
     zms, ems = z_mid.tolist(), eta_mid.tolist()
     # Chunks of steps build their terms, and a record its quadratures, with
@@ -389,7 +383,7 @@ def cocycle_apply(t: float, tau: float, path, u_tau: Field, spec: ProblemSpec,
         if not ok[n - 1]:
             j, k = n - 1, k0 + n - 1
             cands[j], sq1[j], *rec = _macro_step(
-                co, vvs[j], ts[k], dt, zs[k], zs[k + 1], es[k], es[k + 1],
+                co, vvs[j], ts[k], dt, z[k], z[k + 1], eta[k], eta[k + 1],
                 ctx, cfg, sq0[j], sq1[j])
             if recording:
                 wargs[j], faces[j] = rec

@@ -46,8 +46,8 @@ MUTANTS = {
         "noise.py", "return cfg.mean + z if cfg.mean != 0.0 else z",
         "return z"),
     "forcing-phase-plus-1": (
-        "integrator.py", "ts = [((tau_k + k) % m) * dt",
-        "ts = [((tau_k + k + 1) % m) * dt"),
+        "integrator.py", "phases = (tau_k + np.arange(nsteps)) % m * dt",
+        "phases = (tau_k + 1 + np.arange(nsteps)) % m * dt"),
     "audit-noise-sign": (
         "analysis.py", "2.0 * eps * zk[b] * _pairing(faces, dx, h_grads)",
         "-2.0 * eps * zk[b] * _pairing(faces, dx, h_grads)"),

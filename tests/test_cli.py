@@ -292,6 +292,9 @@ PROBES = {
     "eta-seed-below-minus-1": ("[noise]\neta_seed = -5\n", 2),
     "block-off-coarse-dt-grid": ("[stepper]\ndt = 0.2\n[noise]\n"
                                  "dt = 0.001\nblock_length = 2.5\n", 5),
+    # Within the grid tolerance of 0 steps: a run would refuse them.
+    "period-of-no-step": ("[problem]\nperiod = 1e-12\n", 2),
+    "block-of-no-step": ("[noise]\nblock_length = 1e-12\n", 2),
 }
 
 # One case per rule a parameter dataclass states or a library call shares
@@ -422,6 +425,13 @@ OVERRIDE_PROBES = {
     # The step has one update rule; the key that chose another is gone.
     "scheme-key": (["simulate"], {}, "[stepper]\nscheme = imex\n",
                    "line 2: unknown key 'scheme' in section [stepper]"),
+    # Its legs last 1, 2 and 3 time units, off a dt grid the config allows.
+    "cocycle-test-legs-off-dt-grid": (["cocycle-test"], {},
+                                      "[stepper]\ndt = 0.3\n[problem]\n"
+                                      "period = 0.9\n[noise]\n"
+                                      "block_length = 3.0\n",
+                                      "line 2: t=1.0 is not an integer "
+                                      "multiple of dt=0.3"),
     "tail-check-horizon": (["tail-check"], {},
                            "[experiment]\nhorizon = 0.5\n",
                            "line 2: tail_check samples the last time unit; "

@@ -76,6 +76,32 @@ class TestPeriodicity:
         b = cocycle_apply(2.0, spec.period, None, u0, spec, cfg)
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("dt", [1e-3, 2e-3, 0.01])
+    @pytest.mark.parametrize("period", [1.0, 0.3])
+    def test_forcing_array_call_is_elementwise(self, period, dt):
+        # A run evaluates g and phi with one array call over its step
+        # phases.  The period-shift and composition laws need each element
+        # to carry the bits of its own scalar call, whatever window of
+        # phases a leg hands over.
+        spec = ProblemSpec(period=period)
+        ctx = integrator._context(spec, Grid(1, 8.0, 17))
+        m = snap_steps(period, dt)
+        tau_k, n = 3 * m - 5, 2 * m + 11
+        phases = (tau_k + np.arange(n)) % m * dt
+        full = ctx.factors(phases).reshape(2, n)
+        one_by_one = [[fn(t) for t in phases.tolist()]
+                      for fn in (spec.g_time, spec.phi_time)]
+        assert full.tobytes() == np.array(one_by_one).tobytes(), \
+            "NumPy's sin or cos of an array differs from its scalar calls"
+        rng = np.random.default_rng(0)
+        cuts = np.sort(rng.integers(0, n, (20, 2)))
+        windows = [(a, a + w) for a in range(8) for w in range(1, 18)] \
+            + [(a, b + 1) for a, b in cuts.tolist()]
+        for a, b in windows:
+            leg = ctx.factors((tau_k + a + np.arange(b - a)) % m * dt)
+            assert leg.reshape(2, -1).tobytes() == full[:, a:b].tobytes(), \
+                f"NumPy's sin or cos of phases {a}:{b} depends on the window"
+
 
 class TestReductions:
     def test_additive_alpha_eps_zero_matches_deterministic(self, grid65,
@@ -755,32 +781,32 @@ class TestChunkedLoop:
 
     @pytest.fixture
     def forcing_calls(self, monkeypatch):
-        """The times of every g_time and phi_time call, by name, made on
-        model contexts built inside the test."""
+        """The times of every g_time and phi_time call, by name: one list
+        per call."""
         calls = {"g_time": [], "phi_time": []}
         for name, times in calls.items():
             def counted(spec, t, fn=getattr(ProblemSpec, name), times=times):
-                times.append(t)
+                times.append(np.ravel(t).tolist())
                 return fn(spec, t)
             monkeypatch.setattr(ProblemSpec, name, counted)
-        integrator._context.cache_clear()
-        yield calls
-        integrator._context.cache_clear()
+        return calls
 
     @pytest.mark.parametrize("case", sorted(SPECS))
-    def test_forcing_once_per_phase(self, case, forcing_calls, gaussian_u0,
-                                    path_bank):
+    def test_forcing_once_per_call(self, case, forcing_calls, gaussian_u0,
+                                   path_bank):
         # Two periods of 25 steps, then a second call half a period on:
-        # g and phi are evaluated once at each phase time j dt.
+        # each call evaluates g and phi once, over its own step phases in
+        # step order.
         grid, cfg = self.GRIDS[1], StepperConfig(dt=2e-3)
         spec = replace(self.SPECS[case], period=0.05)
         path = None if case == "deterministic" else path_bank(5, cfg.dt)
         u0 = gaussian_u0(grid, 0.9)
         cocycle_apply(50 * cfg.dt, 0.3, path, u0, spec, cfg)
         cocycle_apply(50 * cfg.dt, 0.326, path, u0, spec, cfg)
-        phases = [j * cfg.dt for j in range(25)]
+        phases = [[((tau_k + k) % 25) * cfg.dt for k in range(50)]
+                  for tau_k in (150, 163)]
         for times in forcing_calls.values():
-            assert sorted(times) == phases
+            assert times == phases
 
     def test_retried_substeps_evaluate_their_own_times(
             self, forcing_calls, gaussian_u0, path_bank, monkeypatch):
@@ -795,7 +821,7 @@ class TestChunkedLoop:
         expected = sorted([j * cfg.dt for j in range(k + 2)]
                           + [t, t + cfg.dt / 2])
         for times in forcing_calls.values():
-            assert sorted(times) == expected
+            assert sorted(sum(times, [])) == expected
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("case", sorted(SPECS))
